@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from groupmix.fourier import Dist, convolve, uniform
+from groupmix.fourier import BoundViolation, Dist, convolve, uniform
 from groupmix.groups import ProductGroup
 from groupmix.irreps import IrrepSet
 from groupmix.uniformity import eps_k_uniform, eps_uniform
@@ -35,11 +35,6 @@ def numerical_floor(size: int) -> float:
 def l2_sq_dist_to_uniform(p: Dist) -> float:
     """sum_x (p(x) - 1/|G|)^2, un-normalized."""
     return float(np.sum((p.values - 1.0 / p.size) ** 2))
-
-
-def l2_sq_via_norm_identity(p: Dist) -> float:
-    """|p|_2^2 - 1/|G|; agrees with the direct form to rounding."""
-    return float(np.sum(p.values**2) - 1.0 / p.size)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +132,8 @@ def flatten_bound_check(
     lhs = l2_sq_dist_to_uniform(conv)
     rhs = base * 2.0 * float(n) ** (m - k) * float(d) ** (-(k + 1))
     holds = lhs <= rhs + 1e-12
-    assert holds, f"flattening bound violated: {lhs} > {rhs}"
+    if not holds:
+        raise BoundViolation(f"flattening bound violated: {lhs} > {rhs}")
     ratio = lhs / base if base > 0 else None
     return FlattenRecord(lhs, rhs, ratio, holds, eps_in)
 
@@ -159,7 +155,8 @@ def square_boost_check(
     conv = convolve(p, q, s, engine=engine)
     eps_c = eps_k_uniform(conv, k).eps
     holds = eps_c <= eps_p * eps_q + 1e-12
-    assert holds, f"square boost violated: {eps_c} > {eps_p} * {eps_q}"
+    if not holds:
+        raise BoundViolation(f"square boost violated: {eps_c} > {eps_p} * {eps_q}")
     return SquareBoostRecord(eps_p, eps_q, eps_c, holds)
 
 
@@ -178,7 +175,8 @@ def l2_to_linf_check(
     linf = float(np.max(np.abs(conv.values - 1.0 / p.size)))
     l2sq = l2_sq_dist_to_uniform(p)
     holds = linf <= l2sq + 1e-15
-    assert holds, f"L2-to-Linf bound violated: {linf} > {l2sq}"
+    if not holds:
+        raise BoundViolation(f"L2-to-Linf bound violated: {linf} > {l2sq}")
     return L2LinfRecord(linf, l2sq, holds)
 
 

@@ -8,8 +8,9 @@ sum_y p(y) q(y^{-1} x), so the convolution theorem carries the explicit
 
 Irreps of H^m are tensor products of base irreps, indexed by m-tuples of
 base-irrep indices with coordinate 0 as the least significant kron factor.
-The product transform runs one coordinate at a time (m * n^(m+1) scalar
-work) instead of materializing product-group matrices.
+The transform is separable (Diaconis & Rockmore 1990): all base irreps are
+stacked into one n x n matrix, applied along each coordinate axis of the
+(n,)*m tensor with one batched matmul, m * n^(m+1) scalar work in all.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ _DIRECT_REST_MAX = 4096           # direct product engine builds an R x R index 
 
 class SpaceMismatchError(ValueError):
     pass
+
+
+class BoundViolation(AssertionError):
+    """A checked inequality failed on concrete numbers.
+
+    Raised explicitly rather than by `assert`, so the checks also run under
+    `python -O`.
+    """
 
 
 @dataclass(frozen=True)
@@ -73,7 +82,8 @@ def make_dist(space: Space, values) -> Dist:
     if low < 0.0:
         v = np.where(v < 0.0, 0.0, v)
     total = float(v.sum())
-    if abs(total - 1.0) > DIST_SUM_TOL:
+    # negated so that NaN fails too; -inf fails the clamp check, +inf the sum
+    if not abs(total - 1.0) <= DIST_SUM_TOL:
         raise ValueError(f"probabilities sum to {total}, not 1 within {DIST_SUM_TOL}")
     return Dist(space, v)
 
@@ -97,12 +107,6 @@ def tv_distance(p: Dist, q: Dist) -> float:
     return 0.5 * float(np.sum(np.abs(p.values - q.values)))
 
 
-def l1_distance(p: Dist, q: Dist) -> float:
-    if not same_space(p.space, q.space):
-        raise SpaceMismatchError("l1_distance across different spaces")
-    return float(np.sum(np.abs(p.values - q.values)))
-
-
 # ---------------------------------------------------------------------------
 # matrix norm
 
@@ -122,25 +126,109 @@ def tuple_weight(t: tuple[int, ...]) -> int:
     return sum(1 for a in t if a != 0)
 
 
+# ---------------------------------------------------------------------------
+# dense transform core
+#
+# One axis of a coefficient tensor lists the n = sum d^2 entries of all base
+# irreps slot by slot: irrep a occupies the d_a^2 slots from offset
+# off_a = sum_{b<a} d_b^2, its (i, j) entry at off_a + i d_a + j.  A tensor
+# over H^m has shape (n,)*m in C order, so axis j holds coordinate m-1-j and
+# the flat C index equals the flat element index sum_i x_i n^i.
+
+
+def _stacked(s: IrrepSet) -> tuple[np.ndarray, np.ndarray]:
+    """Analysis F[x, (a,i,j)] = conj(rho_a(x)_ij) / n and synthesis
+    S[(a,i,j), x] = d_a rho_a(x)_ij."""
+    rows = np.concatenate([r.matrices.reshape(s.order, -1) for r in s.irreps], axis=1)
+    return rows.conj() / s.order, (rows * np.repeat(s.dims, np.square(s.dims))).T
+
+
+def _axis_passes(
+    t: np.ndarray, mat: np.ndarray, m: int, bufs: list[np.ndarray] | None = None
+) -> np.ndarray:
+    """Contract mat[in, out] with every axis of the flat (n,)*m tensor t.
+
+    Pass k views the tensor as (n^k, n, n^(m-1-k)) and multiplies its middle
+    axis with one batched matmul, so no pass transposes; the fastest axis is
+    a single (n^(m-1), n) @ mat.  Passes alternate between two flat complex
+    buffers (t may be one of them) and return the one holding the result.
+    """
+    n = mat.shape[0]
+    bufs = bufs or [np.empty(t.size, dtype=np.complex128) for _ in range(2)]
+    src = t
+    if src.dtype != np.complex128:
+        bufs[1][...] = src
+        src = bufs[1]
+    for k in range(m):
+        dst = bufs[1] if src is bufs[0] else bufs[0]
+        b, a = n**k, n ** (m - 1 - k)
+        if a == 1:
+            np.matmul(src.reshape(b, n), mat, out=dst.reshape(b, n))
+        else:
+            np.matmul(mat.T, src.reshape(b, n, a), out=dst.reshape(b, n, a))
+        src = dst
+    return src
+
+
+def _slot_offsets(s: IrrepSet) -> np.ndarray:
+    return np.cumsum((0,) + tuple(d * d for d in s.dims[:-1]))
+
+
+def _block_view(dense: np.ndarray, t: tuple[int, ...], s: IrrepSet) -> np.ndarray:
+    """Tuple t's block as a view with axes (r_{m-1}, ..., r_0, c_{m-1}, ..., c_0)."""
+    offs, dims, m = _slot_offsets(s), s.dims, len(t)
+    view = dense[tuple(slice(offs[a], offs[a] + dims[a] ** 2) for a in t[::-1])]
+    view = view.reshape([dims[a] for a in t[::-1] for _ in (0, 1)])
+    return view.transpose(list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2)))
+
+
+def _get_block(dense: np.ndarray, t: tuple[int, ...], s: IrrepSet) -> np.ndarray:
+    """The coefficient matrix of tuple t; coordinate 0 is the least
+    significant kron factor of its rows and columns."""
+    d = int(np.prod([s.dims[a] for a in t]))
+    return _block_view(dense, t, s).reshape(d, d)
+
+
+def _set_block(dense: np.ndarray, t: tuple[int, ...], s: IrrepSet, mat: np.ndarray):
+    view = _block_view(dense, t, s)
+    view[...] = np.reshape(mat, view.shape)
+
+
+def _block_norms_sq(dense: np.ndarray, s: IrrepSet) -> np.ndarray:
+    """Squared Frobenius norm of every block, an (n_irreps,)*m array whose
+    axis j, like the tensor's, holds coordinate m-1-j."""
+    sq = np.abs(dense) ** 2
+    for axis in range(dense.ndim):
+        sq = np.add.reduceat(sq, _slot_offsets(s), axis=axis)
+    return sq
+
+
 @dataclass(frozen=True)
 class FourierData:
-    """Per-irrep coefficient matrices of a function.
+    """Coefficients of a function as one dense tensor in the slot layout.
 
-    Keys are irrep indices for a base group (arity 1 transforms done through
-    `fourier_forward`) and m-tuples of base-irrep indices for H^m.
+    `dense` has shape (n,)*arity.  Block keys are irrep indices for a single
+    group (`fourier_forward`, product=False) and arity-tuples of base-irrep
+    indices for H^m.
     """
 
     irreps: IrrepSet
     arity: int
-    coeffs: dict
+    dense: np.ndarray
+    product: bool = True
+
+    def __post_init__(self):
+        self.dense.setflags(write=False)
 
     @property
     def size(self) -> int:
         return self.irreps.order**self.arity
 
-    def storage(self) -> int:
-        """Total complex entries; equals the space size for a full transform."""
-        return sum(m.shape[0] * m.shape[1] for m in self.coeffs.values())
+    @property
+    def coeffs(self) -> dict:
+        """Irrep key -> d x d coefficient matrix, read out of `dense`."""
+        keys = itertools.product(range(len(self.irreps)), repeat=self.arity)
+        return {(t if self.product else t[0]): _get_block(self.dense, t, self.irreps) for t in keys}
 
 
 def _check_base(s: IrrepSet, space: Space):
@@ -149,56 +237,8 @@ def _check_base(s: IrrepSet, space: Space):
         raise SpaceMismatchError("irrep set does not belong to this space's base group")
 
 
-def _forward_kernel(values, s: IrrepSet, m: int) -> dict:
-    n = s.order
-    conj_mats = [r.matrices.conj() for r in s.irreps]
-    blocks = {(): np.reshape(np.asarray(values), (n,) * m, order="F")}
-    for _ in range(m):
-        nxt = {}
-        for prefix in list(blocks):
-            arr = blocks.pop(prefix)
-            for a, cm in enumerate(conj_mats):
-                out = np.tensordot(cm, arr, axes=([0], [0])) / n
-                out = np.moveaxis(out, (0, 1), (-2, -1))
-                nxt[prefix + (a,)] = out
-        blocks = nxt
-    coeffs = {}
-    for t in list(blocks):
-        arr = blocks.pop(t)
-        d_total = int(np.prod([s.irreps[a].dim for a in t]))
-        rows = [2 * (m - 1 - i) for i in range(m)]
-        cols = [r + 1 for r in rows]
-        coeffs[t] = np.ascontiguousarray(arr.transpose(rows + cols).reshape(d_total, d_total))
-    return coeffs
-
-
-def _inverse_kernel(coeffs: dict, s: IrrepSet, m: int) -> np.ndarray:
-    n = s.order
-    blocks = {}
-    for t, mat in coeffs.items():
-        ds = [s.irreps[a].dim for a in t]
-        arr = np.asarray(mat, dtype=np.complex128).reshape(ds[::-1] + ds[::-1])
-        perm = []
-        for i in range(m):
-            perm.extend([m - 1 - i, 2 * m - 1 - i])
-        blocks[t] = arr.transpose(perm)      # axes (r_0, s_0, ..., r_{m-1}, s_{m-1})
-    for coord in reversed(range(m)):
-        nxt = {}
-        for t in list(blocks):
-            arr = blocks.pop(t)
-            a = t[coord]
-            out = np.tensordot(
-                s.irreps[a].matrices, arr, axes=([1, 2], [2 * coord, 2 * coord + 1])
-            )
-            out = np.moveaxis(out, 0, 2 * coord) * s.irreps[a].dim
-            key = t[:coord]
-            if key in nxt:
-                nxt[key] = nxt[key] + out
-            else:
-                nxt[key] = out
-        blocks = nxt
-    (arr,) = blocks.values()
-    return np.ravel(arr, order="F")
+def _forward(values, s: IrrepSet, m: int) -> np.ndarray:
+    return _axis_passes(np.asarray(values), _stacked(s)[0], m).reshape((s.order,) * m)
 
 
 def fourier_forward(f, s: IrrepSet) -> FourierData:
@@ -206,35 +246,31 @@ def fourier_forward(f, s: IrrepSet) -> FourierData:
     f = np.asarray(f)
     if f.shape != (s.order,):
         raise ValueError(f"function length {f.shape} does not match group order {s.order}")
-    coeffs = {t[0]: mat for t, mat in _forward_kernel(f, s, 1).items()}
-    return FourierData(s, 1, coeffs)
+    return FourierData(s, 1, _forward(f, s, 1), product=False)
 
 
 def fourier_inverse(fd: FourierData) -> np.ndarray:
     """Pointwise reconstruction; complex output (realify at the call site)."""
     if fd.arity != 1:
         raise ValueError("fourier_inverse expects a single-group transform")
-    if set(fd.coeffs) != set(range(len(fd.irreps.irreps))):
-        missing = set(range(len(fd.irreps.irreps))) - set(fd.coeffs)
-        raise ValueError(f"missing coefficient for irrep index {sorted(missing)}")
-    return _inverse_kernel({(i,): m for i, m in fd.coeffs.items()}, fd.irreps, 1)
+    return product_fourier_inverse(fd)
 
 
 def product_fourier_forward(f, pg: ProductGroup, s: IrrepSet) -> FourierData:
-    """Transform on H^m by m successive single-coordinate partial transforms."""
+    """Transform on H^m: one batched-matmul pass per coordinate."""
     _check_base(s, pg)
     check_dense_budget(pg)
     f = np.asarray(f)
     if f.shape != (pg.size,):
         raise ValueError(f"function length {f.shape} does not match {pg!r}")
-    return FourierData(s, pg.arity, _forward_kernel(f, s, pg.arity))
+    return FourierData(s, pg.arity, _forward(f, s, pg.arity))
 
 
 def product_fourier_inverse(fd: FourierData) -> np.ndarray:
-    expected = len(fd.irreps.irreps) ** fd.arity
-    if len(fd.coeffs) != expected:
-        raise ValueError(f"expected {expected} coefficient tuples, got {len(fd.coeffs)}")
-    return _inverse_kernel(fd.coeffs, fd.irreps, fd.arity)
+    shape = (fd.irreps.order,) * fd.arity
+    if fd.dense.shape != shape:
+        raise ValueError(f"expected a coefficient tensor of shape {shape}, got {fd.dense.shape}")
+    return _axis_passes(fd.dense.reshape(-1), _stacked(fd.irreps)[1], fd.arity)
 
 
 def dist_fourier(p: Dist, s: IrrepSet) -> FourierData:
@@ -303,20 +339,26 @@ def convolve_fourier(p: Dist, q: Dist, s: IrrepSet) -> Dist:
         raise SpaceMismatchError("convolution across different spaces")
     _check_base(s, p.space)
     m = p.space.arity if isinstance(p.space, ProductGroup) else 1
-    g_size = float(p.size)
-    cp = _forward_kernel(p.values, s, m)
-    cq = cp if q.values is p.values or q is p else _forward_kernel(q.values, s, m)
-    prod = {}
-    for t in list(cp):
-        a = cp.pop(t)
-        b = a if cq is cp else cq.pop(t)
-        prod[t] = g_size * (a @ b)
-    del cp, cq
-    vals = _inverse_kernel(prod, s, m)
-    worst_imag = float(np.max(np.abs(vals.imag)))
+    shape = (s.order,) * m
+    ana, synth = _stacked(s)
+    bufs = [np.empty(p.size, dtype=np.complex128) for _ in range(2)]
+    cp = _axis_passes(p.values, ana, m, bufs)
+    cq = cp
+    if not (q is p or q.values is p.values):
+        # q's passes start in the buffer p's passes left free
+        spare = bufs[1] if cp is bufs[0] else bufs[0]
+        cq = _axis_passes(q.values, ana, m, [spare, np.empty_like(spare)])
+    dp, dq = cp.reshape(shape), cq.reshape(shape)
+    for t in itertools.product(range(len(s)), repeat=m):
+        a = _get_block(dp, t, s)
+        _set_block(dp, t, s, a @ (a if cq is cp else _get_block(dq, t, s)))
+    del cq, dq
+    # the |G| = n^m factor rides on the synthesis matrix, n per axis
+    vals = _axis_passes(cp, s.order * synth, m, bufs)
+    worst_imag = max(float(vals.imag.max()), -float(vals.imag.min()))
     if worst_imag > _REAL_TOL:
         raise ValueError(f"convolution output has imaginary residual {worst_imag}")
-    return make_dist(p.space, vals.real)
+    return make_dist(p.space, np.ascontiguousarray(vals.real))
 
 
 def convolve(p: Dist, q: Dist, s: IrrepSet | None = None, engine: str | None = None) -> Dist:
@@ -360,39 +402,45 @@ def marginalize(p: Dist, coords) -> Dist:
     return make_dist(out_space, _marginal_values(p.values, p.space, coords))
 
 
-def low_weight_coefficients(p: Dist, k: int, s: IrrepSet) -> dict:
-    """All coefficients of weight 1..k, computed through subset marginals.
+def _low_weight_transforms(p: Dist, k: int, s: IrrepSet):
+    """Yield (subset, coefficients) for every subset S of 1..k coordinates.
 
-    A coefficient supported on coordinates S equals n^(|S|-m) times the
-    matching coefficient of the marginal onto S, so only |H|^|S|-sized
-    transforms are needed.
+    A coefficient supported on S equals n^(|S|-m) times the matching
+    coefficient of the marginal onto S, so only |H|^|S|-sized transforms are
+    needed.  Zeroing the trivial slot (index 0) of every axis leaves exactly
+    the weight-|S| coefficients on S, in a dense (n,)*|S| tensor.
     """
     if not isinstance(p.space, ProductGroup):
-        raise ValueError("low_weight_coefficients needs a product-group distribution")
+        raise ValueError("low-weight coefficients need a product-group distribution")
     _check_base(s, p.space)
     m = p.space.arity
     if not 1 <= k <= m:
         raise ValueError(f"k must lie in [1, {m}], got {k}")
     n = p.space.base.order
-    n_irr = len(s.irreps)
-    out = {}
     for w in range(1, k + 1):
         for subset in itertools.combinations(range(m), w):
-            marg = _marginal_values(p.values, p.space, subset)
-            small = _forward_kernel(marg, s, w)
-            scale = float(n) ** (w - m)
-            for tau in itertools.product(range(1, n_irr), repeat=w):
-                full = [0] * m
-                for pos, a in zip(subset, tau):
-                    full[pos] = a
-                out[tuple(full)] = small[tau] * scale
+            coeffs = _forward(_marginal_values(p.values, p.space, subset), s, w)
+            coeffs *= float(n) ** (w - m)
+            for axis in range(w):
+                coeffs[(slice(None),) * axis + (0,)] = 0.0
+            yield subset, coeffs
+
+
+def low_weight_coefficients(p: Dist, k: int, s: IrrepSet) -> dict:
+    """All coefficients of weight 1..k, keyed by m-tuple, via subset marginals."""
+    out = {}
+    for subset, coeffs in _low_weight_transforms(p, k, s):
+        for tau in itertools.product(range(1, len(s)), repeat=len(subset)):
+            full = dict(zip(subset, tau))
+            key = tuple(full.get(i, 0) for i in range(p.space.arity))
+            out[key] = _get_block(coeffs, tau, s)
     return out
 
 
 def max_low_weight_norm(coeffs: dict) -> float:
     if not coeffs:
         return 0.0
-    return max(np.sqrt(frobenius_norm_sq(mat)) for mat in coeffs.values())
+    return max(float(np.sqrt(frobenius_norm_sq(mat))) for mat in coeffs.values())
 
 
 # ---------------------------------------------------------------------------

@@ -372,28 +372,3 @@ def flat_digits(pg: ProductGroup, flat: np.ndarray) -> np.ndarray:
         digs[i] = flat % n
         flat = flat // n
     return digs
-
-
-def digits_to_flat(pg: ProductGroup, digs: np.ndarray) -> np.ndarray:
-    n = pg.base.order
-    flat = np.zeros(np.asarray(digs[0]).shape, dtype=np.int64)
-    for i in reversed(range(pg.arity)):
-        flat = flat * n + np.asarray(digs[i], dtype=np.int64)
-    return flat
-
-
-def product_mul(pg: ProductGroup, x, y) -> np.ndarray:
-    """Coordinatewise product of flat indices (vectorized)."""
-    dx, dy = flat_digits(pg, x), flat_digits(pg, y)
-    out = np.empty_like(dx)
-    for i in range(pg.arity):
-        out[i] = pg.base.mul[dx[i], dy[i]]
-    return digits_to_flat(pg, out)
-
-
-def product_inv(pg: ProductGroup, x) -> np.ndarray:
-    dx = flat_digits(pg, x)
-    out = np.empty_like(dx)
-    for i in range(pg.arity):
-        out[i] = pg.base.inv[dx[i]]
-    return digits_to_flat(pg, out)

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from groupmix.boost import ExperimentLog, StepRecord, l2_sq_dist_to_uniform, numerical_floor
-from groupmix.fourier import Dist, convolve, make_dist, uniform
+from groupmix.fourier import BoundViolation, Dist, convolve, make_dist, uniform
 from groupmix.groups import MAX_DENSE_STATES, GroupTable, ProductGroup
 from groupmix.irreps import IrrepSet
 from groupmix.uniformity import eps_k_uniform_counts, eps_uniform
@@ -178,8 +178,8 @@ def advantage_curve(
 ) -> ExperimentLog:
     """Distance metrics of the t-fold convolution s * ... * s, t = 1..t_max.
 
-    tv_dist is the statistical distance to uniform; it is asserted
-    non-increasing in t.  Stops early once eps_uniform reaches target_eps.
+    tv_dist is the statistical distance to uniform; BoundViolation is raised
+    if it increases in t.  Stops early once eps_uniform reaches target_eps.
     """
     b = exact_s(h, parties)
     s_dist = box_to_dist(b)
@@ -201,7 +201,8 @@ def advantage_curve(
         )
         if log.records:
             prev = log.records[-1].tv_dist
-            assert tv <= prev + 1e-12, f"tv distance increased at t={t}: {tv} > {prev}"
+            if not tv <= prev + 1e-12:
+                raise BoundViolation(f"tv distance increased at t={t}: {tv} > {prev}")
         log.add(rec)
         if target_eps is not None and linf <= target_eps:
             break

@@ -17,17 +17,18 @@ makes q non-negative, which is what desk-scale eps values call for.
 
 from __future__ import annotations
 
-import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from groupmix.fourier import (
+    BoundViolation,
     Dist,
-    _forward_kernel,
-    _inverse_kernel,
-    _marginal_values,
+    _axis_passes,
+    _block_norms_sq,
+    _low_weight_transforms,
+    _stacked,
+    low_weight_coefficients,
     make_dist,
     max_low_weight_norm,
 )
@@ -45,34 +46,23 @@ class RepairInfeasibleError(ValueError):
 
 
 def _low_data(p: Dist, k: int, s: IrrepSet):
-    """(ell as complex array, max low-weight coefficient norm)."""
+    """(ell as complex array, max low-weight coefficient norm).
+
+    ell sums the inverse transforms of every subset's weight-|S| slice, each
+    broadcast from its subset's axes to all m.
+    """
     if not isinstance(p.space, ProductGroup):
         raise ValueError("repair operations need a product-group distribution")
     m = p.space.arity
-    if not 1 <= k <= m:
-        raise ValueError(f"k must lie in [1, {m}], got {k}")
     n = p.space.base.order
-    n_irr = len(s.irreps)
-    acc = np.zeros((n,) * m, dtype=np.complex128, order="F")
+    acc = np.zeros((n,) * m, dtype=np.complex128)
+    synth = _stacked(s)[1]
     worst = 0.0
-    for w in range(1, k + 1):
-        for subset in itertools.combinations(range(m), w):
-            marg = _marginal_values(p.values, p.space, subset)
-            small = _forward_kernel(marg, s, w)
-            scale = float(n) ** (w - m)
-            full_weight = {
-                tau: small[tau] * scale
-                for tau in itertools.product(range(1, n_irr), repeat=w)
-            }
-            for mat in full_weight.values():
-                worst = max(worst, float(np.sqrt(np.sum(np.abs(mat) ** 2))))
-            lifted = _inverse_kernel(full_weight, s, w).reshape((n,) * w, order="F")
-            shape = [1] * m
-            for pos in subset:
-                shape[pos] = n
-            axis_order = np.argsort(np.argsort(subset))
-            acc += lifted.transpose(tuple(axis_order)).reshape(shape, order="F")
-    return np.ravel(acc, order="F"), worst
+    for subset, coeffs in _low_weight_transforms(p, k, s):
+        worst = max(worst, float(np.sqrt(_block_norms_sq(coeffs, s).max())))
+        lifted = _axis_passes(coeffs.reshape(-1), synth, len(subset))
+        acc += lifted.reshape([n if m - 1 - j in subset else 1 for j in range(m)])
+    return acc.reshape(-1), worst
 
 
 def low_part(p: Dist, k: int, s: IrrepSet) -> np.ndarray:
@@ -190,58 +180,32 @@ def repair(p: Dist, k: int, s: IrrepSet, mode: str = "adaptive") -> tuple[Dist, 
 
     q_vals = (1.0 - beta) * p_prime + beta / g_size
     q = make_dist(p.space, q_vals)
+    cert = _certify(p, q, q_vals, k, s, eps_in, mode, beta, beta_adaptive)
+    if mode == "paper-formula" and not cert.l1_within_bound:
+        raise BoundViolation(f"repair distance {cert.l1_distance} above bound {cert.bound}")
+    return q, cert
 
-    from groupmix.fourier import low_weight_coefficients
 
-    residual = max_low_weight_norm(low_weight_coefficients(q, k, s))
-    l1 = float(np.sum(np.abs(p.values - q.values)))
-    cert = RepairCertificate(
+def verify_repair(p: Dist, q: Dist, k: int, s: IrrepSet) -> RepairCertificate:
+    """Recompute every certificate field from (p, q, k) for an arbitrary q."""
+    eps_in = float(p.size) * max_low_weight_norm(low_weight_coefficients(p, k, s))
+    return _certify(p, q, q.values, k, s, eps_in, "verify", None, None)
+
+
+def _certify(p, q, q_vals, k, s, eps_in, mode, beta, beta_adaptive) -> RepairCertificate:
+    """The certificate of q against p; q_vals is q before the ingestion clamp."""
+    beta_paper = _paper_beta(p.space.arity, p.space.base.order, k, eps_in)
+    return RepairCertificate(
         k=k,
         eps_in=eps_in,
         beta=beta,
         mode=mode,
-        l1_distance=l1,
+        l1_distance=float(np.sum(np.abs(p.values - q.values))),
         bound=3.0 * beta_paper,
-        k_uniform_residual=residual,
+        k_uniform_residual=max_low_weight_norm(low_weight_coefficients(q, k, s)),
         beta_paper=beta_paper,
         beta_adaptive=beta_adaptive,
         q_min=float(q_vals.min()),
         q_sum=float(q_vals.sum()),
         space_size=p.size,
     )
-    if mode == "paper-formula":
-        assert cert.l1_within_bound, f"repair distance {l1} above bound {cert.bound}"
-    return q, cert
-
-
-def verify_repair(p: Dist, q: Dist, k: int, s: IrrepSet) -> RepairCertificate:
-    """Recompute every certificate field from (p, q, k) for an arbitrary q."""
-    m = p.space.arity
-    n = p.space.base.order
-    g_size = float(p.size)
-    _, max_norm = _low_data(p, k, s)
-    eps_in = g_size * max_norm
-
-    from groupmix.fourier import low_weight_coefficients
-
-    residual = max_low_weight_norm(low_weight_coefficients(q, k, s))
-    l1 = float(np.sum(np.abs(p.values - q.values)))
-    return RepairCertificate(
-        k=k,
-        eps_in=eps_in,
-        beta=None,
-        mode="verify",
-        l1_distance=l1,
-        bound=3.0 * _paper_beta(m, n, k, eps_in),
-        k_uniform_residual=residual,
-        beta_paper=_paper_beta(m, n, k, eps_in),
-        beta_adaptive=None,
-        q_min=float(q.values.min()),
-        q_sum=float(q.values.sum()),
-        space_size=p.size,
-    )
-
-
-def save_certificate(cert: RepairCertificate, path: str | os.PathLike):
-    with open(path, "w") as fh:
-        fh.write(cert.to_text())

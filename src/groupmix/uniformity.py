@@ -10,6 +10,7 @@ spaces make sampling unnecessary.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 from groupmix.fourier import (
+    BoundViolation,
     Dist,
+    _block_norms_sq,
+    dist_fourier,
     frobenius_norm_sq,
     low_weight_coefficients,
     marginalize,
@@ -108,7 +112,8 @@ def rep_bound_check(p: Dist, rho: Irrep) -> tuple[float, float]:
     """Coefficient-norm bound for an eps-uniform distribution.
 
     For non-trivial rho: |p_hat(rho)|_2^2 <= d_rho * eps^2 / |G|^2 where
-    eps = eps_uniform(p).  Returns (lhs, rhs); the inequality is asserted.
+    eps = eps_uniform(p).  Returns (lhs, rhs); raises BoundViolation when the
+    inequality fails.
     """
     if rho.dim == 1 and bool(np.allclose(rho.character, 1.0, atol=1e-6)):
         raise ValueError("rep_bound_check needs a non-trivial irrep")
@@ -119,7 +124,8 @@ def rep_bound_check(p: Dist, rho: Irrep) -> tuple[float, float]:
     lhs = frobenius_norm_sq(coeff)
     eps = eps_uniform(p)
     rhs = rho.dim * eps**2 / float(n) ** 2
-    assert lhs <= rhs + 1e-15, f"coefficient bound violated: {lhs} > {rhs}"
+    if not lhs <= rhs + 1e-15:
+        raise BoundViolation(f"coefficient bound violated: {lhs} > {rhs}")
     return lhs, rhs
 
 
@@ -129,28 +135,18 @@ def rep_bound_check_all(p: Dist, s: IrrepSet) -> tuple[float, float, tuple]:
     Works on base groups and product groups alike; returns the (lhs, rhs)
     pair of the tightest instance together with its irrep key.
     """
-    from groupmix.fourier import dist_fourier, tuple_weight
-
     eps = eps_uniform(p)
-    g_size = float(p.size)
     fd = dist_fourier(p, s)
-    dims = [r.dim for r in s.irreps]
-    worst = None
-    for key, mat in fd.coeffs.items():
-        if isinstance(key, tuple):
-            if tuple_weight(key) == 0:
-                continue
-            d = int(np.prod([dims[a] for a in key]))
-        else:
-            if key == 0:
-                continue
-            d = dims[key]
-        lhs = frobenius_norm_sq(mat)
-        rhs = d * eps**2 / g_size**2
-        assert lhs <= rhs + 1e-15, f"coefficient bound violated at {key}: {lhs} > {rhs}"
-        if worst is None or lhs - rhs > worst[0] - worst[1]:
-            worst = (lhs, rhs, key)
-    return worst
+    lhs = _block_norms_sq(fd.dense, s)
+    rhs = functools.reduce(np.multiply.outer, [np.asarray(s.dims)] * fd.arity) * eps**2
+    rhs /= float(p.size) ** 2
+    margin = lhs - rhs
+    margin.flat[0] = -np.inf  # the trivial irrep carries no bound
+    idx = np.unravel_index(np.argmax(margin), margin.shape)
+    key = tuple(int(a) for a in idx[::-1]) if fd.product else int(idx[0])
+    if not lhs[idx] <= rhs[idx] + 1e-15:
+        raise BoundViolation(f"coefficient bound violated at {key}: {lhs[idx]} > {rhs[idx]}")
+    return float(lhs[idx]), float(rhs[idx]), key
 
 
 def report_to_text(report: UniformityReport) -> str:

@@ -35,6 +35,33 @@ def even_permutations_count(n: int) -> int:
     return count
 
 
+def digits_to_flat(n: int, digs) -> np.ndarray:
+    """Flat index sum_i digs[i] n^i of an (arity, ...) digit array."""
+    flat = np.zeros(np.shape(digs[0]), dtype=np.int64)
+    for d in reversed(list(digs)):
+        flat = flat * n + np.asarray(d, dtype=np.int64)
+    return flat
+
+
+def product_mul(mul, arity: int, x, y) -> np.ndarray:
+    """Coordinatewise product of flat indices of H^arity, by digit arithmetic."""
+    n = mul.shape[0]
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    return digits_to_flat(n, [mul[x // n**i % n, y // n**i % n] for i in range(arity)])
+
+
+def product_inv(inv, arity: int, x) -> np.ndarray:
+    n = inv.shape[0]
+    x = np.asarray(x, dtype=np.int64)
+    return digits_to_flat(n, [inv[x // n**i % n] for i in range(arity)])
+
+
+def l2_sq_via_norm_identity(values) -> float:
+    """|p|_2^2 - 1/|G|; equals sum_x (p(x) - 1/|G|)^2 for a probability vector."""
+    values = np.asarray(values)
+    return float(np.sum(values**2) - 1.0 / values.size)
+
+
 # ---------------------------------------------------------------------------
 # character table via the class algebra (Burnside/Dixon style)
 

@@ -11,13 +11,14 @@ from groupmix.boost import (
     boost_pipeline,
     flatten_bound_check,
     l2_sq_dist_to_uniform,
-    l2_sq_via_norm_identity,
     l2_to_linf_check,
     numerical_floor,
     square_boost_check,
 )
 from groupmix.groups import ProductGroup
 from groupmix.irreps import get_irreps, quasirandomness_degree
+
+import oracles
 
 SEED = 2024
 
@@ -59,7 +60,7 @@ def test_l2_identity_formulas_agree(a5):
     for _ in range(50):
         v = rng.random(60)
         p = fx.make_dist(a5, v / v.sum())
-        assert abs(l2_sq_dist_to_uniform(p) - l2_sq_via_norm_identity(p)) <= 1e-12
+        assert abs(l2_sq_dist_to_uniform(p) - oracles.l2_sq_via_norm_identity(p.values)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

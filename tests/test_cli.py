@@ -182,3 +182,66 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "dims=[1, 1, 1, 1] sum_sq=4 d=1"
+
+
+def _summary(line: str) -> dict[str, str]:
+    return dict(field.split("=", 1) for field in line.split())
+
+
+def test_outputs_parse_back_to_printed_floats(capsys, cache, tmp_path):
+    # every numeric value a file holds is a plain float literal
+    cert_path = str(tmp_path / "cert.txt")
+    code, out, _ = run_cli(
+        [
+            "experiment", "repair", "--group", "sl2:3", "--m", "4", "--k", "3",
+            "--delta", "1e-9", "--cache-dir", cache, "--out", cert_path,
+        ],
+        capsys,
+    )
+    assert code == 0
+    report = dict(line.split(" ", 1) for line in open(cert_path).read().splitlines())
+    numbers = {
+        key: float(val)
+        for key, val in report.items()
+        if key != "mode" and val not in ("True", "False")
+    }
+    assert len(numbers) == len(report) - 5  # mode and four verdicts
+    printed = _summary(out)
+    for key, name in (("beta", "beta"), ("eps_in", "eps_in"), ("l1", "l1_distance"),
+                      ("bound", "bound"), ("residual", "k_uniform_residual")):
+        assert float(printed[key]) == numbers[name]
+
+    csv_path = str(tmp_path / "boost.csv")
+    code, out, _ = run_cli(
+        [
+            "experiment", "boost", "--group", "sl2:3", "--m", "2", "--k", "1",
+            "--max-steps", "3", "--timing", "--cache-dir", cache, "--out", csv_path,
+        ],
+        capsys,
+    )
+    assert code == 0
+    rows = [line.split(",") for line in open(csv_path).read().splitlines()]
+    header, rows = rows[0], rows[1:]
+    for row in rows:
+        for col, cell in zip(header, row):
+            if col != "mode" and cell != "":
+                float(cell)
+    assert float(_summary(out)["final_eps"]) == float(rows[-1][header.index("linf_rel")])
+
+
+def test_bound_violation_raised_under_optimize():
+    # a wrong quasirandomness degree breaks the flattening bound; the check
+    # must fire although -O strips assert statements
+    code = (
+        "from groupmix import boost, groups, irreps, nof\n"
+        "g = groups.build_group(groups.sl2(3))\n"
+        "p = nof.box_to_dist(nof.exact_s(g, 2))\n"
+        "s = irreps.compute_irreps(g)\n"
+        "try:\n"
+        "    boost.flatten_bound_check(p, 1, 10**6, s)\n"
+        "except AssertionError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("BoundViolation flattening bound violated")

@@ -48,6 +48,22 @@ def test_dist_validation(a5):
     assert np.all(d.values >= 0.0)
 
 
+def test_make_dist_rejects_non_finite(c4):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="nan|inf"):
+            fx.make_dist(c4, [0.25, 0.25, 0.25, bad])
+
+
+def test_load_dist_rejects_non_finite(tmp_path, c4):
+    path = tmp_path / "p.dist"
+    fx.save_dist(fx.uniform(c4), path)
+    lines = path.read_text().splitlines()
+    lines[-1] = "nan"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="nan"):
+        fx.load_dist(path, c4)
+
+
 def test_dist_clamps_tiny_negatives(a5):
     v = np.full(60, 1.0 / 60)
     v[5] = -5e-16
@@ -131,7 +147,9 @@ def test_forward_of_inverse_is_identity(a5, a5_irr):
     coeffs = {}
     for i, r in enumerate(a5_irr.irreps):
         coeffs[i] = rng.standard_normal((r.dim, r.dim)) + 1j * rng.standard_normal((r.dim, r.dim))
-    fd = fx.FourierData(a5_irr, 1, coeffs)
+    # slot layout: each irrep's block in row-major order, trivial irrep first
+    dense = np.concatenate([coeffs[i].ravel() for i in range(len(a5_irr.irreps))])
+    fd = fx.FourierData(a5_irr, 1, dense, product=False)
     f = fx.fourier_inverse(fd)
     again = fx.fourier_forward(f, a5_irr)
     for i in coeffs:
@@ -140,10 +158,9 @@ def test_forward_of_inverse_is_identity(a5, a5_irr):
 
 def test_missing_coefficient_rejected(a5, a5_irr):
     fd = fx.fourier_forward(fx.uniform(a5).values, a5_irr)
-    broken = dict(fd.coeffs)
-    broken.pop(2)
-    with pytest.raises(ValueError, match="missing"):
-        fx.fourier_inverse(fx.FourierData(a5_irr, 1, broken))
+    broken = fx.FourierData(a5_irr, 1, fd.dense[:-25], product=False)  # no 5-dim irrep
+    with pytest.raises(ValueError, match="shape"):
+        fx.fourier_inverse(broken)
 
 
 def test_size_mismatch_rejected(a5_irr):
@@ -190,6 +207,21 @@ def test_product_transform_matches_bruteforce_alt5_sq(a5, a5_irr):
         assert np.max(np.abs(fd.coeffs[t] - oracle[t])) < 1e-9
 
 
+def test_product_transform_matches_bruteforce_sl2_3_sq(sl2_3):
+    # complex-type irreps and mixed dimensions 1, 2, 3 exercise the slot
+    # layout where A5's real-type irreps cannot
+    s = get_irreps(sl2_3, seed=SEED)
+    pg = ProductGroup(sl2_3, 2)
+    f = np.random.default_rng(SEED).standard_normal(pg.size)
+    fd = fx.product_fourier_forward(f, pg, s)
+    digs = flat_digits(pg, np.arange(pg.size))
+    tups = list(itertools.product(range(len(s)), repeat=2))
+    oracle = oracles.product_fourier_bruteforce(f, [r.matrices for r in s.irreps], tups, digs)
+    assert sorted(fd.coeffs) == tups
+    for t in tups:
+        assert np.max(np.abs(fd.coeffs[t] - oracle[t])) <= 1e-12
+
+
 def test_product_function_factorizes(c3, c3_irr, a5, a5_irr):
     rng = np.random.default_rng(SEED)
     for g, s in ((c3, c3_irr), (a5, a5_irr)):
@@ -214,7 +246,7 @@ def test_product_roundtrip_and_storage(a5, a5_irr):
         pg = ProductGroup(a5, m)
         f = rng.standard_normal(pg.size)
         fd = fx.product_fourier_forward(f, pg, a5_irr)
-        assert fd.storage() == pg.size
+        assert fd.dense.size == pg.size
         back = fx.product_fourier_inverse(fd)
         assert np.max(np.abs(back - f)) < 1e-10
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from groupmix import fourier as fx
 from groupmix import groups
-from groupmix.boost import l2_sq_dist_to_uniform, l2_sq_via_norm_identity
+from groupmix.boost import l2_sq_dist_to_uniform
 from groupmix.groups import ProductGroup, flat_to_tuple, tuple_to_flat
 from groupmix.irreps import get_irreps
 from groupmix.uniformity import eps_k_uniform, eps_uniform
@@ -91,7 +91,7 @@ def test_eps_uniform_submultiplicative_under_convolution(w1, w2):
 def test_l2_formulas_agree(weights):
     g = small_group(6)
     p = weights_to_dist(g, weights)
-    assert abs(l2_sq_dist_to_uniform(p) - l2_sq_via_norm_identity(p)) <= 1e-12
+    assert abs(l2_sq_dist_to_uniform(p) - oracles.l2_sq_via_norm_identity(p.values)) <= 1e-12
 
 
 @given(st.lists(st.integers(1, 1000), min_size=27, max_size=27))

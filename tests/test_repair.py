@@ -11,7 +11,6 @@ from groupmix.repair import (
     RepairInfeasibleError,
     low_part,
     repair,
-    save_certificate,
     verify_repair,
 )
 from groupmix.uniformity import eps_k_uniform, is_k_uniform_fourier
@@ -156,7 +155,7 @@ def test_certificate_serialization(tmp_path, c3_4, c3_irr):
     p = perturbed(c3_4, rng, 1e-5)
     q, cert = repair(p, 1, c3_irr)
     path = tmp_path / "cert.txt"
-    save_certificate(cert, path)
+    path.write_text(cert.to_text())
     text = path.read_text()
     assert "beta_paper" in text and "l1_within_bound True" in text
 
@@ -164,3 +163,23 @@ def test_certificate_serialization(tmp_path, c3_4, c3_irr):
 def test_repair_rejects_bad_mode(c3_4, c3_irr):
     with pytest.raises(ValueError, match="mode"):
         repair(fx.uniform(c3_4), 1, c3_irr, mode="magic")
+
+
+@pytest.mark.parametrize("case", ["c3^4", "sl2_3^2"])
+def test_low_part_equals_masked_full_transform(case, c3, c3_irr, sl2_3):
+    # subset-marginal route against the full transform with every weight-0
+    # and weight->k block zeroed
+    if case == "c3^4":
+        space, s, k = ProductGroup(c3, 4), c3_irr, 2
+    else:
+        space, s, k = ProductGroup(sl2_3, 2), get_irreps(sl2_3, seed=SEED), 1
+    p = perturbed(space, np.random.default_rng(SEED), 0.3)
+    full = fx.product_fourier_forward(p.values, space, s)
+    # slot 0 of every axis is the trivial irrep, so an entry's weight is the
+    # number of axes where its slot is not 0
+    nontrivial = (np.arange(s.order) != 0).astype(int)
+    weight = sum(np.expand_dims(nontrivial, [a for a in range(space.arity) if a != j])
+                 for j in range(space.arity))
+    masked = np.where((weight >= 1) & (weight <= k), full.dense, 0.0)
+    expected = fx.product_fourier_inverse(fx.FourierData(s, space.arity, masked))
+    assert np.max(np.abs(low_part(p, k, s) - expected)) <= 1e-12
