@@ -11,6 +11,13 @@ base-irrep indices with coordinate 0 as the least significant kron factor.
 The transform is separable (Diaconis & Rockmore 1990): all base irreps are
 stacked into one n x n matrix, applied along each coordinate axis of the
 (n,)*m tensor with one batched matmul, m * n^(m+1) scalar work in all.
+
+The stacked matrices, and so the coefficient tensor of a real function, are
+real exactly when every base irrep matrix is real-valued.  That is decided
+when the irreps are built: `compute_irreps` writes every irrep of
+Frobenius-Schur indicator +1 in a real orthogonal basis, so a group whose
+irreps are all of real type (A5 among the built-in groups) transforms in
+float64 arithmetic, and any other group in complex128.
 """
 
 from __future__ import annotations
@@ -138,8 +145,10 @@ def tuple_weight(t: tuple[int, ...]) -> int:
 
 def _stacked(s: IrrepSet) -> tuple[np.ndarray, np.ndarray]:
     """Analysis F[x, (a,i,j)] = conj(rho_a(x)_ij) / n and synthesis
-    S[(a,i,j), x] = d_a rho_a(x)_ij."""
+    S[(a,i,j), x] = d_a rho_a(x)_ij, float64 when every irrep is real-valued."""
     rows = np.concatenate([r.matrices.reshape(s.order, -1) for r in s.irreps], axis=1)
+    if not rows.imag.any():
+        rows = rows.real
     return rows.conj() / s.order, (rows * np.repeat(s.dims, np.square(s.dims))).T
 
 
@@ -150,13 +159,15 @@ def _axis_passes(
 
     Pass k views the tensor as (n^k, n, n^(m-1-k)) and multiplies its middle
     axis with one batched matmul, so no pass transposes; the fastest axis is
-    a single (n^(m-1), n) @ mat.  Passes alternate between two flat complex
-    buffers (t may be one of them) and return the one holding the result.
+    a single (n^(m-1), n) @ mat.  Passes alternate between two flat buffers
+    of the result dtype of t and mat (t may be one of them) and return the
+    one holding the result.
     """
     n = mat.shape[0]
-    bufs = bufs or [np.empty(t.size, dtype=np.complex128) for _ in range(2)]
+    bufs = bufs or [np.empty(t.size, dtype=np.result_type(t, mat)) for _ in range(2)]
+    mat = mat.astype(bufs[0].dtype, copy=False)
     src = t
-    if src.dtype != np.complex128:
+    if src.dtype != bufs[0].dtype:
         bufs[1][...] = src
         src = bufs[1]
     for k in range(m):
@@ -250,7 +261,8 @@ def fourier_forward(f, s: IrrepSet) -> FourierData:
 
 
 def fourier_inverse(fd: FourierData) -> np.ndarray:
-    """Pointwise reconstruction; complex output (realify at the call site)."""
+    """Pointwise reconstruction; complex unless the irreps and coefficients
+    are all real (realify at the call site)."""
     if fd.arity != 1:
         raise ValueError("fourier_inverse expects a single-group transform")
     return product_fourier_inverse(fd)
@@ -341,7 +353,7 @@ def convolve_fourier(p: Dist, q: Dist, s: IrrepSet) -> Dist:
     m = p.space.arity if isinstance(p.space, ProductGroup) else 1
     shape = (s.order,) * m
     ana, synth = _stacked(s)
-    bufs = [np.empty(p.size, dtype=np.complex128) for _ in range(2)]
+    bufs = [np.empty(p.size, dtype=ana.dtype) for _ in range(2)]
     cp = _axis_passes(p.values, ana, m, bufs)
     cq = cp
     if not (q is p or q.values is p.values):
@@ -355,10 +367,12 @@ def convolve_fourier(p: Dist, q: Dist, s: IrrepSet) -> Dist:
     del cq, dq
     # the |G| = n^m factor rides on the synthesis matrix, n per axis
     vals = _axis_passes(cp, s.order * synth, m, bufs)
-    worst_imag = max(float(vals.imag.max()), -float(vals.imag.min()))
-    if worst_imag > _REAL_TOL:
-        raise ValueError(f"convolution output has imaginary residual {worst_imag}")
-    return make_dist(p.space, np.ascontiguousarray(vals.real))
+    if np.iscomplexobj(vals):
+        worst_imag = max(float(vals.imag.max()), -float(vals.imag.min()))
+        if worst_imag > _REAL_TOL:
+            raise ValueError(f"convolution output has imaginary residual {worst_imag}")
+        vals = np.ascontiguousarray(vals.real)
+    return make_dist(p.space, vals)
 
 
 def convolve(p: Dist, q: Dist, s: IrrepSet | None = None, engine: str | None = None) -> Dist:
@@ -408,7 +422,9 @@ def _low_weight_transforms(p: Dist, k: int, s: IrrepSet):
     A coefficient supported on S equals n^(|S|-m) times the matching
     coefficient of the marginal onto S, so only |H|^|S|-sized transforms are
     needed.  Zeroing the trivial slot (index 0) of every axis leaves exactly
-    the weight-|S| coefficients on S, in a dense (n,)*|S| tensor.
+    the weight-|S| coefficients on S, in a dense (n,)*|S| tensor.  Only the
+    weight-k marginals sum the full tensor; each smaller one is summed from
+    the first weight-k marginal that contains it.
     """
     if not isinstance(p.space, ProductGroup):
         raise ValueError("low-weight coefficients need a product-group distribution")
@@ -417,9 +433,16 @@ def _low_weight_transforms(p: Dist, k: int, s: IrrepSet):
     if not 1 <= k <= m:
         raise ValueError(f"k must lie in [1, {m}], got {k}")
     n = p.space.base.order
+    top = {
+        sup: _marginal_values(p.values, p.space, sup)
+        for sup in itertools.combinations(range(m), k)
+    }
+    sub_space = ProductGroup(p.space.base, k)
     for w in range(1, k + 1):
         for subset in itertools.combinations(range(m), w):
-            coeffs = _forward(_marginal_values(p.values, p.space, subset), s, w)
+            sup = next(t for t in top if set(subset) <= set(t))
+            marg = _marginal_values(top[sup], sub_space, tuple(map(sup.index, subset)))
+            coeffs = _forward(marg, s, w)
             coeffs *= float(n) ** (w - m)
             for axis in range(w):
                 coeffs[(slice(None),) * axis + (0,)] = 0.0

@@ -4,8 +4,10 @@ The decomposition works on the regular representation: averaging a random
 Hermitian matrix over the group action projects it into the commutant, whose
 eigenspaces are invariant subspaces.  Generic draws land one irreducible
 subrepresentation per eigenvalue cluster; the rare merged cluster is split
-recursively with a fresh draw.  Everything is deterministic given
-(group, tol, seed).
+recursively with a fresh draw.  Every irrep of real type (Frobenius-Schur
+indicator +1) is then rotated into a real orthogonal basis, so a group whose
+irreps are all real gets real matrices throughout.  Everything is
+deterministic given (group, tol, seed).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ _MAX_SPLIT_ATTEMPTS = 8
 _FULL_PAIR_ORDER = 256       # homomorphism check: full up to here, sampled above
 _SAMPLED_PAIRS = 100_000
 _CHUNK = 256
+_INDICATOR_TOL = 1e-6        # Frobenius-Schur indicators must sit this close to -1, 0, 1
 
 
 class IrrepComputationError(RuntimeError):
@@ -131,6 +134,42 @@ def _extract_subrep(u: np.ndarray, left_action: np.ndarray) -> np.ndarray:
     return out
 
 
+def frobenius_schur(g: GroupTable, character: np.ndarray) -> int:
+    """Indicator mean_g chi(g^2): +1 real, 0 complex, -1 quaternionic type."""
+    nu = complex(np.mean(character[g.mul[np.arange(g.order), np.arange(g.order)]]))
+    nearest = int(round(nu.real))
+    if nearest not in (-1, 0, 1) or abs(nu - nearest) > _INDICATOR_TOL:
+        raise IrrepComputationError(f"Frobenius-Schur indicator {nu} is not -1, 0 or 1")
+    return nearest
+
+
+def _real_form(rho: np.ndarray, tol: float, rng: np.random.Generator) -> np.ndarray:
+    """An equivalent real orthogonal form of a unitary irrep of real type.
+
+    J = E_g rho(g) A rho(g)^T for a complex symmetric A intertwines conj(rho)
+    with rho, so it is a multiple of a symmetric unitary; then Re J and Im J
+    commute and one real orthogonal V diagonalizes both.  With
+    W = V diag(sqrt(diag(V^T J V))), J = W W^T and W^* rho(g) W is real.
+    """
+    n, d, _ = rho.shape
+    if d == 1:
+        return rho.real.astype(np.complex128)
+    b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    j = np.einsum("gij,jk,glk->il", rho, b + b.T, rho) / n
+    j /= np.sqrt(np.trace(j @ j.conj().T).real / d)
+    _, v = np.linalg.eigh(j.real + rng.standard_normal() * j.imag)
+    phases = np.einsum("ji,jk,ki->i", v, j, v)
+    w = v * np.sqrt(phases / np.abs(phases))
+    sigma = w.conj().T @ rho @ w
+    worst_imag = float(np.max(np.abs(sigma.imag)))
+    if not worst_imag <= tol:
+        raise IrrepComputationError(
+            f"real form of a real-type irrep has imaginary residual {worst_imag}; "
+            "rerun with a different seed"
+        )
+    return sigma.real.astype(np.complex128)
+
+
 def compute_irreps(g: GroupTable, tol: float = DEFAULT_TOL, seed: int = 0) -> IrrepSet:
     """Compute a complete set of inequivalent unitary irreps of g.
 
@@ -195,8 +234,13 @@ def compute_irreps(g: GroupTable, tol: float = DEFAULT_TOL, seed: int = 0) -> Ir
         return (not trivial, stack.shape[1], rounded)
 
     kept.sort(key=sort_key)
-    irreps = tuple(Irrep(s.shape[1], s, c) for s, c in kept)
-    return IrrepSet(g.fingerprint, irreps, tol)
+    irreps = []
+    for stack, chi in kept:
+        if frobenius_schur(g, chi) == 1:
+            stack = _real_form(stack, tol, rng)
+            chi = np.einsum("gii->g", stack)
+        irreps.append(Irrep(stack.shape[1], stack, chi))
+    return IrrepSet(g.fingerprint, tuple(irreps), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -247,28 +291,31 @@ def check_irrep_set(g: GroupTable, s: IrrepSet, seed: int = 0) -> IrrepSetReport
         pair_y = rng.integers(0, n, size=_SAMPLED_PAIRS)
     pair_xy = g.mul[pair_x, pair_y]
 
+    # np.maximum/np.min propagate NaN, where max(x, nan) would return x
     for r in s.irreps:
         m = r.matrices
-        ident_res = max(ident_res, float(np.linalg.norm(m[0] - np.eye(r.dim))))
+        ident_res = np.maximum(ident_res, np.linalg.norm(m[0] - np.eye(r.dim)))
         eye = np.eye(r.dim)
         u = m @ m.conj().transpose(0, 2, 1) - eye
-        unit_res = max(unit_res, float(np.max(np.sqrt(np.sum(np.abs(u) ** 2, axis=(1, 2))))))
+        unit_res = np.maximum(unit_res, np.max(np.sqrt(np.sum(np.abs(u) ** 2, axis=(1, 2)))))
         for lo in range(0, len(pair_x), 65536):
             hi = lo + 65536
             delta = m[pair_x[lo:hi]] @ m[pair_y[lo:hi]] - m[pair_xy[lo:hi]]
             res = np.sqrt(np.sum(np.abs(delta) ** 2, axis=(1, 2)))
-            hom_res = max(hom_res, float(np.max(res)))
+            hom_res = np.maximum(hom_res, np.max(res))
 
     chars = [r.character for r in s.irreps]
     gaps = [
-        float(np.linalg.norm(chars[i] - chars[j]))
+        np.linalg.norm(chars[i] - chars[j])
         for i in range(len(chars))
         for j in range(i + 1, len(chars))
     ]
-    min_gap = min(gaps) if gaps else float("inf")
+    min_gap = float(np.min(gaps)) if gaps else float("inf")
     complete = sum(r.dim**2 for r in s.irreps) == n
     required_gap = 10.0 * s.tol * n
-    return IrrepSetReport(complete, ident_res, hom_res, mode, unit_res, min_gap, required_gap, s.tol)
+    return IrrepSetReport(
+        complete, float(ident_res), float(hom_res), mode, float(unit_res), min_gap, required_gap, s.tol
+    )
 
 
 @dataclass(frozen=True)
@@ -298,8 +345,8 @@ def verify_schur(s: IrrepSet, tol: float | None = None) -> SchurReport:
                 d = ra.dim
                 expected = np.einsum("ki,hj->khij", np.eye(d), np.eye(d)) / d
                 got = got - expected
-            worst = max(worst, float(np.max(np.abs(got))))
-    return SchurReport(worst, tol)
+            worst = np.maximum(worst, np.max(np.abs(got)))    # NaN propagates
+    return SchurReport(float(worst), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -313,22 +360,34 @@ class IrrepCacheError(RuntimeError):
 
 
 def save_irreps(s: IrrepSet, path: str | os.PathLike):
-    """Self-describing text format; doubles serialized at full precision."""
-    lines = [
+    """Self-describing text format; doubles serialized at full precision.
+
+    The file is written under a temporary name in the same directory and
+    renamed into place, so an interrupted write never leaves a truncated
+    cache at `path`.
+    """
+    head = [
         _MAGIC,
         f"fingerprint {s.group_fingerprint}",
         f"order {s.order}",
         f"tol {s.tol:.17g}",
         f"count {len(s.irreps)}",
     ]
-    for r in s.irreps:
-        lines.append(f"irrep dim {r.dim}")
-        for x in range(s.order):
-            row = r.matrices[x].ravel()
-            lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
-    lines.append("end")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("\n".join(head) + "\n")
+            for r in s.irreps:
+                fh.write(f"irrep dim {r.dim}\n")
+                for x in range(s.order):
+                    row = r.matrices[x].ravel()
+                    fh.write(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row) + "\n")
+            fh.write("end\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_irreps(path: str | os.PathLike, g: GroupTable) -> IrrepSet:
@@ -361,6 +420,8 @@ def load_irreps(path: str | os.PathLike, g: GroupTable) -> IrrepSet:
                 if vals.size != 2 * d * d:
                     raise IrrepCacheError(f"{path}: truncated matrix row at line {pos + 2 + x}")
                 mats[x] = (vals[0::2] + 1j * vals[1::2]).reshape(d, d)
+            if not np.isfinite(mats).all():
+                raise IrrepCacheError(f"{path}: non-finite matrix entry in irrep {len(irreps)}")
             chi = np.einsum("gii->g", mats)
             irreps.append(Irrep(d, mats, chi))
             pos += 1 + order
@@ -391,7 +452,8 @@ def get_irreps(
     path = None
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, f"{g.fingerprint[:24]}_t{tol:.0e}_s{seed}.irr")
+        # repr gives the exact tol, so distinct tols never share a file
+        path = os.path.join(cache_dir, f"{g.fingerprint[:24]}_tol{float(tol)!r}_seed{seed}.irr")
     if use_cache and key in _memo:
         s = _memo[key]
         if path is not None and not os.path.exists(path):

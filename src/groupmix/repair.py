@@ -46,7 +46,7 @@ class RepairInfeasibleError(ValueError):
 
 
 def _low_data(p: Dist, k: int, s: IrrepSet):
-    """(ell as complex array, max low-weight coefficient norm).
+    """(ell in the synthesis dtype, max low-weight coefficient norm).
 
     ell sums the inverse transforms of every subset's weight-|S| slice, each
     broadcast from its subset's axes to all m.
@@ -55,8 +55,8 @@ def _low_data(p: Dist, k: int, s: IrrepSet):
         raise ValueError("repair operations need a product-group distribution")
     m = p.space.arity
     n = p.space.base.order
-    acc = np.zeros((n,) * m, dtype=np.complex128)
     synth = _stacked(s)[1]
+    acc = np.zeros((n,) * m, dtype=synth.dtype)
     worst = 0.0
     for subset, coeffs in _low_weight_transforms(p, k, s):
         worst = max(worst, float(np.sqrt(_block_norms_sq(coeffs, s).max())))
@@ -72,12 +72,13 @@ def low_part(p: Dist, k: int, s: IrrepSet) -> np.ndarray:
 
 
 def _realify(ell: np.ndarray, size: int) -> np.ndarray:
-    worst_imag = float(np.max(np.abs(ell.imag))) if ell.size else 0.0
-    if worst_imag > _IMAG_TOL:
-        raise ValueError(
-            f"low-degree part has imaginary residual {worst_imag} > {_IMAG_TOL}; "
-            "coefficients do not pair into a real function"
-        )
+    if np.iscomplexobj(ell):
+        worst_imag = float(np.max(np.abs(ell.imag))) if ell.size else 0.0
+        if worst_imag > _IMAG_TOL:
+            raise ValueError(
+                f"low-degree part has imaginary residual {worst_imag} > {_IMAG_TOL}; "
+                "coefficients do not pair into a real function"
+            )
     out = np.ascontiguousarray(ell.real)
     total = float(out.sum())
     if abs(total) > _SUM_TOL:
@@ -195,12 +196,15 @@ def verify_repair(p: Dist, q: Dist, k: int, s: IrrepSet) -> RepairCertificate:
 def _certify(p, q, q_vals, k, s, eps_in, mode, beta, beta_adaptive) -> RepairCertificate:
     """The certificate of q against p; q_vals is q before the ingestion clamp."""
     beta_paper = _paper_beta(p.space.arity, p.space.base.order, k, eps_in)
+    diff = np.subtract(p.values, q.values)       # the one full-size temporary
+    l1_distance = float(np.abs(diff, out=diff).sum())
+    del diff
     return RepairCertificate(
         k=k,
         eps_in=eps_in,
         beta=beta,
         mode=mode,
-        l1_distance=float(np.sum(np.abs(p.values - q.values))),
+        l1_distance=l1_distance,
         bound=3.0 * beta_paper,
         k_uniform_residual=max_low_weight_norm(low_weight_coefficients(q, k, s)),
         beta_paper=beta_paper,

@@ -222,6 +222,44 @@ def test_product_transform_matches_bruteforce_sl2_3_sq(sl2_3):
         assert np.max(np.abs(fd.coeffs[t] - oracle[t])) <= 1e-12
 
 
+def test_real_irreps_give_real_transform_a5_sq(a5, a5_irr, sl2_3):
+    # A5's irreps are all of real type, so its coefficients are float64;
+    # SL(2,3) has complex- and quaternionic-type irreps and stays complex
+    pg = ProductGroup(a5, 2)
+    f = np.random.default_rng(SEED).standard_normal(pg.size)
+    fd = fx.product_fourier_forward(f, pg, a5_irr)
+    assert fd.dense.dtype == np.float64
+    digs = flat_digits(pg, np.arange(pg.size))
+    tups = list(itertools.product(range(len(a5_irr)), repeat=2))
+    oracle = oracles.product_fourier_bruteforce(f, [r.matrices for r in a5_irr.irreps], tups, digs)
+    for t in tups:
+        assert np.max(np.abs(fd.coeffs[t] - oracle[t])) <= 1e-12
+    pg3 = ProductGroup(sl2_3, 2)
+    g = np.random.default_rng(SEED).standard_normal(pg3.size)
+    assert fx.product_fourier_forward(g, pg3, get_irreps(sl2_3, seed=SEED)).dense.dtype == np.complex128
+
+
+@pytest.mark.parametrize("case", ["c3^4 k=2", "c3^4 k=4", "sl2_3^3 k=2"])
+def test_low_weight_transforms_match_full_tensor_marginals(case, c3, c3_irr, sl2_3):
+    # smaller marginals come from weight-k ones; each must equal the
+    # marginal summed from the full tensor
+    g, s = (c3, c3_irr) if case.startswith("c3") else (sl2_3, get_irreps(sl2_3, seed=SEED))
+    m, k = int(case[case.index("^") + 1]), int(case[-1])
+    pg = ProductGroup(g, m)
+    v = np.random.default_rng(SEED).random(pg.size) + 1e-3
+    p = fx.make_dist(pg, v / v.sum())
+    got = list(fx._low_weight_transforms(p, k, s))
+    subsets = [c for w in range(1, k + 1) for c in itertools.combinations(range(m), w)]
+    assert [subset for subset, _ in got] == subsets
+    for subset, coeffs in got:
+        w = len(subset)
+        expected = fx._forward(fx._marginal_values(p.values, pg, subset), s, w)
+        expected *= float(g.order) ** (w - m)
+        for axis in range(w):
+            expected[(slice(None),) * axis + (0,)] = 0.0
+        assert np.max(np.abs(coeffs - expected)) <= 1e-12
+
+
 def test_product_function_factorizes(c3, c3_irr, a5, a5_irr):
     rng = np.random.default_rng(SEED)
     for g, s in ((c3, c3_irr), (a5, a5_irr)):

@@ -5,10 +5,13 @@ import pytest
 
 from groupmix import groups
 from groupmix.irreps import (
+    Irrep,
     IrrepCacheError,
+    IrrepComputationError,
     IrrepSet,
     check_irrep_set,
     compute_irreps,
+    frobenius_schur,
     get_irreps,
     load_irreps,
     quasirandomness_degree,
@@ -160,3 +163,107 @@ def test_get_irreps_disk_cache(tmp_path, c12):
 def test_tol_range_rejected(c4):
     with pytest.raises(ValueError):
         compute_irreps(c4, tol=1e-3)
+
+
+@pytest.mark.parametrize("fixture", ["a5", "sl2_3", "sl2_5"])
+def test_real_type_irreps_are_real(request, fixture, irreps_cache):
+    g = request.getfixturevalue(fixture)
+    s = irreps_cache(g)
+    indicators = [frobenius_schur(g, r.character) for r in s.irreps]
+    if fixture == "a5":
+        assert indicators == [1] * len(s)
+    for r, nu in zip(s.irreps, indicators):
+        # exactly zero for real type; no real form exists for the other types
+        assert (not r.matrices.imag.any()) == (nu == 1)
+    assert check_irrep_set(g, s).all_passed
+    assert verify_schur(s).passed
+
+
+@pytest.mark.parametrize("fixture", ["a5", "sl2_3", "sl2_5"])
+def test_indicator_matches_character_table_oracle(request, fixture, irreps_cache):
+    g = request.getfixturevalue(fixture)
+    s = irreps_cache(g)
+    _, chars_oracle = oracles.characters_per_element(g.mul, g.inv)
+    squares = g.mul[np.arange(g.order), np.arange(g.order)]
+    got = []
+    for r in s.irreps:
+        co = next(c for c in chars_oracle if np.linalg.norm(r.character - c) < 1e-6 * g.order)
+        nu = np.mean(co[squares])
+        assert abs(nu - round(nu.real)) < 1e-6
+        assert frobenius_schur(g, r.character) == round(nu.real)
+        got.append(frobenius_schur(g, r.character))
+    if fixture == "sl2_3":
+        assert {0, -1} <= set(got)
+
+
+def test_indicator_off_the_lattice_rejected(a5, irreps_cache):
+    chi = irreps_cache(a5).irreps[1].character
+    with pytest.raises(IrrepComputationError, match="indicator"):
+        frobenius_schur(a5, 0.5 * chi)
+
+
+def _with_nan(s: IrrepSet) -> IrrepSet:
+    mats = np.array(s.irreps[1].matrices)
+    mats[5, 0, 1] = np.nan          # off the diagonal: the character stays finite
+    broken = Irrep(s.irreps[1].dim, mats, s.irreps[1].character.copy())
+    return IrrepSet(s.group_fingerprint, (s.irreps[0], broken) + s.irreps[2:], s.tol)
+
+
+def test_check_irrep_set_propagates_nan(a5, irreps_cache):
+    rep = check_irrep_set(a5, _with_nan(irreps_cache(a5)))
+    assert np.isnan(rep.homomorphism_residual) and np.isnan(rep.unitarity_residual)
+    assert not rep.all_passed
+
+
+def test_verify_schur_propagates_nan(a5, irreps_cache):
+    rep = verify_schur(_with_nan(irreps_cache(a5)))
+    assert np.isnan(rep.max_residual)
+    assert not rep.passed
+
+
+def test_load_rejects_non_finite_entry(tmp_path, a5, irreps_cache):
+    path = tmp_path / "a5.irr"
+    save_irreps(irreps_cache(a5), path)
+    lines = path.read_text().splitlines()
+    at = [i for i, line in enumerate(lines) if line.startswith("irrep dim")][1] + 2
+    row = lines[at].split()
+    row[3] = "nan"
+    lines[at] = " ".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IrrepCacheError, match=r"a5\.irr: non-finite"):
+        load_irreps(path, a5)
+
+
+def test_cache_file_per_exact_tol(tmp_path, c12):
+    get_irreps(c12, tol=1e-9, cache_dir=str(tmp_path), use_cache=False)
+    get_irreps(c12, tol=1.4e-9, cache_dir=str(tmp_path), use_cache=False)
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+class _DiskFullFile:
+    """A text file whose first write stores half its text, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_failed_save_leaves_no_file(tmp_path, monkeypatch, c4, irreps_cache):
+    import groupmix.irreps as irreps_module
+
+    monkeypatch.setattr(
+        irreps_module, "open", lambda *a, **kw: _DiskFullFile(open(*a, **kw)), raising=False
+    )
+    path = tmp_path / "c4.irr"
+    with pytest.raises(OSError, match="disk full"):
+        save_irreps(irreps_cache(c4), path)
+    assert list(tmp_path.iterdir()) == []
