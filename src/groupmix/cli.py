@@ -107,37 +107,35 @@ class RunConfig:
                 raise ConfigError(f"invalid --{field_name.replace('_', '-')}: {msg}")
 
 
+# RunConfig fields that a --config file may set, with their parsers
+_CONFIG_KEYS = dict(
+    group=str, m=int, k=int, parties=int, seed=int, tol=float, max_steps=int, target_eps=float,
+    delta=float, mode=str, repair_mode=str, engine=str, out=str, cache_dir=str,
+)
+
+
 def _resolve(args, config: dict, key: str, cast, fallback):
     cli_val = getattr(args, key, None)
     if cli_val is not None:
         return cli_val
     if key in config:
-        raw = config[key]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes")
-        return cast(raw)
+        return cast(config[key])
     return fallback
 
 
 def build_run_config(args) -> RunConfig:
-    config = read_config(args.config) if getattr(args, "config", None) else {}
+    path = getattr(args, "config", None)
+    config = read_config(path) if path else {}
+    unknown = [key for key in config if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(
+            f"{path}: unknown config key(s) {', '.join(unknown)}; known: {', '.join(_CONFIG_KEYS)}"
+        )
     defaults = RunConfig(group="")
     cfg = RunConfig(
-        group=_resolve(args, config, "group", str, ""),
-        m=_resolve(args, config, "m", int, defaults.m),
-        k=_resolve(args, config, "k", int, defaults.k),
-        parties=_resolve(args, config, "parties", int, defaults.parties),
-        seed=_resolve(args, config, "seed", int, defaults.seed),
-        tol=_resolve(args, config, "tol", float, defaults.tol),
-        max_steps=_resolve(args, config, "max_steps", int, defaults.max_steps),
-        target_eps=_resolve(args, config, "target_eps", float, defaults.target_eps),
-        delta=_resolve(args, config, "delta", float, defaults.delta),
-        mode=_resolve(args, config, "mode", str, defaults.mode),
-        repair_mode=_resolve(args, config, "repair_mode", str, defaults.repair_mode),
-        engine=_resolve(args, config, "engine", str, defaults.engine),
-        out=_resolve(args, config, "out", str, defaults.out),
+        **{key: _resolve(args, config, key, cast, getattr(defaults, key))
+           for key, cast in _CONFIG_KEYS.items()},
         timing=bool(getattr(args, "timing", False)),
-        cache_dir=_resolve(args, config, "cache_dir", str, None),
         no_cache=bool(getattr(args, "no_cache", False)),
     )
     if not cfg.group:

@@ -23,7 +23,6 @@ float64 arithmetic, and any other group in complex128.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,10 +229,6 @@ class FourierData:
 
     def __post_init__(self):
         self.dense.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return self.irreps.order**self.arity
 
     @property
     def coeffs(self) -> dict:
@@ -464,46 +459,3 @@ def max_low_weight_norm(coeffs: dict) -> float:
     if not coeffs:
         return 0.0
     return max(float(np.sqrt(frobenius_norm_sq(mat))) for mat in coeffs.values())
-
-
-# ---------------------------------------------------------------------------
-# import/export
-
-_DIST_MAGIC = "groupmix-dist v1"
-
-
-def save_dist(p: Dist, path: str | os.PathLike):
-    base = p.space.base if isinstance(p.space, ProductGroup) else p.space
-    arity = p.space.arity if isinstance(p.space, ProductGroup) else 1
-    lines = [
-        _DIST_MAGIC,
-        f"fingerprint {base.fingerprint}",
-        f"arity {arity}",
-        f"size {p.size}",
-    ]
-    lines.extend(f"{v:.17g}" for v in p.values)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_dist(path: str | os.PathLike, space: Space) -> Dist:
-    base = space.base if isinstance(space, ProductGroup) else space
-    arity = space.arity if isinstance(space, ProductGroup) else 1
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        if lines[0] != _DIST_MAGIC:
-            raise ValueError(f"{path}: not a groupmix dist file")
-        fp = lines[1].split()[1]
-        file_arity = int(lines[2].split()[1])
-        size = int(lines[3].split()[1])
-        if fp != base.fingerprint:
-            raise ValueError(f"{path}: fingerprint mismatch")
-        if file_arity != arity or size != space_size(space):
-            raise ValueError(f"{path}: arity/size mismatch with {space!r}")
-        vals = np.array([float(x) for x in lines[4 : 4 + size]])
-        if vals.size != size:
-            raise ValueError(f"{path}: truncated value block")
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"{path}: parse error ({exc})") from exc
-    return make_dist(space, vals)

@@ -14,7 +14,6 @@ and is the concrete witness that s is not 4-uniform.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,8 +96,10 @@ def exact_s(h: GroupTable, parties: int) -> BoxDist:
             last = u0 if ((j >> (k - 1)) & 1) == 0 else u1
             flat += mul[prefix[j], last].astype(np.int64) * powers[j]
         np.add.at(counts, flat, 1)
-    assert int(counts.sum()) == n ** (2 * k)
-    return BoxDist(h, k, counts, n ** (2 * k))
+    total = n ** (2 * k)
+    if int(counts.sum()) != total:
+        raise BoundViolation(f"box counts sum to {int(counts.sum())}, not |H|^(2k) = {total}")
+    return BoxDist(h, k, counts, total)
 
 
 def box_to_dist(b: BoxDist) -> Dist:
@@ -145,7 +146,6 @@ def cancellation_identity_holds(h: GroupTable, points: np.ndarray) -> np.ndarray
 class BoxUniformityReport:
     is_3_uniform: bool
     four_wise_deviation: Fraction
-    worst_three_subset_dev: Fraction
     identity_sample_rate: float
 
 
@@ -163,7 +163,6 @@ def verify_s_uniformity(h: GroupTable, parties: int, identity_samples: int = 100
     return BoxUniformityReport(
         is_3_uniform=rep3.eps == 0,
         four_wise_deviation=rep4.eps,
-        worst_three_subset_dev=rep3.eps,
         identity_sample_rate=float(np.mean(ok)),
     )
 
@@ -207,42 +206,3 @@ def advantage_curve(
         if target_eps is not None and linf <= target_eps:
             break
     return log
-
-
-# ---------------------------------------------------------------------------
-# audit export
-
-_COUNTS_MAGIC = "groupmix-counts v1"
-
-
-def save_counts(b: BoxDist, path: str | os.PathLike):
-    lines = [
-        _COUNTS_MAGIC,
-        f"fingerprint {b.base.fingerprint}",
-        f"parties {b.parties}",
-        f"arity {b.arity}",
-        f"total {b.total}",
-    ]
-    lines.extend(str(int(c)) for c in b.counts)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_counts(path: str | os.PathLike, h: GroupTable) -> BoxDist:
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        if lines[0] != _COUNTS_MAGIC:
-            raise ValueError(f"{path}: not a groupmix counts file")
-        fp = lines[1].split()[1]
-        parties = int(lines[2].split()[1])
-        arity = int(lines[3].split()[1])
-        total = int(lines[4].split()[1])
-        if fp != h.fingerprint:
-            raise ValueError(f"{path}: fingerprint mismatch")
-        counts = np.array([int(x) for x in lines[5 : 5 + h.order**arity]], dtype=np.int64)
-        if counts.size != h.order**arity or int(counts.sum()) != total:
-            raise ValueError(f"{path}: truncated or inconsistent count block")
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"{path}: parse error ({exc})") from exc
-    return BoxDist(h, parties, counts, total)

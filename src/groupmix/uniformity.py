@@ -115,7 +115,7 @@ def rep_bound_check(p: Dist, rho: Irrep) -> tuple[float, float]:
     eps = eps_uniform(p).  Returns (lhs, rhs); raises BoundViolation when the
     inequality fails.
     """
-    if rho.dim == 1 and bool(np.allclose(rho.character, 1.0, atol=1e-6)):
+    if rho.is_trivial:
         raise ValueError("rep_bound_check needs a non-trivial irrep")
     n = rho.matrices.shape[0]
     if p.size != n:

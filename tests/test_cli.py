@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import pathlib
 import subprocess
 import sys
 
@@ -55,8 +57,6 @@ def test_verify_cyclic(capsys, cache):
 
 def test_verify_detects_corrupted_cache(cache):
     # fresh processes, so the on-disk cache is what actually gets loaded
-    import pathlib
-
     def run(args):
         return subprocess.run(
             [sys.executable, "-m", "groupmix", *args, "--cache-dir", cache],
@@ -155,6 +155,16 @@ def test_config_file_defaults_and_overrides(capsys, cache, tmp_path):
     assert code == 1 and "--k" in err
 
 
+def test_config_file_rejects_unknown_key(capsys, cache, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group=sl2:3\nm=4\nkk=2\n")
+    code, _, err = run_cli(
+        ["experiment", "flatten", "--config", str(cfg), "--cache-dir", cache], capsys
+    )
+    assert code == 1
+    assert "kk" in err and str(cfg) in err
+
+
 def test_fail_fast_validation_names_field(capsys, cache):
     code, _, err = run_cli(
         ["experiment", "boost", "--group", "a5", "--m", "0", "--cache-dir", cache], capsys
@@ -245,3 +255,15 @@ def test_bound_violation_raised_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("BoundViolation flattening bound violated")
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips assert; every check in the library must raise instead
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "groupmix"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

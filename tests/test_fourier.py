@@ -54,16 +54,6 @@ def test_make_dist_rejects_non_finite(c4):
             fx.make_dist(c4, [0.25, 0.25, 0.25, bad])
 
 
-def test_load_dist_rejects_non_finite(tmp_path, c4):
-    path = tmp_path / "p.dist"
-    fx.save_dist(fx.uniform(c4), path)
-    lines = path.read_text().splitlines()
-    lines[-1] = "nan"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="nan"):
-        fx.load_dist(path, c4)
-
-
 def test_dist_clamps_tiny_negatives(a5):
     v = np.full(60, 1.0 / 60)
     v[5] = -5e-16
@@ -443,28 +433,3 @@ def test_low_weight_of_uniform_vanishes(a5, a5_irr):
     pg = ProductGroup(a5, 3)
     low = fx.low_weight_coefficients(fx.uniform(pg), 2, a5_irr)
     assert fx.max_low_weight_norm(low) <= 1e-15
-
-
-# ---------------------------------------------------------------------------
-# import/export
-
-
-def test_dist_save_load_roundtrip(tmp_path, a5):
-    pg = ProductGroup(a5, 2)
-    rng = np.random.default_rng(SEED)
-    v = rng.random(pg.size)
-    p = fx.make_dist(pg, v / v.sum())
-    path = tmp_path / "p.dist"
-    fx.save_dist(p, path)
-    q = fx.load_dist(path, pg)
-    assert np.array_equal(p.values, q.values)
-
-
-def test_dist_load_validates_header(tmp_path, a5, sl2_3):
-    p = fx.uniform(a5)
-    path = tmp_path / "p.dist"
-    fx.save_dist(p, path)
-    with pytest.raises(ValueError):
-        fx.load_dist(path, sl2_3)
-    with pytest.raises(ValueError):
-        fx.load_dist(path, ProductGroup(a5, 2))

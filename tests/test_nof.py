@@ -136,17 +136,6 @@ def test_advantage_curve_reaches_target_on_alt5_like_group(sl2_2, irreps_cache):
     assert log.records[-1].linf_rel <= 10.0
 
 
-def test_counts_save_load_roundtrip(tmp_path, sl2_3):
-    b = nof.exact_s(sl2_3, 2)
-    path = tmp_path / "counts.txt"
-    nof.save_counts(b, path)
-    loaded = nof.load_counts(path, sl2_3)
-    assert np.array_equal(loaded.counts, b.counts)
-    assert loaded.total == b.total
-    with pytest.raises(ValueError):
-        nof.load_counts(path, groups.build_group(groups.cyclic(24)))
-
-
 def test_box_to_dist_normalization(sl2_3):
     d = nof.box_to_dist(nof.exact_s(sl2_3, 2))
     assert abs(float(d.values.sum()) - 1.0) < 1e-12
