@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from groupmix.fourier import BoundViolation, Dist, convolve, uniform
+from groupmix.fourier import BoundViolation, Dist, convolve
 from groupmix.groups import ProductGroup
 from groupmix.irreps import IrrepSet
 from groupmix.uniformity import eps_k_uniform, eps_uniform
@@ -35,6 +35,12 @@ def numerical_floor(size: int) -> float:
 def l2_sq_dist_to_uniform(p: Dist) -> float:
     """sum_x (p(x) - 1/|G|)^2, un-normalized."""
     return float(np.sum((p.values - 1.0 / p.size) ** 2))
+
+
+def tv_to_uniform(p: Dist) -> float:
+    """Statistical distance 1/2 sum_x |p(x) - 1/|G||."""
+    dev = p.values - 1.0 / p.size
+    return 0.5 * float(np.sum(np.abs(dev, out=dev)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +190,11 @@ def l2_to_linf_check(
 # pipeline
 
 
-def _measure(p: Dist, step: int, mode: str, eps_ks, tv_ref: Dist | None, secs: float) -> StepRecord:
+def _measure(p: Dist, step: int, mode: str, eps_ks, track_tv: bool, secs: float) -> StepRecord:
     l2 = l2_sq_dist_to_uniform(p)
     linf = eps_uniform(p)
     eps_k = {k: eps_k_uniform(p, k).eps for k in eps_ks}
-    tv = None
-    if tv_ref is not None:
-        tv = 0.5 * float(np.sum(np.abs(p.values - tv_ref.values)))
+    tv = tv_to_uniform(p) if track_tv else None
     return StepRecord(step, mode, l2, linf, eps_k, tv, secs, linf < numerical_floor(p.size))
 
 
@@ -212,13 +216,12 @@ def boost_pipeline(
     if mode not in ("self-square", "fresh-copy"):
         raise ValueError(f"unknown pipeline mode {mode!r}")
     log = ExperimentLog(eps_ks=tuple(eps_ks))
-    tv_ref = uniform(p.space) if track_tv else None
     current = p
-    log.add(_measure(current, 0, mode, eps_ks, tv_ref, 0.0))
+    log.add(_measure(current, 0, mode, eps_ks, track_tv, 0.0))
     while log.records[-1].linf_rel > target_eps and len(log.records) <= max_steps:
         t0 = time.perf_counter()
         other = current if mode == "self-square" else p
         current = convolve(current, other, s, engine=engine)
         secs = time.perf_counter() - t0
-        log.add(_measure(current, len(log.records), mode, eps_ks, tv_ref, secs))
+        log.add(_measure(current, len(log.records), mode, eps_ks, track_tv, secs))
     return current, log

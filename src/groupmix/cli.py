@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -44,11 +45,15 @@ class ConfigError(ValueError):
 
 
 def read_config(path: str) -> dict[str, str]:
-    """KEY=VALUE defaults, one per line; # starts a comment."""
+    """KEY=VALUE defaults, one per line.
+
+    # starts a comment at the start of a line or after whitespace, so a value
+    # such as run#1.csv keeps its #.
+    """
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -114,12 +119,15 @@ _CONFIG_KEYS = dict(
 )
 
 
-def _resolve(args, config: dict, key: str, cast, fallback):
+def _resolve(args, path: str, config: dict, key: str, cast, fallback):
     cli_val = getattr(args, key, None)
     if cli_val is not None:
         return cli_val
     if key in config:
-        return cast(config[key])
+        try:
+            return cast(config[key])
+        except ValueError:
+            raise ConfigError(f"{path}: invalid value {config[key]!r} for config key {key}") from None
     return fallback
 
 
@@ -133,7 +141,7 @@ def build_run_config(args) -> RunConfig:
         )
     defaults = RunConfig(group="")
     cfg = RunConfig(
-        **{key: _resolve(args, config, key, cast, getattr(defaults, key))
+        **{key: _resolve(args, path, config, key, cast, getattr(defaults, key))
            for key, cast in _CONFIG_KEYS.items()},
         timing=bool(getattr(args, "timing", False)),
         no_cache=bool(getattr(args, "no_cache", False)),

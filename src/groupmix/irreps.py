@@ -1,13 +1,15 @@
 """Numerical computation of complete unitary irrep sets from group tables.
 
-The decomposition works on the regular representation: averaging a random
-Hermitian matrix over the group action projects it into the commutant, whose
-eigenspaces are invariant subspaces.  Generic draws land one irreducible
-subrepresentation per eigenvalue cluster; the rare merged cluster is split
-recursively with a fresh draw.  Every irrep of real type (Frobenius-Schur
-indicator +1) is then rotated into a real orthogonal basis, so a group whose
-irreps are all real gets real matrices throughout.  Everything is
-deterministic given (group, tol, seed).
+The decomposition works on the regular representation.  A random Hermitian
+group-algebra element T[x, y] = h(x^-1 y), with h(g^-1) = conj h(g), commutes
+with the left-regular action (Dixon 1970), so its eigenspaces are invariant
+subspaces; building T takes O(n^2).  A generic h gives one irreducible
+subrepresentation per eigenvalue cluster.  The rare cluster whose character
+norm shows it is reducible is split by the same routine, with a fresh h
+compressed onto the cluster's basis.  Every irrep of real type
+(Frobenius-Schur indicator +1) is then rotated into a real orthogonal basis,
+so a group whose irreps are all real gets real matrices throughout.
+Everything is deterministic given (group, tol, seed).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from groupmix.groups import GroupTable
 
 DEFAULT_TOL = 1e-9
 _CLUSTER_REL_GAP = 1e-8      # eigenvalue clustering threshold
-_DIM_INTEGRALITY = 1e-6      # never round dimensions silently beyond this
 _MAX_SPLIT_ATTEMPTS = 8
 _FULL_PAIR_ORDER = 256       # homomorphism check: full up to here, sampled above
 _SAMPLED_PAIRS = 100_000
@@ -80,12 +81,6 @@ def quasirandomness_degree(s: IrrepSet) -> int:
 # decomposition
 
 
-def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = (a + a.conj().T) / 2.0
-    return h / max(np.linalg.norm(h), 1e-30)
-
-
 def _cluster_boundaries(eigvals: np.ndarray) -> list[np.ndarray]:
     scale = max(float(np.max(np.abs(eigvals))), 1.0)
     gaps = np.diff(eigvals)
@@ -94,43 +89,52 @@ def _cluster_boundaries(eigvals: np.ndarray) -> list[np.ndarray]:
     return pieces
 
 
-def _char_norm_sq(character: np.ndarray) -> float:
-    return float(np.mean(np.abs(character) ** 2))
-
-
-def _split_stack(rho: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
-    """Fully decompose a unitary representation given as a (n, d, d) stack."""
-    n, d, _ = rho.shape
-    if d == 1:
-        return [rho]
-    chi = np.einsum("gii->g", rho)
-    if abs(_char_norm_sq(chi) - 1.0) < 0.1:
-        return [rho]
-    for _ in range(_MAX_SPLIT_ATTEMPTS):
-        a = _random_hermitian(rng, d)
-        t = np.einsum("gij,jk,glk->il", rho, a, rho.conj()) / n
-        eigvals, eigvecs = np.linalg.eigh(t)
-        clusters = _cluster_boundaries(eigvals)
-        if len(clusters) == 1:
-            continue
-        out = []
-        for idx in clusters:
-            v = eigvecs[:, idx]
-            sub = np.einsum("ji,gjk,kl->gil", v.conj(), rho, v)
-            out.extend(_split_stack(sub, rng))
-        return out
-    raise IrrepComputationError(
-        "failed to split a reducible invariant subspace; rerun with a different seed"
-    )
-
-
 def _extract_subrep(u: np.ndarray, left_action: np.ndarray) -> np.ndarray:
     """rho(g) = U^* R(g) U for an orthonormal invariant basis U (n, d)."""
     n, d = u.shape
+    uh = u.conj().T
     out = np.empty((n, d, d), dtype=np.complex128)
     for lo in range(0, n, _CHUNK):
         sl = left_action[lo : lo + _CHUNK]
-        out[lo : lo + _CHUNK] = np.einsum("xi,gxj->gij", u.conj(), u[sl])
+        prod = uh @ u[sl.T].reshape(n, len(sl) * d)
+        out[lo : lo + _CHUNK] = prod.reshape(d, len(sl), d).transpose(1, 0, 2)
+    return out
+
+
+def _split(g: GroupTable, u: np.ndarray | None, rng: np.random.Generator) -> list[np.ndarray]:
+    """Irreducible (n, d, d) stacks of the left-regular action on span(u).
+
+    u is an orthonormal (n, d) basis of an invariant subspace, or None for
+    the whole regular representation.  u^* T u commutes with the action on
+    span(u), so its eigenspaces are invariant; a cluster whose character norm
+    is not 1 is split again with a fresh h.
+    """
+    n = g.order
+    # left_action[g, x] = g^{-1} x, so (R(g) f)[x] = f[left_action[g, x]]
+    left_action = g.mul[g.inv, :]
+    for _ in range(_MAX_SPLIT_ATTEMPTS):
+        a = rng.standard_normal((2, n))
+        h = a[0] + 1j * a[1]
+        t = (h + h[g.inv].conj())[left_action]
+        if u is not None:
+            t = u.conj().T @ (t @ u)
+        eigvals, eigvecs = np.linalg.eigh(t)
+        clusters = _cluster_boundaries(eigvals)
+        if len(clusters) > 1:
+            break
+    else:
+        raise IrrepComputationError(
+            "failed to split a reducible invariant subspace; rerun with a different seed"
+        )
+    out = []
+    for idx in clusters:
+        v = eigvecs[:, idx] if u is None else u @ eigvecs[:, idx]
+        stack = _extract_subrep(v, left_action)
+        chi = np.einsum("gii->g", stack)
+        if abs(float(np.mean(np.abs(chi) ** 2)) - 1.0) < 0.1:
+            out.append(stack)
+        else:
+            out.extend(_split(g, v, rng))
     return out
 
 
@@ -187,29 +191,7 @@ def compute_irreps(g: GroupTable, tol: float = DEFAULT_TOL, seed: int = 0) -> Ir
         irrep = Irrep(1, triv, np.ones(1, dtype=np.complex128))
         return IrrepSet(g.fingerprint, (irrep,), tol)
 
-    # left_action[g, x] = g^{-1} x, so (R(g) f)[x] = f[left_action[g, x]]
-    left_action = g.mul[g.inv, :]
-
-    stacks: list[np.ndarray] = []
-    for _ in range(_MAX_SPLIT_ATTEMPTS):
-        a = _random_hermitian(rng, n)
-        t = np.zeros((n, n), dtype=np.complex128)
-        for gi in range(n):
-            p = left_action[gi]
-            t += a[np.ix_(p, p)]
-        t /= n
-        eigvals, eigvecs = np.linalg.eigh(t)
-        clusters = _cluster_boundaries(eigvals)
-        if len(clusters) == 1 and n > 1:
-            continue
-        for idx in clusters:
-            u = eigvecs[:, idx]
-            stacks.extend(_split_stack(_extract_subrep(u, left_action), rng))
-        break
-    else:
-        raise IrrepComputationError(
-            "regular representation did not split; rerun with a different seed"
-        )
+    stacks = _split(g, None, rng)
 
     # deduplicate equivalent copies by character distance (basis independent)
     kept: list[tuple[np.ndarray, np.ndarray]] = []

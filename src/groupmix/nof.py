@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from groupmix.boost import ExperimentLog, StepRecord, l2_sq_dist_to_uniform, numerical_floor
-from groupmix.fourier import BoundViolation, Dist, convolve, make_dist, uniform
+from groupmix.boost import ExperimentLog, StepRecord, l2_sq_dist_to_uniform, numerical_floor, tv_to_uniform
+from groupmix.fourier import BoundViolation, Dist, convolve, make_dist
 from groupmix.groups import MAX_DENSE_STATES, GroupTable, ProductGroup
 from groupmix.irreps import IrrepSet
 from groupmix.uniformity import eps_k_uniform_counts, eps_uniform
@@ -180,15 +180,13 @@ def advantage_curve(
     tv_dist is the statistical distance to uniform; BoundViolation is raised
     if it increases in t.  Stops early once eps_uniform reaches target_eps.
     """
-    b = exact_s(h, parties)
-    s_dist = box_to_dist(b)
-    u = uniform(s_dist.space)
+    s_dist = box_to_dist(exact_s(h, parties))
     log = ExperimentLog(eps_ks=())
     current = s_dist
     for t in range(1, t_max + 1):
         if t > 1:
             current = convolve(current, s_dist, s_irreps, engine=engine)
-        tv = 0.5 * float(np.sum(np.abs(current.values - u.values)))
+        tv = tv_to_uniform(current)
         linf = eps_uniform(current)
         rec = StepRecord(
             step=t,

@@ -37,6 +37,11 @@ def sl2_5():
 
 
 @pytest.fixture(scope="session")
+def sl2_7():
+    return groups.build_group(groups.sl2(7))
+
+
+@pytest.fixture(scope="session")
 def irreps_cache():
     """Session memo so expensive irrep computations run once."""
     from groupmix import irreps as irr

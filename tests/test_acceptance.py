@@ -43,13 +43,13 @@ def _report(n, text):
 # ---------------------------------------------------------------------------
 
 
-def test_c01_representation_suite(c4, c12, a5, sl2_3, sl2_5):
+def test_c01_representation_suite(c4, c12, a5, sl2_3, sl2_5, sl2_7):
     import oracles
 
     t0 = time.perf_counter()
-    expected_degree = {"cyclic:4": 1, "cyclic:12": 1, "a5": 3, "sl2:3": 1, "sl2:5": 2}
-    oracle_groups = {"a5", "sl2:3", "sl2:5"}
-    for g in (c4, c12, a5, sl2_3, sl2_5):
+    expected_degree = {"cyclic:4": 1, "cyclic:12": 1, "a5": 3, "sl2:3": 1, "sl2:5": 2, "sl2:7": 3}
+    oracle_groups = {"a5", "sl2:3", "sl2:5", "sl2:7"}
+    for g in (c4, c12, a5, sl2_3, sl2_5, sl2_7):
         s = compute_irreps(g, seed=SEED)
         assert sum(d * d for d in s.dims) == g.order
         report = check_irrep_set(g, s)
@@ -74,7 +74,7 @@ def test_c01_representation_suite(c4, c12, a5, sl2_3, sl2_5):
                 used.add(match)
     elapsed = time.perf_counter() - t0
     assert elapsed <= 60.0
-    _report(1, f"irreps of 5 groups, residuals <= 1e-8, degrees 1,1,3,1,2, {elapsed:.1f}s")
+    _report(1, f"irreps of 6 groups, residuals <= 1e-8, degrees 1,1,3,1,2,3, {elapsed:.1f}s")
 
 
 def test_c02_fourier_suite(c4, c12, a5, sl2_3, sl2_5, irreps_cache):

@@ -14,6 +14,7 @@ from groupmix.boost import (
     l2_to_linf_check,
     numerical_floor,
     square_boost_check,
+    tv_to_uniform,
 )
 from groupmix.groups import ProductGroup
 from groupmix.irreps import get_irreps, quasirandomness_degree
@@ -61,6 +62,17 @@ def test_l2_identity_formulas_agree(a5):
         v = rng.random(60)
         p = fx.make_dist(a5, v / v.sum())
         assert abs(l2_sq_dist_to_uniform(p) - oracles.l2_sq_via_norm_identity(p.values)) <= 1e-12
+
+
+def test_tv_to_uniform_matches_materialized_uniform(a5):
+    # same elementwise subtraction as against a materialized uniform Dist, so
+    # the tv_dist column is unchanged to the last bit
+    rng = np.random.default_rng(SEED)
+    for _ in range(20):
+        v = rng.random(60)
+        p = fx.make_dist(a5, v / v.sum())
+        assert tv_to_uniform(p) == fx.tv_distance(p, fx.uniform(a5))
+    assert abs(tv_to_uniform(fx.point_mass(a5, 0)) - (1 - 1 / 60)) < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from groupmix.cli import main
+from groupmix.cli import main, read_config
 
 
 def run_cli(argv, capsys):
@@ -163,6 +163,29 @@ def test_config_file_rejects_unknown_key(capsys, cache, tmp_path):
     )
     assert code == 1
     assert "kk" in err and str(cfg) in err
+
+
+def test_config_file_rejects_bad_value(capsys, cache, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group=sl2:3\nm=four\n")
+    code, _, err = run_cli(
+        ["experiment", "flatten", "--config", str(cfg), "--cache-dir", cache], capsys
+    )
+    assert code == 1
+    assert str(cfg) in err and "'four'" in err and "key m" in err
+
+
+def test_config_hash_starts_comment_only_at_line_start_or_after_space(capsys, cache, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    out_path = tmp_path / "run#1.csv"
+    cfg.write_text(f"# defaults\ngroup=sl2:3\nm=4  # arity\nk=3\t# order\nout={out_path}\n")
+    assert read_config(str(cfg)) == {"group": "sl2:3", "m": "4", "k": "3", "out": str(out_path)}
+    code, out, _ = run_cli(
+        ["experiment", "flatten", "--config", str(cfg), "--cache-dir", cache], capsys
+    )
+    assert code == 0
+    assert out_path.read_text().splitlines()[0] == out.strip()
+    assert not (tmp_path / "run").exists()
 
 
 def test_fail_fast_validation_names_field(capsys, cache):

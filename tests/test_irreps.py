@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from groupmix import groups
+from groupmix import irreps as irr
 from groupmix.irreps import (
     Irrep,
     IrrepCacheError,
@@ -267,3 +268,46 @@ def test_failed_save_leaves_no_file(tmp_path, monkeypatch, c4, irreps_cache):
     with pytest.raises(OSError, match="disk full"):
         save_irreps(irreps_cache(c4), path)
     assert list(tmp_path.iterdir()) == []
+
+
+class _ConstantFirstDraw:
+    """A generator whose first standard_normal draw is all ones.
+
+    The first h is then a real constant, so T = h J has two eigenvalue
+    clusters: the trivial irrep and the other n - 1 dimensions together.
+    """
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._first = True
+
+    def standard_normal(self, size=None):
+        if self._first:
+            self._first = False
+            return np.ones(size)
+        return self._rng.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("fixture", ["a5", "sl2_5"])
+def test_merged_cluster_is_split_recursively(request, fixture, monkeypatch):
+    g = request.getfixturevalue(fixture)
+    default_rng = np.random.default_rng
+    split = irr._split
+    bases = []
+
+    def counted(g, u, rng):
+        bases.append(None if u is None else u.shape[1])
+        return split(g, u, rng)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda seed: _ConstantFirstDraw(default_rng(seed)))
+        mp.setattr(irr, "_split", counted)
+        s = compute_irreps(g, seed=SEED)
+    assert bases[0] is None and bases[1] == g.order - 1
+    dims_oracle, _ = oracles.characters_per_element(g.mul, g.inv)
+    assert sorted(s.dims) == sorted(dims_oracle)
+    assert check_irrep_set(g, s).all_passed
+    assert verify_schur(s).passed
