@@ -153,6 +153,7 @@ def build_run_config(args) -> RunConfig:
 
 
 def _irreps_for(cfg: RunConfig, g):
+    """Irreps at seed 0, so every command reads and warms the same cache file."""
     cache = cfg.cache_dir or default_cache_dir()
     return get_irreps(g, tol=cfg.tol, seed=0, cache_dir=cache, use_cache=not cfg.no_cache)
 
@@ -168,8 +169,7 @@ def _fmt(x) -> str:
 def cmd_irreps(args) -> int:
     cfg = build_run_config(args)
     g = build_group(parse_group_spec(cfg.group))
-    cache = cfg.cache_dir or default_cache_dir()
-    s = get_irreps(g, tol=cfg.tol, seed=cfg.seed, cache_dir=cache, use_cache=not cfg.no_cache)
+    s = _irreps_for(cfg, g)
     dims = list(s.dims)
     print(f"dims={dims} sum_sq={sum(d * d for d in dims)} d={quasirandomness_degree(s)}")
     return 0

@@ -132,10 +132,14 @@ class GroupTable:
 
 
 def _fingerprint(g: GroupTable) -> str:
-    """Stable hash over (kind, parameter, order, first 64 mul entries)."""
-    head = g.mul.ravel()[:64].astype(np.int64)
-    blob = f"{g.spec.kind}|{g.spec.param}|{g.order}|".encode() + head.tobytes()
-    return hashlib.sha256(blob).hexdigest()
+    """Stable hash over (kind, parameter, order, the whole mul table).
+
+    The table is hashed as little-endian int32 in C order, so the key does
+    not depend on the platform's byte order.
+    """
+    h = hashlib.sha256(f"{g.spec.kind}|{g.spec.param}|{g.order}|".encode())
+    h.update(np.ascontiguousarray(g.mul, dtype="<i4"))
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,13 @@ The decomposition works on the regular representation.  A random Hermitian
 group-algebra element T[x, y] = h(x^-1 y), with h(g^-1) = conj h(g), commutes
 with the left-regular action (Dixon 1970), so its eigenspaces are invariant
 subspaces; building T takes O(n^2).  A generic h gives one irreducible
-subrepresentation per eigenvalue cluster.  The rare cluster whose character
-norm shows it is reducible is split by the same routine, with a fresh h
-compressed onto the cluster's basis.  Every irrep of real type
+subrepresentation per eigenvalue cluster, and each irrep rho appears in
+d_rho clusters.  Characters are class functions, so every cluster is first
+screened by its character on one element per conjugacy class, in
+O(#classes n d); only the first cluster with each screen has its matrices
+extracted, in O(n^2 d^2).  The rare cluster whose character norm shows it
+is reducible is split by the same routine, with a fresh h compressed onto
+the cluster's basis.  Every irrep of real type
 (Frobenius-Schur indicator +1) is then rotated into a real orthogonal basis,
 so a group whose irreps are all real gets real matrices throughout.
 Everything is deterministic given (group, tol, seed).
@@ -101,16 +105,29 @@ def _extract_subrep(u: np.ndarray, left_action: np.ndarray) -> np.ndarray:
     return out
 
 
+def _conjugacy_classes(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """One representative per conjugacy class and the class sizes."""
+    n = g.order
+    allg = np.arange(n)
+    seen = np.zeros(n, dtype=bool)
+    reps, sizes = [], []
+    for x in range(n):
+        if not seen[x]:
+            orbit = np.unique(g.mul[g.mul[allg, x], g.inv])
+            seen[orbit] = True
+            reps.append(x)
+            sizes.append(len(orbit))
+    return np.array(reps), np.array(sizes)
+
+
 def _split(g: GroupTable, u: np.ndarray | None, rng: np.random.Generator) -> list[np.ndarray]:
-    """Irreducible (n, d, d) stacks of the left-regular action on span(u).
+    """Orthonormal (n, d) bases of the eigen-clusters of a random element on span(u).
 
     u is an orthonormal (n, d) basis of an invariant subspace, or None for
     the whole regular representation.  u^* T u commutes with the action on
-    span(u), so its eigenspaces are invariant; a cluster whose character norm
-    is not 1 is split again with a fresh h.
+    span(u), so each cluster spans an invariant subspace.
     """
     n = g.order
-    # left_action[g, x] = g^{-1} x, so (R(g) f)[x] = f[left_action[g, x]]
     left_action = g.mul[g.inv, :]
     for _ in range(_MAX_SPLIT_ATTEMPTS):
         a = rng.standard_normal((2, n))
@@ -126,15 +143,41 @@ def _split(g: GroupTable, u: np.ndarray | None, rng: np.random.Generator) -> lis
         raise IrrepComputationError(
             "failed to split a reducible invariant subspace; rerun with a different seed"
         )
-    out = []
-    for idx in clusters:
-        v = eigvecs[:, idx] if u is None else u @ eigvecs[:, idx]
-        stack = _extract_subrep(v, left_action)
-        chi = np.einsum("gii->g", stack)
-        if abs(float(np.mean(np.abs(chi) ** 2)) - 1.0) < 0.1:
-            out.append(stack)
-        else:
-            out.extend(_split(g, v, rng))
+    return [eigvecs[:, idx] if u is None else u @ eigvecs[:, idx] for idx in clusters]
+
+
+def _irreducible_stacks(g: GroupTable, rng: np.random.Generator, gap: float) -> list[np.ndarray]:
+    """One (n, d, d) stack per distinct character among the eigen-clusters.
+
+    Each cluster is screened by its character on one representative per
+    conjugacy class, chi(c) = sum_{x,i} conj V[x,i] V[c^-1 x, i].  Weighted
+    by class sizes, the distance between two screens is the distance between
+    the full characters, so a cluster whose screen is within `gap` of one
+    already seen (here or anywhere in the recursion) repeats that character
+    and is not extracted.  A cluster whose character norm is not 1 is split
+    again with a fresh h.
+    """
+    # left_action[g, x] = g^{-1} x, so (R(g) f)[x] = f[left_action[g, x]]
+    left_action = g.mul[g.inv, :]
+    reps, sizes = _conjugacy_classes(g)
+    weights = np.sqrt(sizes)
+    seen: list[np.ndarray] = []
+    out: list[np.ndarray] = []
+
+    def visit(u: np.ndarray | None):
+        for v in _split(g, u, rng):
+            screen = weights * np.array([np.vdot(v, v[left_action[c]]) for c in reps])
+            if any(np.linalg.norm(screen - s) < gap for s in seen):
+                continue
+            seen.append(screen)
+            stack = _extract_subrep(v, left_action)
+            chi = np.einsum("gii->g", stack)
+            if abs(float(np.mean(np.abs(chi) ** 2)) - 1.0) < 0.1:
+                out.append(stack)
+            else:
+                visit(v)
+
+    visit(None)
     return out
 
 
@@ -191,14 +234,14 @@ def compute_irreps(g: GroupTable, tol: float = DEFAULT_TOL, seed: int = 0) -> Ir
         irrep = Irrep(1, triv, np.ones(1, dtype=np.complex128))
         return IrrepSet(g.fingerprint, (irrep,), tol)
 
-    stacks = _split(g, None, rng)
+    dedupe_gap = max(10.0 * tol * n, 1e-6)
+    stacks = _irreducible_stacks(g, rng, dedupe_gap)
 
     # deduplicate equivalent copies by character distance (basis independent)
     kept: list[tuple[np.ndarray, np.ndarray]] = []
-    dedupe_gap = 10.0 * tol * n
     for stack in stacks:
         chi = np.einsum("gii->g", stack)
-        if any(np.linalg.norm(chi - c) < max(dedupe_gap, 1e-6) for _, c in kept):
+        if any(np.linalg.norm(chi - c) < dedupe_gap for _, c in kept):
             continue
         kept.append((stack, chi))
 
@@ -271,20 +314,27 @@ def check_irrep_set(g: GroupTable, s: IrrepSet, seed: int = 0) -> IrrepSetReport
         rng = np.random.default_rng(seed)
         pair_x = rng.integers(0, n, size=_SAMPLED_PAIRS)
         pair_y = rng.integers(0, n, size=_SAMPLED_PAIRS)
-    pair_xy = g.mul[pair_x, pair_y]
+    # pairs grouped by right factor y: rho(xs) rho(y) is one (k d, d) @ (d, d) product
+    by_y = np.argsort(pair_y, kind="stable")
+    ys, starts = np.unique(pair_y[by_y], return_index=True)
+    blocks = [(y, xs, g.mul[xs, y]) for y, xs in zip(ys, np.split(pair_x[by_y], starts[1:]))]
 
     # np.maximum/np.min propagate NaN, where max(x, nan) would return x
     for r in s.irreps:
         m = r.matrices
-        ident_res = np.maximum(ident_res, np.linalg.norm(m[0] - np.eye(r.dim)))
-        eye = np.eye(r.dim)
-        u = m @ m.conj().transpose(0, 2, 1) - eye
+        d = r.dim
+        ident_res = np.maximum(ident_res, np.linalg.norm(m[0] - np.eye(d)))
+        u = m @ m.conj().transpose(0, 2, 1) - np.eye(d)
         unit_res = np.maximum(unit_res, np.max(np.sqrt(np.sum(np.abs(u) ** 2, axis=(1, 2)))))
-        for lo in range(0, len(pair_x), 65536):
-            hi = lo + 65536
-            delta = m[pair_x[lo:hi]] @ m[pair_y[lo:hi]] - m[pair_xy[lo:hi]]
-            res = np.sqrt(np.sum(np.abs(delta) ** 2, axis=(1, 2)))
-            hom_res = np.maximum(hom_res, np.max(res))
+        if not m.imag.any():
+            m = m.real          # real-type irreps: the same products in real arithmetic
+        flat = m.reshape(n, d * d)
+        worst_sq = 0.0
+        for y, xs, xys in blocks:
+            delta = (m[xs].reshape(-1, d) @ m[y]).reshape(len(xs), d * d) - flat[xys]
+            parts = delta.view(np.float64)
+            worst_sq = np.maximum(worst_sq, np.max(np.einsum("ki,ki->k", parts, parts)))
+        hom_res = np.maximum(hom_res, np.sqrt(worst_sq))
 
     chars = [r.character for r in s.irreps]
     gaps = [
@@ -361,9 +411,11 @@ def save_irreps(s: IrrepSet, path: str | os.PathLike):
             fh.write("\n".join(head) + "\n")
             for r in s.irreps:
                 fh.write(f"irrep dim {r.dim}\n")
-                for x in range(s.order):
-                    row = r.matrices[x].ravel()
-                    fh.write(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row) + "\n")
+                # one row per element: re im re im ... of the row-major matrix
+                row = " ".join(["%.17g"] * (2 * r.dim * r.dim)) + "\n"
+                parts = np.ascontiguousarray(r.matrices, np.complex128).view(np.float64)
+                for vals in parts.reshape(s.order, -1).tolist():
+                    fh.write(row % tuple(vals))
             fh.write("end\n")
         os.replace(tmp, path)
     except BaseException:

@@ -143,6 +143,50 @@ def characters_per_element(mul, inv, seed: int = 12345):
 
 
 # ---------------------------------------------------------------------------
+# irrep-set oracles
+
+
+def homomorphism_pairs(n: int, seed: int = 0):
+    """The (x, y) pairs an irrep check covers: all n^2 up to order 256,
+    otherwise 100,000 pairs drawn from default_rng(seed), x first."""
+    if n <= 256:
+        return np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, n, size=100_000), rng.integers(0, n, size=100_000)
+
+
+def homomorphism_residual(mul, stacks, pair_x, pair_y) -> float:
+    """max over irreps and pairs of ||rho(x) rho(y) - rho(xy)||_F, pair by pair."""
+    pair_xy = mul[pair_x, pair_y]
+    worst = 0.0
+    for m in stacks:
+        for lo in range(0, len(pair_x), 65536):
+            hi = lo + 65536
+            delta = m[pair_x[lo:hi]] @ m[pair_y[lo:hi]] - m[pair_xy[lo:hi]]
+            res = np.sqrt(np.sum(np.abs(delta) ** 2, axis=(1, 2)))
+            worst = np.maximum(worst, np.max(res))
+    return float(worst)
+
+
+def irrep_cache_text(s) -> str:
+    """The text of an irrep cache file, formatted value by value."""
+    lines = [
+        "groupmix-irreps v1",
+        f"fingerprint {s.group_fingerprint}",
+        f"order {s.order}",
+        f"tol {s.tol:.17g}",
+        f"count {len(s.irreps)}",
+    ]
+    for r in s.irreps:
+        lines.append(f"irrep dim {r.dim}")
+        for x in range(s.order):
+            row = r.matrices[x].ravel()
+            lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # direct-definition Fourier oracles
 
 

@@ -89,6 +89,20 @@ def test_experiment_flatten_summary(capsys, cache, tmp_path):
     assert "hold=true" in open(out_path).read()
 
 
+def test_irreps_warms_the_cache_experiments_read(capsys, cache, tmp_path):
+    irreps_argv = ["irreps", "--group", "sl2:3", "--seed", "5", "--cache-dir", cache]
+    assert run_cli(irreps_argv, capsys)[0] == 0
+    code, _, _ = run_cli(
+        [
+            "experiment", "flatten", "--group", "sl2:3", "--m", "4", "--k", "3", "--seed", "5",
+            "--cache-dir", cache, "--out", str(tmp_path / "flatten.txt"),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert len(list(pathlib.Path(cache).iterdir())) == 1
+
+
 def test_experiment_boost_csv_and_determinism(capsys, cache, tmp_path):
     args = [
         "experiment", "boost", "--group", "sl2:3", "--m", "2", "--k", "1",

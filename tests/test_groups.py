@@ -99,6 +99,16 @@ def test_fingerprint_stable_and_distinct(a5, sl2_3):
     assert a5.fingerprint != sl2_3.fingerprint
 
 
+def test_fingerprint_covers_whole_table(c12):
+    def table(mul):
+        return groups.GroupTable(c12.spec, c12.order, mul, c12.inv.copy(), c12.labels)
+
+    changed = c12.mul.copy()
+    changed.flat[100] = changed.flat[101]       # only past the first 64 entries
+    assert table(c12.mul.copy()).fingerprint == c12.fingerprint
+    assert table(changed).fingerprint != c12.fingerprint
+
+
 def test_tuple_flat_basics(a5):
     pg = ProductGroup(a5, 4)
     assert tuple_to_flat(pg, (0, 0, 0, 0)) == 0

@@ -48,6 +48,7 @@ def test_trivial_rep_first(a5, sl2_5, c12, irreps_cache):
         ("a5", (1, 3, 3, 4, 5)),
         ("sl2_5", (1, 2, 2, 3, 3, 4, 4, 5, 6)),
         ("sl2_3", (1, 1, 1, 2, 2, 2, 3)),
+        ("sl2_7", (1, 3, 3, 4, 4, 6, 6, 6, 7, 8, 8)),
     ],
 )
 def test_dims_match_character_table_oracle(request, fixture, dims, irreps_cache):
@@ -126,6 +127,46 @@ def test_determinism_given_seed(sl2_3):
     s2 = compute_irreps(sl2_3, seed=5)
     for r1, r2 in zip(s1.irreps, s2.irreps):
         assert np.array_equal(r1.matrices, r2.matrices)
+
+
+def test_one_extraction_per_irrep(sl2_7, monkeypatch):
+    extract = irr._extract_subrep
+    dims = []
+
+    def counted(u, left_action):
+        dims.append(u.shape[1])
+        return extract(u, left_action)
+
+    monkeypatch.setattr(irr, "_extract_subrep", counted)
+    s = compute_irreps(sl2_7)
+    assert len(dims) == len(s.irreps)
+    assert sorted(dims) == sorted(s.dims)
+
+
+@pytest.mark.parametrize("fixture,mode", [("a5", "full"), ("sl2_7", "sampled")])
+def test_homomorphism_check_matches_per_pair_reference(request, fixture, mode, irreps_cache):
+    g = request.getfixturevalue(fixture)
+    s = irreps_cache(g)
+    k = len(s.irreps) // 2
+    mats = np.array(s.irreps[k].matrices)
+    mats[7, 0, 1] += 1e-3
+    broken = Irrep(s.irreps[k].dim, mats, s.irreps[k].character.copy())
+    s = IrrepSet(s.group_fingerprint, s.irreps[:k] + (broken,) + s.irreps[k + 1 :], s.tol)
+    rep = check_irrep_set(g, s)
+    pair_x, pair_y = oracles.homomorphism_pairs(g.order)
+    expected = oracles.homomorphism_residual(g.mul, [r.matrices for r in s.irreps], pair_x, pair_y)
+    assert rep.homomorphism_mode == mode
+    assert expected > 1e-4
+    assert abs(rep.homomorphism_residual - expected) <= 1e-15
+    assert not rep.all_passed
+
+
+@pytest.mark.parametrize("fixture", ["a5", "sl2_3"])
+def test_save_writes_reference_bytes(request, fixture, tmp_path, irreps_cache):
+    s = irreps_cache(request.getfixturevalue(fixture))
+    path = tmp_path / "set.irr"
+    save_irreps(s, path)
+    assert path.read_bytes() == oracles.irrep_cache_text(s).encode()
 
 
 def test_save_load_roundtrip(tmp_path, a5, irreps_cache):
