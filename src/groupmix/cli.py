@@ -317,9 +317,9 @@ def cmd_experiment_repair(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, seed_help="seed of this command's random draws"):
     p.add_argument("--group", help="cyclic:N | sl2:Q | a5")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help=seed_help)
     p.add_argument("--tol", type=float)
     p.add_argument("--config", help="key=value defaults file; flags override")
     p.add_argument("--cache-dir", dest="cache_dir", help=f"irrep cache dir (or ${CACHE_ENV})")
@@ -340,7 +340,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p_irr = sub.add_parser("irreps", help="compute and cache irreps; print dims summary")
-    _add_common(p_irr)
+    _add_common(p_irr, seed_help="accepted but unused: every command uses the seed-0 irreps")
     p_irr.set_defaults(func=cmd_irreps)
 
     p_ver = sub.add_parser("verify", help="residual checks: schur, parseval, convolution")

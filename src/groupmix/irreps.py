@@ -7,10 +7,11 @@ subspaces; building T takes O(n^2).  A generic h gives one irreducible
 subrepresentation per eigenvalue cluster, and each irrep rho appears in
 d_rho clusters.  Characters are class functions, so every cluster is first
 screened by its character on one element per conjugacy class, in
-O(#classes n d); only the first cluster with each screen has its matrices
-extracted, in O(n^2 d^2).  The rare cluster whose character norm shows it
-is reducible is split by the same routine, with a fresh h compressed onto
-the cluster's basis.  Every irrep of real type
+O(#classes n d).  The screen gives the character norm and the distance to
+every character seen so far, so only the first copy of each irrep has its
+matrices extracted, in O(n^2 d^2).  The rare cluster whose character norm
+shows it is reducible is not extracted but split by the same routine, with
+a fresh h compressed onto the cluster's basis.  Every irrep of real type
 (Frobenius-Schur indicator +1) is then rotated into a real orthogonal basis,
 so a group whose irreps are all real gets real matrices throughout.
 Everything is deterministic given (group, tol, seed).
@@ -147,37 +148,51 @@ def _split(g: GroupTable, u: np.ndarray | None, rng: np.random.Generator) -> lis
 
 
 def _irreducible_stacks(g: GroupTable, rng: np.random.Generator, gap: float) -> list[np.ndarray]:
-    """One (n, d, d) stack per distinct character among the eigen-clusters.
+    """One (n, d, d) stack per distinct irreducible character among the eigen-clusters.
 
     Each cluster is screened by its character on one representative per
     conjugacy class, chi(c) = sum_{x,i} conj V[x,i] V[c^-1 x, i].  Weighted
-    by class sizes, the distance between two screens is the distance between
-    the full characters, so a cluster whose screen is within `gap` of one
-    already seen (here or anywhere in the recursion) repeats that character
-    and is not extracted.  A cluster whose character norm is not 1 is split
-    again with a fresh h.
+    by sqrt(class size), the distance between two screens is the distance
+    between the full characters and the squared norm of a screen is
+    n mean|chi|^2.  So a cluster whose screen is within `gap` of one already
+    seen (here or anywhere in the recursion) repeats that character and is
+    skipped, a cluster whose character norm is not 1 is split again with a
+    fresh h, and only the rest are extracted.
     """
+    n = g.order
     # left_action[g, x] = g^{-1} x, so (R(g) f)[x] = f[left_action[g, x]]
     left_action = g.mul[g.inv, :]
     reps, sizes = _conjugacy_classes(g)
+    rep_action = left_action[reps]
     weights = np.sqrt(sizes)
-    seen: list[np.ndarray] = []
+    # one row per irrep; the rows double if reducible clusters need more
+    seen = np.empty((len(reps), len(reps)), dtype=np.complex128)
+    n_seen = 0
     out: list[np.ndarray] = []
-
-    def visit(u: np.ndarray | None):
-        for v in _split(g, u, rng):
-            screen = weights * np.array([np.vdot(v, v[left_action[c]]) for c in reps])
-            if any(np.linalg.norm(screen - s) < gap for s in seen):
-                continue
-            seen.append(screen)
-            stack = _extract_subrep(v, left_action)
-            chi = np.einsum("gii->g", stack)
-            if abs(float(np.mean(np.abs(chi) ** 2)) - 1.0) < 0.1:
-                out.append(stack)
-            else:
-                visit(v)
-
-    visit(None)
+    # depth first: a reducible cluster is split as soon as it is met
+    pending = [iter(_split(g, None, rng))]
+    while pending:
+        v = next(pending[-1], None)
+        if v is None:
+            pending.pop()
+            continue
+        d = v.shape[1]
+        step = max(1, _CHUNK // d)
+        screen = weights * np.concatenate([
+            np.take(v, rep_action[lo : lo + step], axis=0).reshape(-1, n * d) @ v.conj().ravel()
+            for lo in range(0, len(reps), step)
+        ])
+        delta = (seen[:n_seen] - screen).view(np.float64)
+        if n_seen and np.min(np.einsum("ji,ji->j", delta, delta)) < gap**2:
+            continue
+        if n_seen == len(seen):
+            seen = np.concatenate([seen, np.empty_like(seen)])
+        seen[n_seen] = screen
+        n_seen += 1
+        if abs(float(np.vdot(screen, screen).real) / n - 1.0) < 0.1:
+            out.append(_extract_subrep(v, left_action))
+        else:
+            pending.append(iter(_split(g, v, rng)))
     return out
 
 
@@ -237,14 +252,7 @@ def compute_irreps(g: GroupTable, tol: float = DEFAULT_TOL, seed: int = 0) -> Ir
     dedupe_gap = max(10.0 * tol * n, 1e-6)
     stacks = _irreducible_stacks(g, rng, dedupe_gap)
 
-    # deduplicate equivalent copies by character distance (basis independent)
-    kept: list[tuple[np.ndarray, np.ndarray]] = []
-    for stack in stacks:
-        chi = np.einsum("gii->g", stack)
-        if any(np.linalg.norm(chi - c) < dedupe_gap for _, c in kept):
-            continue
-        kept.append((stack, chi))
-
+    kept = [(stack, np.einsum("gii->g", stack)) for stack in stacks]
     total = sum(s.shape[1] ** 2 for s, _ in kept)
     if total != n:
         raise IrrepComputationError(
@@ -314,7 +322,8 @@ def check_irrep_set(g: GroupTable, s: IrrepSet, seed: int = 0) -> IrrepSetReport
         rng = np.random.default_rng(seed)
         pair_x = rng.integers(0, n, size=_SAMPLED_PAIRS)
         pair_y = rng.integers(0, n, size=_SAMPLED_PAIRS)
-    # pairs grouped by right factor y: rho(xs) rho(y) is one (k d, d) @ (d, d) product
+    # pairs grouped by right factor y: for the k irreps of one dimension d,
+    # rho(xs) rho(y) is one broadcast (len(xs), k, d, d) @ (k, d, d) product
     by_y = np.argsort(pair_y, kind="stable")
     ys, starts = np.unique(pair_y[by_y], return_index=True)
     blocks = [(y, xs, g.mul[xs, y]) for y, xs in zip(ys, np.split(pair_x[by_y], starts[1:]))]
@@ -326,27 +335,26 @@ def check_irrep_set(g: GroupTable, s: IrrepSet, seed: int = 0) -> IrrepSetReport
         ident_res = np.maximum(ident_res, np.linalg.norm(m[0] - np.eye(d)))
         u = m @ m.conj().transpose(0, 2, 1) - np.eye(d)
         unit_res = np.maximum(unit_res, np.max(np.sqrt(np.sum(np.abs(u) ** 2, axis=(1, 2)))))
-        if not m.imag.any():
-            m = m.real          # real-type irreps: the same products in real arithmetic
-        flat = m.reshape(n, d * d)
-        worst_sq = 0.0
+    # real-type irreps (all imaginary parts 0) take the same products in real arithmetic
+    kinds = [(r.dim, not r.matrices.imag.any()) for r in s.irreps]
+    for d, real in sorted(set(kinds)):
+        same = [r.matrices for r, kind in zip(s.irreps, kinds) if kind == (d, real)]
+        m = np.stack([x.real for x in same] if real else same, axis=1)
+        flat = m.reshape(n, len(same), d * d)
         for y, xs, xys in blocks:
-            delta = (m[xs].reshape(-1, d) @ m[y]).reshape(len(xs), d * d) - flat[xys]
+            delta = (m[xs] @ m[y]).reshape(len(xs), len(same), d * d) - flat[xys]
             parts = delta.view(np.float64)
-            worst_sq = np.maximum(worst_sq, np.max(np.einsum("ki,ki->k", parts, parts)))
-        hom_res = np.maximum(hom_res, np.sqrt(worst_sq))
+            hom_res = np.maximum(hom_res, np.sqrt(np.max(np.einsum("xri,xri->xr", parts, parts))))
 
-    chars = [r.character for r in s.irreps]
-    gaps = [
-        np.linalg.norm(chars[i] - chars[j])
-        for i in range(len(chars))
-        for j in range(i + 1, len(chars))
-    ]
-    min_gap = float(np.min(gaps)) if gaps else float("inf")
+    chars = np.array([r.character for r in s.irreps])
+    min_gap = np.inf
+    for i in range(len(chars) - 1):
+        delta = (chars[i + 1 :] - chars[i]).view(np.float64)
+        min_gap = np.minimum(min_gap, np.sqrt(np.min(np.einsum("ji,ji->j", delta, delta))))
     complete = sum(r.dim**2 for r in s.irreps) == n
     required_gap = 10.0 * s.tol * n
     return IrrepSetReport(
-        complete, float(ident_res), float(hom_res), mode, float(unit_res), min_gap, required_gap, s.tol
+        complete, float(ident_res), float(hom_res), mode, float(unit_res), float(min_gap), required_gap, s.tol
     )
 
 

@@ -143,13 +143,13 @@ def test_one_extraction_per_irrep(sl2_7, monkeypatch):
     assert sorted(dims) == sorted(s.dims)
 
 
-@pytest.mark.parametrize("fixture,mode", [("a5", "full"), ("sl2_7", "sampled")])
+@pytest.mark.parametrize("fixture,mode", [("a5", "full"), ("c12", "full"), ("sl2_7", "sampled")])
 def test_homomorphism_check_matches_per_pair_reference(request, fixture, mode, irreps_cache):
     g = request.getfixturevalue(fixture)
     s = irreps_cache(g)
     k = len(s.irreps) // 2
     mats = np.array(s.irreps[k].matrices)
-    mats[7, 0, 1] += 1e-3
+    mats[7, 0, -1] += 1e-3
     broken = Irrep(s.irreps[k].dim, mats, s.irreps[k].character.copy())
     s = IrrepSet(s.group_fingerprint, s.irreps[:k] + (broken,) + s.irreps[k + 1 :], s.tol)
     rep = check_irrep_set(g, s)
@@ -352,3 +352,21 @@ def test_merged_cluster_is_split_recursively(request, fixture, monkeypatch):
     assert sorted(s.dims) == sorted(dims_oracle)
     assert check_irrep_set(g, s).all_passed
     assert verify_schur(s).passed
+
+
+@pytest.mark.parametrize("fixture", ["a5", "sl2_5"])
+def test_reducible_cluster_is_not_extracted(request, fixture, monkeypatch):
+    g = request.getfixturevalue(fixture)
+    default_rng = np.random.default_rng
+    extract = irr._extract_subrep
+    dims = []
+
+    def counted(u, left_action):
+        dims.append(u.shape[1])
+        return extract(u, left_action)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda seed: _ConstantFirstDraw(default_rng(seed)))
+        mp.setattr(irr, "_extract_subrep", counted)
+        s = compute_irreps(g, seed=SEED)
+    assert sorted(dims) == sorted(s.dims)
