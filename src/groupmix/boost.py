@@ -18,7 +18,7 @@ import numpy as np
 from groupmix.fourier import BoundViolation, Dist, convolve
 from groupmix.groups import ProductGroup
 from groupmix.irreps import IrrepSet
-from groupmix.uniformity import eps_k_uniform, eps_uniform
+from groupmix.uniformity import eps_k_uniform
 
 _MACHINE_EPS = float(np.finfo(np.float64).eps)
 
@@ -191,10 +191,15 @@ def l2_to_linf_check(
 
 
 def _measure(p: Dist, step: int, mode: str, eps_ks, track_tv: bool, secs: float) -> StepRecord:
-    l2 = l2_sq_dist_to_uniform(p)
-    linf = eps_uniform(p)
+    """One step's record from one deviation buffer: l2, then |dev| in place
+    for linf (= eps_uniform) and tv."""
+    dev = p.values - 1.0 / p.size
+    l2 = float(dev @ dev)
+    np.abs(dev, out=dev)
+    linf = p.size * float(np.max(dev))
+    tv = 0.5 * float(np.sum(dev)) if track_tv else None
+    del dev
     eps_k = {k: eps_k_uniform(p, k).eps for k in eps_ks}
-    tv = tv_to_uniform(p) if track_tv else None
     return StepRecord(step, mode, l2, linf, eps_k, tv, secs, linf < numerical_floor(p.size))
 
 

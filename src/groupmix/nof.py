@@ -6,26 +6,25 @@ x in [2]^k holds the product u_0^{x_0} u_1^{x_1} ... u_{k-1}^{x_{k-1}},
 with coordinate index sum_i x_i 2^i.
 
 Counting is exact 64-bit integer arithmetic throughout: s's 3-uniformity is
-an exact-zero property that floating point cannot certify.  The k = 2
+an exact-zero property that floating point cannot certify.  exact_s counts
+one tuple per gauge orbit (see its docstring), n^(k+1) tuples instead of
+n^(2k), and weights each by the orbit size n^(k-1).  The k = 2
 cancellation identity s(00) s(10)^-1 s(11) s(01)^-1 = e pins the support
 and is the concrete witness that s is not 4-uniform.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from groupmix.boost import ExperimentLog, StepRecord, l2_sq_dist_to_uniform, numerical_floor, tv_to_uniform
+from groupmix.boost import ExperimentLog, _measure
 from groupmix.fourier import BoundViolation, Dist, convolve, make_dist
 from groupmix.groups import MAX_DENSE_STATES, GroupTable, ProductGroup
 from groupmix.irreps import IrrepSet
-from groupmix.uniformity import eps_k_uniform_counts, eps_uniform
-
-_ENUM_BUDGET = 10**9
+from groupmix.uniformity import eps_k_uniform_counts
 
 
 class BudgetError(ValueError):
@@ -56,46 +55,43 @@ class BoxDist:
 def _check_budgets(h: GroupTable, parties: int):
     if parties < 1:
         raise ValueError("parties must be >= 1")
-    n = h.order
     m = 2**parties
-    if n ** (2 * parties) > _ENUM_BUDGET:
+    if h.order**m > MAX_DENSE_STATES:
         raise BudgetError(
-            f"enumerating |H|^{2 * parties} = {n ** (2 * parties)} tuples is above the "
-            f"{_ENUM_BUDGET} budget; use sample_s instead"
-        )
-    if n**m > MAX_DENSE_STATES:
-        raise BudgetError(
-            f"dense counts over H^{m} need {n**m} states, above the supported "
+            f"dense counts over H^{m} need {h.order**m} states, above the supported "
             f"{MAX_DENSE_STATES}; use sample_s instead"
         )
 
 
 def exact_s(h: GroupTable, parties: int) -> BoxDist:
-    """Exact counts by full enumeration of all (u_i^0, u_i^1) assignments."""
+    """Exact counts by enumerating one tuple per gauge orbit.
+
+    Replacing u_i^b by g_{i-1}^-1 u_i^b g_i (g_{-1} = g_{k-1} = e) leaves every
+    coordinate product unchanged, since the g's telescope.  H^(k-1) acts freely,
+    so each orbit has n^(k-1) tuples and exactly one with u_i^0 = e for i < k-1:
+    count those n^(k+1) tuples once each and weight every count by n^(k-1).
+    """
     _check_budgets(h, parties)
     n = h.order
     k = parties
     m = 2**k
-    mul = h.mul
-    counts = np.zeros(n**m, dtype=np.int64)
+    half = m // 2
+    mul = h.mul.astype(np.int64)
+    elems = np.arange(n)
 
-    # vectorize the last party's two slots, loop over the first k-1 parties
-    u0 = np.repeat(np.arange(n), n)
-    u1 = np.tile(np.arange(n), n)
-    powers = np.array([n**j for j in range(m)], dtype=np.int64)
-    for prefix_us in itertools.product(range(n), repeat=2 * (k - 1)):
-        prefix = np.zeros(m, dtype=np.int64)
-        for j in range(m):
-            acc = 0
-            for i in range(k - 1):
-                bit = (j >> i) & 1
-                acc = mul[acc, prefix_us[2 * i + bit]]
-            prefix[j] = acc
-        flat = np.zeros(n * n, dtype=np.int64)
-        for j in range(m):
-            last = u0 if ((j >> (k - 1)) & 1) == 0 else u1
-            flat += mul[prefix[j], last].astype(np.int64) * powers[j]
-        np.add.at(counts, flat, 1)
+    # prefix[j] for j < 2^(k-1): the first k-1 parties' product over the free
+    # u_i^1, with u_i^0 = e; one flat axis of length n^i after party i
+    prefix = [np.zeros(1, dtype=np.int64)]
+    for _ in range(k - 1):
+        prefix = [np.repeat(a, n) for a in prefix] + [mul[a[:, None], elems].ravel() for a in prefix]
+    # the last party's u^0 and u^1 are the two trailing axes
+    flat = np.zeros((n ** (k - 1), n, n), dtype=np.int64)
+    for j, a in enumerate(prefix):
+        last = mul[a[:, None], elems]
+        flat += last[:, :, None] * n**j
+        flat += last[:, None, :] * n ** (j + half)
+    counts = np.bincount(flat.ravel(), minlength=n**m)
+    counts *= n ** (k - 1)
     total = n ** (2 * k)
     if int(counts.sum()) != total:
         raise BoundViolation(f"box counts sum to {int(counts.sum())}, not |H|^(2k) = {total}")
@@ -177,8 +173,9 @@ def advantage_curve(
 ) -> ExperimentLog:
     """Distance metrics of the t-fold convolution s * ... * s, t = 1..t_max.
 
-    tv_dist is the statistical distance to uniform; BoundViolation is raised
-    if it increases in t.  Stops early once eps_uniform reaches target_eps.
+    Each step is measured by the pipelines' one-pass `_measure`.  tv_dist is
+    the statistical distance to uniform; BoundViolation is raised if it
+    increases in t.  Stops early once eps_uniform reaches target_eps.
     """
     s_dist = box_to_dist(exact_s(h, parties))
     log = ExperimentLog(eps_ks=())
@@ -186,21 +183,12 @@ def advantage_curve(
     for t in range(1, t_max + 1):
         if t > 1:
             current = convolve(current, s_dist, s_irreps, engine=engine)
-        tv = tv_to_uniform(current)
-        linf = eps_uniform(current)
-        rec = StepRecord(
-            step=t,
-            mode="fresh-copy",
-            l2_sq=l2_sq_dist_to_uniform(current),
-            linf_rel=linf,
-            tv_dist=tv,
-            at_floor=linf < numerical_floor(current.size),
-        )
+        rec = _measure(current, t, "fresh-copy", (), True, 0.0)
         if log.records:
             prev = log.records[-1].tv_dist
-            if not tv <= prev + 1e-12:
-                raise BoundViolation(f"tv distance increased at t={t}: {tv} > {prev}")
+            if not rec.tv_dist <= prev + 1e-12:
+                raise BoundViolation(f"tv distance increased at t={t}: {rec.tv_dist} > {prev}")
         log.add(rec)
-        if target_eps is not None and linf <= target_eps:
+        if target_eps is not None and rec.linf_rel <= target_eps:
             break
     return log

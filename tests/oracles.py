@@ -283,6 +283,32 @@ def exact_box_counts_bruteforce(mul, inv, parties: int):
     return counts
 
 
+def exact_box_counts_full(mul, parties: int) -> np.ndarray:
+    """Exact box-distribution counts over all n^(2k) tuples, as a dense int64
+    vector: the last party's two slots vectorized, the rest looped."""
+    n = mul.shape[0]
+    k = parties
+    m = 2**k
+    counts = np.zeros(n**m, dtype=np.int64)
+    u0 = np.repeat(np.arange(n), n)
+    u1 = np.tile(np.arange(n), n)
+    powers = np.array([n**j for j in range(m)], dtype=np.int64)
+    for prefix_us in itertools.product(range(n), repeat=2 * (k - 1)):
+        prefix = np.zeros(m, dtype=np.int64)
+        for j in range(m):
+            acc = 0
+            for i in range(k - 1):
+                bit = (j >> i) & 1
+                acc = mul[acc, prefix_us[2 * i + bit]]
+            prefix[j] = acc
+        flat = np.zeros(n * n, dtype=np.int64)
+        for j in range(m):
+            last = u0 if ((j >> (k - 1)) & 1) == 0 else u1
+            flat += mul[prefix[j], last].astype(np.int64) * powers[j]
+        np.add.at(counts, flat, 1)
+    return counts
+
+
 def exact_marginal_fraction_dev(counts_vec, n: int, m: int, subset) -> Fraction:
     """Exact max relative deviation of a marginal of an integer-count vector."""
     total = int(np.sum(counts_vec))

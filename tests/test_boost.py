@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from groupmix import fourier as fx
+from groupmix import boost, fourier as fx
 from groupmix import groups, nof
 from groupmix.boost import (
     ExperimentLog,
@@ -18,6 +18,7 @@ from groupmix.boost import (
 )
 from groupmix.groups import ProductGroup
 from groupmix.irreps import get_irreps, quasirandomness_degree
+from groupmix.uniformity import eps_uniform
 
 import oracles
 
@@ -73,6 +74,25 @@ def test_tv_to_uniform_matches_materialized_uniform(a5):
         p = fx.make_dist(a5, v / v.sum())
         assert tv_to_uniform(p) == fx.tv_distance(p, fx.uniform(a5))
     assert abs(tv_to_uniform(fx.point_mass(a5, 0)) - (1 - 1 / 60)) < 1e-15
+
+
+def test_measure_matches_separate_metrics(a5, sl2_3):
+    # the pipelines' one-pass measurement against the three separate passes
+    pg = ProductGroup(a5, 2)
+    rng = np.random.default_rng(SEED)
+    cases = []
+    for _ in range(10):
+        v = rng.random(pg.size)
+        cases.append(fx.make_dist(pg, v / v.sum()))
+    cases += [fx.point_mass(pg, 7), nof.box_to_dist(nof.exact_s(sl2_3, 2))]
+    for p in cases:
+        rec = boost._measure(p, 0, "self-square", (), True, 0.0)
+        assert rec.l2_sq == pytest.approx(l2_sq_dist_to_uniform(p), rel=1e-12, abs=0)
+        assert rec.linf_rel == pytest.approx(eps_uniform(p), rel=1e-12, abs=0)
+        assert rec.tv_dist == tv_to_uniform(p)
+    rec = boost._measure(fx.uniform(pg), 0, "self-square", (), True, 0.0)
+    assert (rec.l2_sq, rec.linf_rel, rec.tv_dist) == (0.0, 0.0, 0.0)
+    assert boost._measure(cases[0], 0, "self-square", (), False, 0.0).tv_dist is None
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +227,26 @@ def test_pipeline_self_square_doubles_copies(sl2_3, irreps_cache):
     four_fold = fx.convolve_direct(p, p)
     four_fold = fx.convolve_direct(four_fold, four_fold)
     assert np.max(np.abs(final.values - four_fold.values)) <= 1e-10
+
+
+@pytest.mark.parametrize("mode", ["self-square", "fresh-copy"])
+def test_pipeline_convolves_through_module_name(sl2_3, irreps_cache, monkeypatch, mode):
+    """perfbench times boost steps by patching `boost.convolve`; a pipeline
+    loop that bypassed that name would silently turn step_s into run_s."""
+    calls = []
+    real = boost.convolve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(boost, "convolve", counted)
+    pg = ProductGroup(sl2_3, 2)
+    v = np.random.default_rng(SEED).random(pg.size)
+    p = fx.make_dist(pg, v / v.sum())
+    _, log = boost_pipeline(p, mode, 3, 0.0, irreps_cache(sl2_3))
+    assert len(log.records) == 4
+    assert len(calls) == len(log.records) - 1
 
 
 def test_pipeline_rejects_unknown_mode(a5):

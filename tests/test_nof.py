@@ -34,6 +34,22 @@ def test_counts_match_bruteforce_oracle(c2, sl2_2):
         assert int(b.counts.sum()) == g.order**4 == b.total
 
 
+def test_gauge_counts_match_full_enumeration(a5, sl2_3):
+    for g in (a5, sl2_3):
+        b = nof.exact_s(g, 2)
+        assert np.array_equal(b.counts, oracles.exact_box_counts_full(g.mul, 2))
+
+
+def test_gauge_counts_three_parties_match_bruteforce(sl2_2):
+    # sl2:2 is S3: the first non-abelian three-party case
+    for g in (sl2_2, groups.build_group(groups.cyclic(4))):
+        b = nof.exact_s(g, 3)
+        oracle = oracles.exact_box_counts_bruteforce(g.mul, g.inv, 3)
+        mine = {i: int(c) for i, c in enumerate(b.counts) if c}
+        assert mine == oracle
+        assert int(b.counts.sum()) == g.order**6 == b.total
+
+
 def test_counts_sum_alt5(a5):
     b = nof.exact_s(a5, 2)
     assert int(b.counts.sum()) == 60**4
@@ -111,7 +127,7 @@ def test_empirical_marginals_chi_square(sl2_2):
 
 def test_budget_errors(a5, sl2_5):
     with pytest.raises(nof.BudgetError, match="sample_s"):
-        nof.exact_s(a5, 3)       # enumeration budget
+        nof.exact_s(a5, 3)       # dense-state budget, 60^8 states
     with pytest.raises(nof.BudgetError, match="sample_s"):
         nof.exact_s(sl2_5, 2)    # dense-state budget
 
@@ -127,6 +143,23 @@ def test_advantage_curve_monotone(sl2_2, irreps_cache):
     s_dist = nof.box_to_dist(nof.exact_s(sl2_2, 2))
     u = fx.uniform(s_dist.space)
     assert tvs[0] == pytest.approx(0.5 * float(np.sum(np.abs(s_dist.values - u.values))))
+
+
+def test_advantage_curve_convolves_through_module_name(sl2_2, irreps_cache, monkeypatch):
+    """perfbench times nof steps by patching `nof.convolve`; a loop that
+    bypassed that name would silently turn step_s into run_s."""
+    calls = []
+    real = nof.convolve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nof, "convolve", counted)
+    t_max = 5
+    log = nof.advantage_curve(sl2_2, 2, t_max, irreps_cache(sl2_2))
+    assert [r.step for r in log.records] == list(range(1, t_max + 1))
+    assert len(calls) == t_max - 1
 
 
 def test_advantage_curve_reaches_target_on_alt5_like_group(sl2_2, irreps_cache):
