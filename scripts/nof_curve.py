@@ -26,7 +26,7 @@ def main():
         f"{args.group}: 3-uniform={report.is_3_uniform} "
         f"4-wise deviation={float(report.four_wise_deviation)}"
     )
-    log = advantage_curve(g, args.parties, args.t_max, s)
+    log = advantage_curve(report.box, args.t_max, s)
     for r in log.records:
         print(f"  t={r.step:3d} tv={r.tv_dist:.6e} linf={r.linf_rel:.6e} l2={r.l2_sq:.6e}")
     out = args.out or f"nof_{args.group.replace(':', '')}.csv"

@@ -37,12 +37,6 @@ def l2_sq_dist_to_uniform(p: Dist) -> float:
     return float(np.sum((p.values - 1.0 / p.size) ** 2))
 
 
-def tv_to_uniform(p: Dist) -> float:
-    """Statistical distance 1/2 sum_x |p(x) - 1/|G||."""
-    dev = p.values - 1.0 / p.size
-    return 0.5 * float(np.sum(np.abs(dev, out=dev)))
-
-
 # ---------------------------------------------------------------------------
 # step records
 

@@ -192,7 +192,7 @@ def cmd_verify(args) -> int:
             f = rng.standard_normal(g.order)
             fd = fx.fourier_forward(f, s)
             lhs = float(np.mean(np.abs(f) ** 2))
-            rhs = sum(s.irreps[i].dim * fx.frobenius_norm_sq(c) for i, c in fd.coeffs.items())
+            rhs = float(np.dot(s.dims, fx._block_norms_sq(fd.dense, s)))
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
         rows.append(("parseval", worst, worst <= 1e-10))
     if which in ("convolution", "all"):
@@ -268,7 +268,7 @@ def cmd_experiment_nof(args) -> int:
     s = _irreps_for(cfg, g)
     report = nof.verify_s_uniformity(g, cfg.parties, seed=cfg.seed)
     target = cfg.target_eps if cfg.target_eps is not None else float(g.order) ** (-(2**cfg.parties))
-    log = nof.advantage_curve(g, cfg.parties, cfg.max_steps, s, target_eps=target, engine=cfg.engine)
+    log = nof.advantage_curve(report.box, cfg.max_steps, s, target_eps=target, engine=cfg.engine)
     out = cfg.out or f"nof_{cfg.group.replace(':', '')}_p{cfg.parties}.csv"
     log.write_csv(out, include_timing=cfg.timing)
     reached = [r.step for r in log.records if r.linf_rel <= target]

@@ -114,25 +114,6 @@ def tv_distance(p: Dist, q: Dist) -> float:
 
 
 # ---------------------------------------------------------------------------
-# matrix norm
-
-
-def frobenius_norm_sq(m) -> float:
-    """Sum of squared entry magnitudes, equal to tr(M M*)."""
-    m = np.asarray(m)
-    return float(np.sum(np.abs(m) ** 2))
-
-
-# ---------------------------------------------------------------------------
-# coefficients
-
-
-def tuple_weight(t: tuple[int, ...]) -> int:
-    """Number of non-trivial components of a product-irrep index."""
-    return sum(1 for a in t if a != 0)
-
-
-# ---------------------------------------------------------------------------
 # dense transform core
 #
 # One axis of a coefficient tensor lists the n = sum d^2 entries of all base
@@ -217,24 +198,16 @@ def _block_norms_sq(dense: np.ndarray, s: IrrepSet) -> np.ndarray:
 class FourierData:
     """Coefficients of a function as one dense tensor in the slot layout.
 
-    `dense` has shape (n,)*arity.  Block keys are irrep indices for a single
-    group (`fourier_forward`, product=False) and arity-tuples of base-irrep
-    indices for H^m.
+    `dense` has shape (n,)*arity; `_block_norms_sq` reads every block norm
+    off it.
     """
 
     irreps: IrrepSet
     arity: int
     dense: np.ndarray
-    product: bool = True
 
     def __post_init__(self):
         self.dense.setflags(write=False)
-
-    @property
-    def coeffs(self) -> dict:
-        """Irrep key -> d x d coefficient matrix, read out of `dense`."""
-        keys = itertools.product(range(len(self.irreps)), repeat=self.arity)
-        return {(t if self.product else t[0]): _get_block(self.dense, t, self.irreps) for t in keys}
 
 
 def _check_base(s: IrrepSet, space: Space):
@@ -252,7 +225,7 @@ def fourier_forward(f, s: IrrepSet) -> FourierData:
     f = np.asarray(f)
     if f.shape != (s.order,):
         raise ValueError(f"function length {f.shape} does not match group order {s.order}")
-    return FourierData(s, 1, _forward(f, s, 1), product=False)
+    return FourierData(s, 1, _forward(f, s, 1))
 
 
 def fourier_inverse(fd: FourierData) -> np.ndarray:
@@ -444,18 +417,9 @@ def _low_weight_transforms(p: Dist, k: int, s: IrrepSet):
             yield subset, coeffs
 
 
-def low_weight_coefficients(p: Dist, k: int, s: IrrepSet) -> dict:
-    """All coefficients of weight 1..k, keyed by m-tuple, via subset marginals."""
-    out = {}
-    for subset, coeffs in _low_weight_transforms(p, k, s):
-        for tau in itertools.product(range(1, len(s)), repeat=len(subset)):
-            full = dict(zip(subset, tau))
-            key = tuple(full.get(i, 0) for i in range(p.space.arity))
-            out[key] = _get_block(coeffs, tau, s)
-    return out
-
-
-def max_low_weight_norm(coeffs: dict) -> float:
-    if not coeffs:
-        return 0.0
-    return max(float(np.sqrt(frobenius_norm_sq(mat))) for mat in coeffs.values())
+def max_low_weight_norm(p: Dist, k: int, s: IrrepSet) -> float:
+    """Largest Frobenius norm of a weight-1..k coefficient block of p."""
+    return max(
+        float(np.sqrt(_block_norms_sq(coeffs, s).max()))
+        for _, coeffs in _low_weight_transforms(p, k, s)
+    )

@@ -143,11 +143,12 @@ class BoxUniformityReport:
     is_3_uniform: bool
     four_wise_deviation: Fraction
     identity_sample_rate: float
+    box: Dist                 # s itself, the input of `advantage_curve`
 
 
 def verify_s_uniformity(h: GroupTable, parties: int, identity_samples: int = 100_000,
                         seed: int = 0) -> BoxUniformityReport:
-    """Exact 3-uniformity and 4-wise deviation of s by integer counting."""
+    """Exact 3-uniformity and 4-wise deviation of s, from one count that also gives `box`."""
     if parties < 2:
         raise ValueError("verify_s_uniformity needs parties >= 2 (arity >= 4)")
     b = exact_s(h, parties)
@@ -160,24 +161,23 @@ def verify_s_uniformity(h: GroupTable, parties: int, identity_samples: int = 100
         is_3_uniform=rep3.eps == 0,
         four_wise_deviation=rep4.eps,
         identity_sample_rate=float(np.mean(ok)),
+        box=box_to_dist(b),
     )
 
 
 def advantage_curve(
-    h: GroupTable,
-    parties: int,
+    s_dist: Dist,
     t_max: int,
     s_irreps: IrrepSet | None = None,
     target_eps: float | None = None,
     engine: str | None = None,
 ) -> ExperimentLog:
-    """Distance metrics of the t-fold convolution s * ... * s, t = 1..t_max.
+    """Distance metrics of the t-fold convolution s_dist * ... * s_dist, t = 1..t_max.
 
     Each step is measured by the pipelines' one-pass `_measure`.  tv_dist is
     the statistical distance to uniform; BoundViolation is raised if it
     increases in t.  Stops early once eps_uniform reaches target_eps.
     """
-    s_dist = box_to_dist(exact_s(h, parties))
     log = ExperimentLog(eps_ks=())
     current = s_dist
     for t in range(1, t_max + 1):

@@ -28,7 +28,6 @@ from groupmix.fourier import (
     _block_norms_sq,
     _low_weight_transforms,
     _stacked,
-    low_weight_coefficients,
     make_dist,
     max_low_weight_norm,
 )
@@ -189,7 +188,7 @@ def repair(p: Dist, k: int, s: IrrepSet, mode: str = "adaptive") -> tuple[Dist, 
 
 def verify_repair(p: Dist, q: Dist, k: int, s: IrrepSet) -> RepairCertificate:
     """Recompute every certificate field from (p, q, k) for an arbitrary q."""
-    eps_in = float(p.size) * max_low_weight_norm(low_weight_coefficients(p, k, s))
+    eps_in = float(p.size) * max_low_weight_norm(p, k, s)
     return _certify(p, q, q.values, k, s, eps_in, "verify", None, None)
 
 
@@ -206,7 +205,7 @@ def _certify(p, q, q_vals, k, s, eps_in, mode, beta, beta_adaptive) -> RepairCer
         mode=mode,
         l1_distance=l1_distance,
         bound=3.0 * beta_paper,
-        k_uniform_residual=max_low_weight_norm(low_weight_coefficients(q, k, s)),
+        k_uniform_residual=max_low_weight_norm(q, k, s),
         beta_paper=beta_paper,
         beta_adaptive=beta_adaptive,
         q_min=float(q_vals.min()),

@@ -22,8 +22,6 @@ from groupmix.fourier import (
     Dist,
     _block_norms_sq,
     dist_fourier,
-    frobenius_norm_sq,
-    low_weight_coefficients,
     marginalize,
     max_low_weight_norm,
 )
@@ -103,8 +101,7 @@ def is_k_uniform_fourier(
     when every low-weight coefficient norm is at most tol/|space|, the
     natural coefficient scale of an eps = tol deviation.
     """
-    low = low_weight_coefficients(p, k, s)
-    worst = max_low_weight_norm(low)
+    worst = max_low_weight_norm(p, k, s)
     return worst <= tol / p.size, worst
 
 
@@ -121,7 +118,7 @@ def rep_bound_check(p: Dist, rho: Irrep) -> tuple[float, float]:
     if p.size != n:
         raise ValueError("distribution and irrep live on different groups")
     coeff = np.tensordot(rho.matrices.conj(), p.values, axes=([0], [0])) / n
-    lhs = frobenius_norm_sq(coeff)
+    lhs = float(np.vdot(coeff, coeff).real)
     eps = eps_uniform(p)
     rhs = rho.dim * eps**2 / float(n) ** 2
     if not lhs <= rhs + 1e-15:
@@ -143,7 +140,7 @@ def rep_bound_check_all(p: Dist, s: IrrepSet) -> tuple[float, float, tuple]:
     margin = lhs - rhs
     margin.flat[0] = -np.inf  # the trivial irrep carries no bound
     idx = np.unravel_index(np.argmax(margin), margin.shape)
-    key = tuple(int(a) for a in idx[::-1]) if fd.product else int(idx[0])
+    key = tuple(int(a) for a in idx[::-1]) if isinstance(p.space, ProductGroup) else int(idx[0])
     if not lhs[idx] <= rhs[idx] + 1e-15:
         raise BoundViolation(f"coefficient bound violated at {key}: {lhs[idx]} > {rhs[idx]}")
     return float(lhs[idx]), float(rhs[idx]), key

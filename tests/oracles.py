@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from first principles (brute-force
 enumeration, the class-algebra character method, direct definition sums) and
-shares no code path with groupmix itself.
+shares no code path with groupmix itself.  The one exception is the last
+section: reference dict forms of groupmix's dense coefficient tensors, which
+read blocks out of those tensors by their documented slot layout.
 """
 
 from __future__ import annotations
@@ -322,3 +324,67 @@ def exact_marginal_fraction_dev(counts_vec, n: int, m: int, subset) -> Fraction:
         if dev > worst:
             worst = dev
     return worst
+
+
+# ---------------------------------------------------------------------------
+# reference coefficient forms: blocks as a dict of matrices
+
+
+def frobenius_norm_sq(m) -> float:
+    """Sum of squared entry magnitudes, equal to tr(M M*)."""
+    return float(np.sum(np.abs(np.asarray(m)) ** 2))
+
+
+def tv_to_uniform(p) -> float:
+    """Statistical distance 1/2 sum_x |p(x) - 1/|G|| of a groupmix Dist."""
+    return 0.5 * float(np.sum(np.abs(p.values - 1.0 / p.size)))
+
+
+def coefficient_block(dense, dims, t) -> np.ndarray:
+    """The matrix of product irrep t in a dense coefficient tensor.
+
+    Axis j of the tensor lists coordinate m-1-j; base irrep a fills the d_a^2
+    slots from sum_{b<a} d_b^2 in row-major order.  Coordinate 0 is the least
+    significant kron factor of the block's rows and columns.
+    """
+    m = len(t)
+    offs = np.concatenate(([0], np.cumsum(np.square(dims))[:-1]))
+    sub = dense
+    for axis, a in enumerate(t[::-1]):
+        sub = np.take(sub, np.arange(offs[a], offs[a] + dims[a] ** 2), axis=axis)
+    sub = sub.reshape([dims[a] for a in t[::-1] for _ in (0, 1)])
+    sub = sub.transpose(list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2)))
+    d = int(np.prod([dims[a] for a in t]))
+    return sub.reshape(d, d)
+
+
+def coefficient_blocks(fd) -> dict:
+    """Every block of a FourierData, keyed by arity-tuple of base-irrep indices."""
+    dims = fd.irreps.dims
+    tuples = itertools.product(range(len(dims)), repeat=fd.arity)
+    return {t: coefficient_block(fd.dense, dims, t) for t in tuples}
+
+
+def irrep_blocks(fd) -> list:
+    """The blocks of a single-group FourierData, indexed by irrep."""
+    return [coefficient_block(fd.dense, fd.irreps.dims, (a,)) for a in range(len(fd.irreps))]
+
+
+def low_weight_blocks(p, k: int, s) -> dict:
+    """Every weight-1..k block of p, keyed by m-tuple, read out of the
+    subset-marginal tensors of groupmix's low-weight transforms."""
+    from groupmix.fourier import _low_weight_transforms
+
+    out = {}
+    for subset, coeffs in _low_weight_transforms(p, k, s):
+        for tau in itertools.product(range(1, len(s)), repeat=len(subset)):
+            full = dict(zip(subset, tau))
+            out[tuple(full.get(i, 0) for i in range(p.space.arity))] = coefficient_block(
+                coeffs, s.dims, tau
+            )
+    return out
+
+
+def max_block_norm(blocks: dict) -> float:
+    """Largest Frobenius norm among a dict of blocks (0 when empty)."""
+    return max((float(np.sqrt(frobenius_norm_sq(b))) for b in blocks.values()), default=0.0)

@@ -78,6 +78,8 @@ def test_c01_representation_suite(c4, c12, a5, sl2_3, sl2_5, sl2_7):
 
 
 def test_c02_fourier_suite(c4, c12, a5, sl2_3, sl2_5, irreps_cache):
+    import oracles
+
     t0 = time.perf_counter()
     rng = np.random.default_rng(SEED)
     for g in (c4, c12, a5, sl2_3, sl2_5):
@@ -88,7 +90,8 @@ def test_c02_fourier_suite(c4, c12, a5, sl2_3, sl2_5, irreps_cache):
             back = fx.fourier_inverse(fd)
             assert np.max(np.abs(back - f)) <= 1e-10
             lhs = float(np.mean(np.abs(f) ** 2))
-            rhs = sum(s.irreps[i].dim * fx.frobenius_norm_sq(c) for i, c in fd.coeffs.items())
+            blocks = oracles.irrep_blocks(fd)
+            rhs = sum(r.dim * oracles.frobenius_norm_sq(c) for r, c in zip(s.irreps, blocks))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, lhs)
     s5 = irreps_cache(a5)
     pg2 = ProductGroup(a5, 2)

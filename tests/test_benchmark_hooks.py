@@ -1,0 +1,74 @@
+"""The benchmark's hooks name groupmix functions that exist.
+
+perfbench patches the function named by each workload's `mark` and `steps`,
+and its child process calls further functions by module attribute.  A name
+that no longer resolves does not fail a benchmark run: an unpatched step
+turns `step_s` into `run_s` without an error.  These tests read the names
+from perfbench's own files, which they leave unchanged.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import importlib.util
+import inspect
+import pathlib
+import sys
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(monkeypatch, name: str):
+    # run.py prepends its own directory to sys.path and imports its siblings
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up there
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        for added in set(sys.modules) - before:
+            del sys.modules[added]
+    return mod
+
+
+def _resolve(name: str):
+    mod_name, attr = name.rsplit(".", 1)
+    return getattr(importlib.import_module(f"groupmix.{mod_name}"), attr, None)
+
+
+def test_workload_mark_and_steps_name_groupmix_functions(monkeypatch):
+    run = _load(monkeypatch, "run")
+    names = {name for w in run.WORKLOADS.values() for name in (w.mark, *w.steps)}
+    assert {"nof.verify_s_uniformity", "nof.convolve", "cli.run_repair"} <= names
+    missing = sorted(name for name in names if not inspect.isfunction(_resolve(name)))
+    assert not missing, f"perfbench workloads name missing groupmix functions: {missing}"
+
+
+def test_child_calls_name_groupmix_functions(monkeypatch):
+    child = _load(monkeypatch, "child")
+    tree = ast.parse((PERFBENCH / "child.py").read_text())
+    extra = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_extra")
+    called = {
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(extra)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in child.LAYERS
+    }
+    assert {
+        "fourier.product_fourier_forward",
+        "fourier.product_fourier_inverse",
+        "nof.exact_s",
+        "nof.box_to_dist",
+        "repair.low_part",
+        "irreps.get_irreps",
+        "cli.build_run_config",
+        "groups.build_group",
+    } <= called
+    names = called | set(child.SPAN_ATTRS)
+    missing = sorted(name for name in names if not callable(_resolve(name)))
+    assert not missing, f"perfbench's child calls missing groupmix names: {missing}"
+

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from groupmix import fourier as fx
-from groupmix import groups
+from groupmix import groups, nof
 from groupmix.groups import ProductGroup, flat_digits
 from groupmix.irreps import get_irreps
 
@@ -63,28 +63,41 @@ def test_dist_clamps_tiny_negatives(a5):
 
 
 # ---------------------------------------------------------------------------
-# frobenius norm
+# block norms: _block_norms_sq against the dict-form Frobenius norm
 
 
-def test_frobenius_identity_and_zero():
-    assert fx.frobenius_norm_sq(np.eye(3)) == 3.0
-    assert fx.frobenius_norm_sq(np.zeros((4, 4))) == 0.0
+def frobenius_in_slot(irr, slot, mat) -> float:
+    """_block_norms_sq of a single-group tensor holding mat in irrep slot's
+    block and noise elsewhere."""
+    blocks = [np.full((d, d), 7.0) for d in irr.dims]
+    blocks[slot] = mat
+    return float(fx._block_norms_sq(np.concatenate([b.ravel() for b in blocks]), irr)[slot])
 
 
-def test_frobenius_two_formulas_agree():
+def test_frobenius_identity_and_zero(a5_irr):
+    assert frobenius_in_slot(a5_irr, 1, np.eye(3)) == 3.0 == oracles.frobenius_norm_sq(np.eye(3))
+    zero = np.zeros((4, 4))
+    assert frobenius_in_slot(a5_irr, 3, zero) == 0.0 == oracles.frobenius_norm_sq(zero)
+
+
+def test_frobenius_two_formulas_agree(a5_irr):
     rng = np.random.default_rng(SEED)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    entry_sum = fx.frobenius_norm_sq(m)
+    entry_sum = frobenius_in_slot(a5_irr, 3, m)
     trace_form = float(np.trace(m @ m.conj().T).real)
     assert abs(entry_sum - trace_form) <= 1e-12 * max(1.0, entry_sum)
+    assert abs(entry_sum - oracles.frobenius_norm_sq(m)) <= 1e-12 * max(1.0, entry_sum)
 
 
-def test_frobenius_submultiplicative():
+def test_frobenius_submultiplicative(a5_irr):
     rng = np.random.default_rng(SEED)
     for _ in range(50):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert fx.frobenius_norm_sq(a @ b) <= fx.frobenius_norm_sq(a) * fx.frobenius_norm_sq(b) + 1e-12
+        fa, fb, fab = (frobenius_in_slot(a5_irr, 3, x) for x in (a, b, a @ b))
+        assert fab <= fa * fb + 1e-12
+        for x, got in ((a, fa), (b, fb), (a @ b, fab)):
+            assert abs(got - oracles.frobenius_norm_sq(x)) <= 1e-12 * max(1.0, got)
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +106,19 @@ def test_frobenius_submultiplicative():
 
 def test_uniform_coefficients(a5, a5_irr):
     fd = fx.fourier_forward(fx.uniform(a5).values, a5_irr)
-    assert abs(fd.coeffs[0][0, 0] - 1.0 / 60) < 1e-15
+    blocks = oracles.irrep_blocks(fd)
+    assert abs(blocks[0][0, 0] - 1.0 / 60) < 1e-15
     for i in range(1, len(a5_irr.irreps)):
-        assert np.max(np.abs(fd.coeffs[i])) < 1e-12
+        assert np.max(np.abs(blocks[i])) < 1e-12
     # and back: those coefficients reconstruct the constant 1/|G|
     back = fx.fourier_inverse(fd)
     assert np.max(np.abs(back - 1.0 / 60)) < 1e-12
 
 
 def test_point_mass_coefficients(a5, a5_irr):
-    fd = fx.fourier_forward(fx.point_mass(a5, 0).values, a5_irr)
+    blocks = oracles.irrep_blocks(fx.fourier_forward(fx.point_mass(a5, 0).values, a5_irr))
     for i, r in enumerate(a5_irr.irreps):
-        assert np.max(np.abs(fd.coeffs[i] - np.eye(r.dim) / 60)) < 1e-15
+        assert np.max(np.abs(blocks[i] - np.eye(r.dim) / 60)) < 1e-15
 
 
 def test_parseval_random_functions(a5, a5_irr):
@@ -113,7 +127,8 @@ def test_parseval_random_functions(a5, a5_irr):
         f = rng.standard_normal(60)
         fd = fx.fourier_forward(f, a5_irr)
         lhs = float(np.mean(np.abs(f) ** 2))
-        rhs = sum(a5_irr.irreps[i].dim * fx.frobenius_norm_sq(c) for i, c in fd.coeffs.items())
+        rhs = sum(r.dim * oracles.frobenius_norm_sq(c)
+                  for r, c in zip(a5_irr.irreps, oracles.irrep_blocks(fd)))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, lhs)
 
 
@@ -121,12 +136,13 @@ def test_roundtrip_matches_bruteforce(a5, a5_irr):
     rng = np.random.default_rng(SEED)
     f = rng.standard_normal(60)
     fd = fx.fourier_forward(f, a5_irr)
+    blocks = oracles.irrep_blocks(fd)
     for i, r in enumerate(a5_irr.irreps):
         oracle = oracles.fourier_forward_bruteforce(f, r.matrices)
-        assert np.max(np.abs(fd.coeffs[i] - oracle)) < 1e-12
+        assert np.max(np.abs(blocks[i] - oracle)) < 1e-12
     back = fx.fourier_inverse(fd)
     oracle_back = oracles.fourier_inverse_bruteforce(
-        [(fd.coeffs[i], r.matrices) for i, r in enumerate(a5_irr.irreps)]
+        [(blocks[i], r.matrices) for i, r in enumerate(a5_irr.irreps)]
     )
     assert np.max(np.abs(back - f)) < 1e-10
     assert np.max(np.abs(back - oracle_back)) < 1e-10
@@ -139,16 +155,16 @@ def test_forward_of_inverse_is_identity(a5, a5_irr):
         coeffs[i] = rng.standard_normal((r.dim, r.dim)) + 1j * rng.standard_normal((r.dim, r.dim))
     # slot layout: each irrep's block in row-major order, trivial irrep first
     dense = np.concatenate([coeffs[i].ravel() for i in range(len(a5_irr.irreps))])
-    fd = fx.FourierData(a5_irr, 1, dense, product=False)
+    fd = fx.FourierData(a5_irr, 1, dense)
     f = fx.fourier_inverse(fd)
-    again = fx.fourier_forward(f, a5_irr)
+    again = oracles.irrep_blocks(fx.fourier_forward(f, a5_irr))
     for i in coeffs:
-        assert np.max(np.abs(again.coeffs[i] - coeffs[i])) < 1e-10
+        assert np.max(np.abs(again[i] - coeffs[i])) < 1e-10
 
 
 def test_missing_coefficient_rejected(a5, a5_irr):
     fd = fx.fourier_forward(fx.uniform(a5).values, a5_irr)
-    broken = fx.FourierData(a5_irr, 1, fd.dense[:-25], product=False)  # no 5-dim irrep
+    broken = fx.FourierData(a5_irr, 1, fd.dense[:-25])  # no 5-dim irrep
     with pytest.raises(ValueError, match="shape"):
         fx.fourier_inverse(broken)
 
@@ -167,8 +183,9 @@ def test_product_m1_reduces_exactly(a5, a5_irr):
     f = rng.standard_normal(60)
     single = fx.fourier_forward(f, a5_irr)
     prod = fx.product_fourier_forward(f, ProductGroup(a5, 1), a5_irr)
-    for i in single.coeffs:
-        assert np.array_equal(single.coeffs[i], prod.coeffs[(i,)])
+    prod_blocks = oracles.coefficient_blocks(prod)
+    for i, block in enumerate(oracles.irrep_blocks(single)):
+        assert np.array_equal(block, prod_blocks[(i,)])
 
 
 def test_product_transform_matches_bruteforce_cyclic(c3, c3_irr):
@@ -180,8 +197,9 @@ def test_product_transform_matches_bruteforce_cyclic(c3, c3_irr):
     mats = [r.matrices for r in c3_irr.irreps]
     tups = list(itertools.product(range(3), repeat=2))
     oracle = oracles.product_fourier_bruteforce(f, mats, tups, digs)
+    blocks = oracles.coefficient_blocks(fd)
     for t in tups:
-        assert np.max(np.abs(fd.coeffs[t] - oracle[t])) < 1e-12
+        assert np.max(np.abs(blocks[t] - oracle[t])) < 1e-12
 
 
 def test_product_transform_matches_bruteforce_alt5_sq(a5, a5_irr):
@@ -193,8 +211,9 @@ def test_product_transform_matches_bruteforce_alt5_sq(a5, a5_irr):
     mats = [r.matrices for r in a5_irr.irreps]
     sample_tuples = [(0, 0), (1, 0), (0, 4), (2, 3), (4, 4), (1, 2)]
     oracle = oracles.product_fourier_bruteforce(f, mats, sample_tuples, digs)
+    blocks = oracles.coefficient_blocks(fd)
     for t in sample_tuples:
-        assert np.max(np.abs(fd.coeffs[t] - oracle[t])) < 1e-9
+        assert np.max(np.abs(blocks[t] - oracle[t])) < 1e-9
 
 
 def test_product_transform_matches_bruteforce_sl2_3_sq(sl2_3):
@@ -207,9 +226,10 @@ def test_product_transform_matches_bruteforce_sl2_3_sq(sl2_3):
     digs = flat_digits(pg, np.arange(pg.size))
     tups = list(itertools.product(range(len(s)), repeat=2))
     oracle = oracles.product_fourier_bruteforce(f, [r.matrices for r in s.irreps], tups, digs)
-    assert sorted(fd.coeffs) == tups
+    blocks = oracles.coefficient_blocks(fd)
+    assert sorted(blocks) == tups
     for t in tups:
-        assert np.max(np.abs(fd.coeffs[t] - oracle[t])) <= 1e-12
+        assert np.max(np.abs(blocks[t] - oracle[t])) <= 1e-12
 
 
 def test_real_irreps_give_real_transform_a5_sq(a5, a5_irr, sl2_3):
@@ -222,8 +242,9 @@ def test_real_irreps_give_real_transform_a5_sq(a5, a5_irr, sl2_3):
     digs = flat_digits(pg, np.arange(pg.size))
     tups = list(itertools.product(range(len(a5_irr)), repeat=2))
     oracle = oracles.product_fourier_bruteforce(f, [r.matrices for r in a5_irr.irreps], tups, digs)
+    blocks = oracles.coefficient_blocks(fd)
     for t in tups:
-        assert np.max(np.abs(fd.coeffs[t] - oracle[t])) <= 1e-12
+        assert np.max(np.abs(blocks[t] - oracle[t])) <= 1e-12
     pg3 = ProductGroup(sl2_3, 2)
     g = np.random.default_rng(SEED).standard_normal(pg3.size)
     assert fx.product_fourier_forward(g, pg3, get_irreps(sl2_3, seed=SEED)).dense.dtype == np.complex128
@@ -260,12 +281,12 @@ def test_product_function_factorizes(c3, c3_irr, a5, a5_irr):
         for x1 in range(n):
             for x0 in range(n):
                 fprod[x0 + n * x1] = fa[x0] * fb[x1]
-        fd = fx.product_fourier_forward(fprod, pg, s)
-        ca = fx.fourier_forward(fa, s)
-        cb = fx.fourier_forward(fb, s)
-        for t in fd.coeffs:
-            expected = np.kron(cb.coeffs[t[1]], ca.coeffs[t[0]])
-            assert np.max(np.abs(fd.coeffs[t] - expected)) < 1e-10
+        blocks = oracles.coefficient_blocks(fx.product_fourier_forward(fprod, pg, s))
+        ca = oracles.irrep_blocks(fx.fourier_forward(fa, s))
+        cb = oracles.irrep_blocks(fx.fourier_forward(fb, s))
+        for t in blocks:
+            expected = np.kron(cb[t[1]], ca[t[0]])
+            assert np.max(np.abs(blocks[t] - expected)) < 1e-10
 
 
 def test_product_roundtrip_and_storage(a5, a5_irr):
@@ -339,12 +360,11 @@ def test_convolution_coefficient_inequality(a5, a5_irr):
         p = fx.make_dist(a5, pv / pv.sum())
         q = fx.make_dist(a5, qv / qv.sum())
         conv = fx.convolve_direct(p, q)
-        cp = fx.fourier_forward(p.values, a5_irr)
-        cq = fx.fourier_forward(q.values, a5_irr)
-        cc = fx.fourier_forward(conv.values, a5_irr)
-        for i in cp.coeffs:
-            lhs = fx.frobenius_norm_sq(cc.coeffs[i])
-            rhs = g_size**2 * fx.frobenius_norm_sq(cp.coeffs[i]) * fx.frobenius_norm_sq(cq.coeffs[i])
+        cp, cq, cc = (oracles.irrep_blocks(fx.fourier_forward(d.values, a5_irr))
+                      for d in (p, q, conv))
+        for i in range(len(cp)):
+            lhs = oracles.frobenius_norm_sq(cc[i])
+            rhs = g_size**2 * oracles.frobenius_norm_sq(cp[i]) * oracles.frobenius_norm_sq(cq[i])
             assert lhs <= rhs + 1e-12
 
 
@@ -422,14 +442,43 @@ def test_low_weight_matches_full_transform(a5, a5_irr):
     rng = np.random.default_rng(SEED)
     v = rng.random(pg.size)
     p = fx.make_dist(pg, v / v.sum())
-    full = fx.product_fourier_forward(p.values, pg, a5_irr)
-    low = fx.low_weight_coefficients(p, 1, a5_irr)
-    assert set(low) == {t for t in full.coeffs if fx.tuple_weight(t) == 1}
+    full = oracles.coefficient_blocks(fx.product_fourier_forward(p.values, pg, a5_irr))
+    low = oracles.low_weight_blocks(p, 1, a5_irr)
+    assert set(low) == {t for t in full if sum(a != 0 for a in t) == 1}
     for t, mat in low.items():
-        assert np.max(np.abs(mat - full.coeffs[t])) < 1e-10
+        assert np.max(np.abs(mat - full[t])) < 1e-10
 
 
 def test_low_weight_of_uniform_vanishes(a5, a5_irr):
-    pg = ProductGroup(a5, 3)
-    low = fx.low_weight_coefficients(fx.uniform(pg), 2, a5_irr)
-    assert fx.max_low_weight_norm(low) <= 1e-15
+    u = fx.uniform(ProductGroup(a5, 3))
+    assert fx.max_low_weight_norm(u, 2, a5_irr) <= 1e-15
+    assert oracles.max_block_norm(oracles.low_weight_blocks(u, 2, a5_irr)) <= 1e-15
+
+
+def perturbed_a5_box(a5, delta=1e-9):
+    """The A5^4 box distribution moved delta toward the identity point mass,
+    as `groupmix experiment repair` builds its input."""
+    p0 = nof.box_to_dist(nof.exact_s(a5, 2))
+    v = (1 - delta) * p0.values
+    v[0] += delta
+    return fx.make_dist(p0.space, v)
+
+
+@pytest.mark.parametrize(
+    "case", ["a5^2 k=1", "a5^2 k=2", "c3^3 k=2", "sl2_3^2 k=1", "a5^4 box k=3"]
+)
+def test_max_low_weight_norm_matches_block_dict(case, a5, c3, sl2_3):
+    # the dense block-norm maximum against the maximum over the dict of
+    # copied low-weight blocks, each normed entry by entry
+    g = {"a5": a5, "c3": c3, "sl2_3": sl2_3}[case.split("^")[0]]
+    s, k = get_irreps(g, seed=SEED), int(case[-1])
+    if "box" in case:
+        p = perturbed_a5_box(a5)
+    else:
+        pg = ProductGroup(g, int(case[case.index("^") + 1]))
+        v = np.random.default_rng(SEED).random(pg.size)
+        p = fx.make_dist(pg, v / v.sum())
+    got = fx.max_low_weight_norm(p, k, s)
+    ref = oracles.max_block_norm(oracles.low_weight_blocks(p, k, s))
+    assert ref > 0
+    assert abs(got - ref) <= 1e-15 * ref

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from groupmix import fourier as fx
-from groupmix import groups, nof
+from groupmix import cli, groups, nof
 from groupmix.irreps import get_irreps
 from groupmix.uniformity import eps_k_uniform_counts
 
@@ -81,6 +81,7 @@ def test_four_wise_deviation_positive(sl2_2, sl2_3):
         assert rep.is_3_uniform
         assert rep.four_wise_deviation == Fraction(g.order - 1)
         assert rep.identity_sample_rate == 1.0
+        assert np.array_equal(rep.box.values, nof.box_to_dist(nof.exact_s(g, 2)).values)
 
 
 def test_three_parties_on_tiny_group(c2):
@@ -134,13 +135,13 @@ def test_budget_errors(a5, sl2_5):
 
 def test_advantage_curve_monotone(sl2_2, irreps_cache):
     s_irr = irreps_cache(sl2_2)
-    log = nof.advantage_curve(sl2_2, 2, 16, s_irr)
+    s_dist = nof.box_to_dist(nof.exact_s(sl2_2, 2))
+    log = nof.advantage_curve(s_dist, 16, s_irr)
     tvs = [r.tv_dist for r in log.records]
     assert log.records[0].step == 1
     assert tvs[0] > 0
     assert all(b <= a + 1e-12 for a, b in zip(tvs, tvs[1:]))
     # t = 1 is s itself
-    s_dist = nof.box_to_dist(nof.exact_s(sl2_2, 2))
     u = fx.uniform(s_dist.space)
     assert tvs[0] == pytest.approx(0.5 * float(np.sum(np.abs(s_dist.values - u.values))))
 
@@ -157,15 +158,35 @@ def test_advantage_curve_convolves_through_module_name(sl2_2, irreps_cache, monk
 
     monkeypatch.setattr(nof, "convolve", counted)
     t_max = 5
-    log = nof.advantage_curve(sl2_2, 2, t_max, irreps_cache(sl2_2))
+    log = nof.advantage_curve(nof.box_to_dist(nof.exact_s(sl2_2, 2)), t_max, irreps_cache(sl2_2))
     assert [r.step for r in log.records] == list(range(1, t_max + 1))
     assert len(calls) == t_max - 1
+
+
+def test_experiment_nof_counts_the_box_once(tmp_path, monkeypatch, capsys):
+    # the uniformity report and the advantage curve share one exact count
+    calls = []
+    real = nof.exact_s
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nof, "exact_s", counted)
+    code = cli.main([
+        "experiment", "nof", "--group", "sl2:2", "--parties", "2", "--max-steps", "3",
+        "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "nof.csv"),
+    ])
+    assert "3-uniform=true" in capsys.readouterr().out
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_advantage_curve_reaches_target_on_alt5_like_group(sl2_2, irreps_cache):
     # S3 is not quasirandom, but the curve still decays toward its floor;
     # early stop works through target_eps
-    log = nof.advantage_curve(sl2_2, 2, 64, irreps_cache(sl2_2), target_eps=10.0)
+    box = nof.verify_s_uniformity(sl2_2, 2, identity_samples=100).box
+    log = nof.advantage_curve(box, 64, irreps_cache(sl2_2), target_eps=10.0)
     assert log.records[-1].linf_rel <= 10.0
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,20 @@ def small_group(n: int):
     if n not in _groups:
         _groups[n] = groups.build_group(groups.cyclic(n))
     return _groups[n]
+
+
+@functools.lru_cache(maxsize=None)
+def s3_irreps():
+    return get_irreps(groups.build_group(groups.sl2(2)), seed=SEED)
+
+
+def block_norm_sq(mat) -> float:
+    """_block_norms_sq of a 2 x 2 matrix placed in S3's 2-dim irrep slot."""
+    s = s3_irreps()
+    slot = list(s.dims).index(2)
+    blocks = [np.zeros((d, d)) for d in s.dims]
+    blocks[slot] = mat
+    return float(fx._block_norms_sq(np.concatenate([b.ravel() for b in blocks]), s)[slot])
 
 
 def weights_to_dist(space, weights):
@@ -125,7 +141,8 @@ def test_parseval_on_random_functions(n, data):
     f = np.array([data.draw(st.integers(-50, 50)) for _ in range(n)], dtype=float) / 10.0
     fd = fx.fourier_forward(f, s)
     lhs = float(np.mean(np.abs(f) ** 2))
-    rhs = sum(s.irreps[i].dim * fx.frobenius_norm_sq(c) for i, c in fd.coeffs.items())
+    blocks = oracles.irrep_blocks(fd)
+    rhs = sum(r.dim * oracles.frobenius_norm_sq(c) for r, c in zip(s.irreps, blocks))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, lhs)
 
 
@@ -143,4 +160,7 @@ def test_roundtrip_on_random_functions(n, data):
 def test_frobenius_product_bound(r1, r2):
     a = np.array(r1).reshape(2, 2)
     b = np.array(r2).reshape(2, 2)
-    assert fx.frobenius_norm_sq(a @ b) <= fx.frobenius_norm_sq(a) * fx.frobenius_norm_sq(b) * (1 + 1e-12)
+    fa, fb, fab = (block_norm_sq(x) for x in (a, b, a @ b))
+    assert fab <= fa * fb * (1 + 1e-12)
+    for x, got in ((a, fa), (b, fb), (a @ b, fab)):
+        assert got == pytest.approx(oracles.frobenius_norm_sq(x), rel=1e-12)

@@ -15,6 +15,8 @@ from groupmix.repair import (
 )
 from groupmix.uniformity import eps_k_uniform, is_k_uniform_fourier
 
+import oracles
+
 SEED = 2024
 
 
@@ -57,22 +59,18 @@ def test_low_part_zero_sum_and_subtraction(c3_4, c3_irr):
     ell = low_part(p, 2, c3_irr)
     assert abs(float(ell.sum())) <= 1e-10
     # p - ell has no low-weight coefficients left
-    from groupmix.fourier import low_weight_coefficients, max_low_weight_norm
-
     residual = fx.Dist(c3_4, p.values - ell)
-    assert max_low_weight_norm(low_weight_coefficients(residual, 2, c3_irr)) <= 1e-16
+    assert oracles.max_block_norm(oracles.low_weight_blocks(residual, 2, c3_irr)) <= 1e-16
 
 
 def test_low_part_sup_norm_bound(c3_4, c3_irr):
     # |ell|_inf <= (m |H|)^(2k) eps / |G| with eps the measured scale
     rng = np.random.default_rng(SEED)
-    from groupmix.fourier import low_weight_coefficients, max_low_weight_norm
-
     for delta in (1e-2, 1e-5, 1e-8):
         p = perturbed(c3_4, rng, delta)
         for k in (1, 2):
             ell = low_part(p, k, c3_irr)
-            eps = p.size * max_low_weight_norm(low_weight_coefficients(p, k, c3_irr))
+            eps = p.size * oracles.max_block_norm(oracles.low_weight_blocks(p, k, c3_irr))
             bound = float(4 * 3) ** (2 * k) * eps / p.size
             assert np.max(np.abs(ell)) <= bound + 1e-15
 
@@ -183,3 +181,20 @@ def test_low_part_equals_masked_full_transform(case, c3, c3_irr, sl2_3):
     masked = np.where((weight >= 1) & (weight <= k), full.dense, 0.0)
     expected = fx.product_fourier_inverse(fx.FourierData(s, space.arity, masked))
     assert np.max(np.abs(low_part(p, k, s) - expected)) <= 1e-12
+
+
+def test_residuals_match_block_dict_on_perturbed_a5_box(a5):
+    # the certificates' dense low-weight norms against the dict of copied
+    # blocks, on the input `groupmix experiment repair --group a5` builds
+    s = get_irreps(a5, seed=SEED)
+    p0 = nof.box_to_dist(nof.exact_s(a5, 2))
+    p = fx.make_dist(p0.space, (1 - 1e-9) * p0.values + 1e-9 * fx.point_mass(p0.space, 0).values)
+    del p0
+    q, cert = repair(p, 3, s)
+    check = verify_repair(p, q, 3, s)
+    ref_p = oracles.max_block_norm(oracles.low_weight_blocks(p, 3, s))
+    ref_q = oracles.max_block_norm(oracles.low_weight_blocks(q, 3, s))
+    assert ref_p > 0 and ref_q > 0
+    for c in (cert, check):
+        assert abs(c.eps_in - p.size * ref_p) <= 1e-15 * p.size * ref_p
+        assert abs(c.k_uniform_residual - ref_q) <= 1e-15 * ref_q
