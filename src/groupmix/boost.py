@@ -205,7 +205,6 @@ def boost_pipeline(
     s: IrrepSet | None = None,
     eps_ks: tuple[int, ...] = (),
     engine: str | None = None,
-    track_tv: bool = False,
 ) -> tuple[Dist, ExperimentLog]:
     """Iterated convolution until eps_uniform reaches target_eps.
 
@@ -216,11 +215,11 @@ def boost_pipeline(
         raise ValueError(f"unknown pipeline mode {mode!r}")
     log = ExperimentLog(eps_ks=tuple(eps_ks))
     current = p
-    log.add(_measure(current, 0, mode, eps_ks, track_tv, 0.0))
+    log.add(_measure(current, 0, mode, eps_ks, False, 0.0))
     while log.records[-1].linf_rel > target_eps and len(log.records) <= max_steps:
         t0 = time.perf_counter()
         other = current if mode == "self-square" else p
         current = convolve(current, other, s, engine=engine)
         secs = time.perf_counter() - t0
-        log.add(_measure(current, len(log.records), mode, eps_ks, track_tv, secs))
+        log.add(_measure(current, len(log.records), mode, eps_ks, False, secs))
     return current, log

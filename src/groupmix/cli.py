@@ -152,10 +152,13 @@ def build_run_config(args) -> RunConfig:
     return cfg
 
 
-def _irreps_for(cfg: RunConfig, g):
-    """Irreps at seed 0, so every command reads and warms the same cache file."""
+def _setup(args):
+    """A command's config, group and irreps.  The irreps are those of seed 0, so
+    every command reads and warms the same cache file."""
+    cfg = build_run_config(args)
+    g = build_group(parse_group_spec(cfg.group))
     cache = cfg.cache_dir or default_cache_dir()
-    return get_irreps(g, tol=cfg.tol, seed=0, cache_dir=cache, use_cache=not cfg.no_cache)
+    return cfg, g, get_irreps(g, tol=cfg.tol, seed=0, cache_dir=cache, use_cache=not cfg.no_cache)
 
 
 def _fmt(x) -> str:
@@ -167,19 +170,15 @@ def _fmt(x) -> str:
 
 
 def cmd_irreps(args) -> int:
-    cfg = build_run_config(args)
-    g = build_group(parse_group_spec(cfg.group))
-    s = _irreps_for(cfg, g)
+    _, _, s = _setup(args)
     dims = list(s.dims)
     print(f"dims={dims} sum_sq={sum(d * d for d in dims)} d={quasirandomness_degree(s)}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg = build_run_config(args)
+    cfg, g, s = _setup(args)
     which = args.which
-    g = build_group(parse_group_spec(cfg.group))
-    s = _irreps_for(cfg, g)
     rng = np.random.default_rng(cfg.seed)
     rows = []
 
@@ -222,9 +221,7 @@ def _box_input(cfg: RunConfig, g):
 
 
 def cmd_experiment_flatten(args) -> int:
-    cfg = build_run_config(args)
-    g = build_group(parse_group_spec(cfg.group))
-    s = _irreps_for(cfg, g)
+    cfg, g, s = _setup(args)
     p = _box_input(cfg, g)
     d = quasirandomness_degree(s)
     record = boost.flatten_bound_check(p, cfg.k, d, s, engine=cfg.engine)
@@ -243,9 +240,7 @@ def cmd_experiment_flatten(args) -> int:
 
 
 def cmd_experiment_boost(args) -> int:
-    cfg = build_run_config(args)
-    g = build_group(parse_group_spec(cfg.group))
-    s = _irreps_for(cfg, g)
+    cfg, g, s = _setup(args)
     p = _box_input(cfg, g)
     target = cfg.target_eps if cfg.target_eps is not None else float(g.order) ** (-cfg.m)
     final, log = boost.boost_pipeline(
@@ -263,9 +258,7 @@ def cmd_experiment_boost(args) -> int:
 
 
 def cmd_experiment_nof(args) -> int:
-    cfg = build_run_config(args)
-    g = build_group(parse_group_spec(cfg.group))
-    s = _irreps_for(cfg, g)
+    cfg, g, s = _setup(args)
     report = nof.verify_s_uniformity(g, cfg.parties, seed=cfg.seed)
     target = cfg.target_eps if cfg.target_eps is not None else float(g.order) ** (-(2**cfg.parties))
     log = nof.advantage_curve(report.box, cfg.max_steps, s, target_eps=target, engine=cfg.engine)
@@ -284,9 +277,7 @@ def cmd_experiment_nof(args) -> int:
 
 
 def cmd_experiment_repair(args) -> int:
-    cfg = build_run_config(args)
-    g = build_group(parse_group_spec(cfg.group))
-    s = _irreps_for(cfg, g)
+    cfg, g, s = _setup(args)
     p0 = _box_input(cfg, g)
     de = fx.point_mass(p0.space, 0)
     p = fx.make_dist(p0.space, (1 - cfg.delta) * p0.values + cfg.delta * de.values)
@@ -326,13 +317,31 @@ def _add_common(p: argparse.ArgumentParser, seed_help="seed of this command's ra
     p.add_argument("--no-cache", dest="no_cache", action="store_true", help="recompute irreps")
 
 
-def _add_experiment_common(p: argparse.ArgumentParser):
-    _add_common(p)
-    p.add_argument("--m", type=int, help="product-group arity")
-    p.add_argument("--k", type=int, help="uniformity parameter")
-    p.add_argument("--engine", choices=("direct", "fourier"))
-    p.add_argument("--out", help="output path for the log/report")
-    p.add_argument("--timing", action="store_true", help="fill the seconds column (non-deterministic)")
+# every experiment flag; each experiment takes only the ones it reads
+_EXPERIMENT_FLAGS = {
+    "--m": dict(type=int, help="product-group arity"),
+    "--k": dict(type=int, help="uniformity parameter"),
+    "--parties": dict(type=int),
+    "--engine": dict(choices=("direct", "fourier")),
+    "--mode": dict(choices=("self-square", "fresh-copy")),
+    "--max-steps": dict(type=int),
+    "--target-eps": dict(type=float),
+    "--delta": dict(type=float, help="perturbation weight toward the identity point mass"),
+    "--repair-mode": dict(choices=("adaptive", "paper-formula")),
+    "--out": dict(help="output path for the log/report"),
+    "--timing": dict(action="store_true", help="fill the seconds column (non-deterministic)"),
+}
+
+_EXPERIMENTS = (
+    ("flatten", cmd_experiment_flatten, "self-convolution flattening bound on the box dist",
+     "--m --k --engine --out"),
+    ("boost", cmd_experiment_boost, "iterated-convolution pipeline on the box dist",
+     "--m --k --engine --out --timing --mode --max-steps --target-eps"),
+    ("nof", cmd_experiment_nof, "box-dist uniformity report and advantage curve",
+     "--engine --out --timing --parties --max-steps --target-eps"),
+    ("repair", cmd_experiment_repair, "repair a perturbed box dist to exact k-uniformity",
+     "--m --k --out --delta --repair-mode"),
+)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -350,31 +359,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a named experiment")
     exp_sub = p_exp.add_subparsers(dest="experiment", required=True)
-
-    p_fl = exp_sub.add_parser("flatten", help="self-convolution flattening bound on the box dist")
-    _add_experiment_common(p_fl)
-    p_fl.set_defaults(func=cmd_experiment_flatten)
-
-    p_bo = exp_sub.add_parser("boost", help="iterated-convolution pipeline on the box dist")
-    _add_experiment_common(p_bo)
-    p_bo.add_argument("--mode", choices=("self-square", "fresh-copy"))
-    p_bo.add_argument("--max-steps", dest="max_steps", type=int)
-    p_bo.add_argument("--target-eps", dest="target_eps", type=float)
-    p_bo.set_defaults(func=cmd_experiment_boost)
-
-    p_no = exp_sub.add_parser("nof", help="box-dist uniformity report and advantage curve")
-    _add_experiment_common(p_no)
-    p_no.add_argument("--parties", type=int)
-    p_no.add_argument("--max-steps", dest="max_steps", type=int)
-    p_no.add_argument("--target-eps", dest="target_eps", type=float)
-    p_no.set_defaults(func=cmd_experiment_nof)
-
-    p_re = exp_sub.add_parser("repair", help="repair a perturbed box dist to exact k-uniformity")
-    _add_experiment_common(p_re)
-    p_re.add_argument("--delta", type=float, help="perturbation weight toward the identity point mass")
-    p_re.add_argument("--repair-mode", dest="repair_mode", choices=("adaptive", "paper-formula"))
-    p_re.set_defaults(func=cmd_experiment_repair)
-
+    for name, func, help_text, flags in _EXPERIMENTS:
+        # no prefix matching: nof would read --m as --max-steps
+        p = exp_sub.add_parser(name, help=help_text, allow_abbrev=False)
+        _add_common(p)
+        for flag in flags.split():
+            p.add_argument(flag, **_EXPERIMENT_FLAGS[flag])
+        p.set_defaults(func=func)
     return top
 
 

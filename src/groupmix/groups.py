@@ -115,7 +115,6 @@ class GroupTable:
     inv: np.ndarray          # (n,) int32
     labels: tuple[str, ...]
     fingerprint: str = field(default="")
-    identity_index: int = 0
 
     def __post_init__(self):
         self.mul.setflags(write=False)
@@ -318,9 +317,8 @@ def verify_group(g: GroupTable, seed: int = 0) -> GroupReport:
     """
     n = g.order
     idx = np.arange(n)
-    e = g.identity_index
-    identity_ok = bool(np.array_equal(g.mul[e], idx) and np.array_equal(g.mul[:, e], idx))
-    inverse_ok = bool(np.all(g.mul[idx, g.inv] == e))
+    identity_ok = bool(np.array_equal(g.mul[0], idx) and np.array_equal(g.mul[:, 0], idx))
+    inverse_ok = bool(np.all(g.mul[idx, g.inv] == 0))
 
     if n <= _FULL_ASSOC_ORDER:
         mode, checked = "full", n**3

@@ -20,6 +20,7 @@ Everything is deterministic given (group, tol, seed).
 from __future__ import annotations
 
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -392,7 +393,7 @@ def verify_schur(s: IrrepSet, tol: float | None = None) -> SchurReport:
 # ---------------------------------------------------------------------------
 # disk cache
 
-_MAGIC = "groupmix-irreps v1"
+_MAGIC = "groupmix-irreps v2"
 
 
 class IrrepCacheError(RuntimeError):
@@ -400,31 +401,18 @@ class IrrepCacheError(RuntimeError):
 
 
 def save_irreps(s: IrrepSet, path: str | os.PathLike):
-    """Self-describing text format; doubles serialized at full precision.
+    """One .npz archive: `head` = [magic, fingerprint, repr(tol)], then each
+    irrep's (n, d, d) complex128 matrices as arr_0, arr_1, ... in set order.
 
-    The file is written under a temporary name in the same directory and
-    renamed into place, so an interrupted write never leaves a truncated
-    cache at `path`.
+    Written under a temporary name and renamed into place, so an interrupted
+    write never leaves a truncated cache at `path`.
     """
-    head = [
-        _MAGIC,
-        f"fingerprint {s.group_fingerprint}",
-        f"order {s.order}",
-        f"tol {s.tol:.17g}",
-        f"count {len(s.irreps)}",
-    ]
+    head = np.array([_MAGIC, s.group_fingerprint, repr(float(s.tol))])
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(head) + "\n")
-            for r in s.irreps:
-                fh.write(f"irrep dim {r.dim}\n")
-                # one row per element: re im re im ... of the row-major matrix
-                row = " ".join(["%.17g"] * (2 * r.dim * r.dim)) + "\n"
-                parts = np.ascontiguousarray(r.matrices, np.complex128).view(np.float64)
-                for vals in parts.reshape(s.order, -1).tolist():
-                    fh.write(row % tuple(vals))
-            fh.write("end\n")
+        # a handle, since savez given a name would append .npz to it
+        with open(tmp, "wb") as fh:
+            np.savez(fh, *(r.matrices for r in s.irreps), head=head)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -433,45 +421,40 @@ def save_irreps(s: IrrepSet, path: str | os.PathLike):
 
 
 def load_irreps(path: str | os.PathLike, g: GroupTable) -> IrrepSet:
-    """Load a cached set, validate its fingerprint, and re-check invariants."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        if lines[0] != _MAGIC:
-            raise IrrepCacheError(f"{path}: not a groupmix irrep cache")
-        fp = lines[1].split()[1]
-        order = int(lines[2].split()[1])
-        tol = float(lines[3].split()[1])
-        count = int(lines[4].split()[1])
-        if fp != g.fingerprint:
-            raise IrrepCacheError(
-                f"{path}: fingerprint mismatch (cache {fp[:12]}..., group {g.fingerprint[:12]}...)"
-            )
-        if order != g.order:
-            raise IrrepCacheError(f"{path}: order {order} != group order {g.order}")
-        pos = 5
-        irreps = []
-        for _ in range(count):
-            head = lines[pos].split()
-            if head[0] != "irrep":
-                raise IrrepCacheError(f"{path}: malformed irrep header at line {pos + 1}")
-            d = int(head[2])
-            mats = np.empty((order, d, d), dtype=np.complex128)
-            for x in range(order):
-                vals = np.fromstring(lines[pos + 1 + x], sep=" ")
-                if vals.size != 2 * d * d:
-                    raise IrrepCacheError(f"{path}: truncated matrix row at line {pos + 2 + x}")
-                mats[x] = (vals[0::2] + 1j * vals[1::2]).reshape(d, d)
-            if not np.isfinite(mats).all():
-                raise IrrepCacheError(f"{path}: non-finite matrix entry in irrep {len(irreps)}")
-            chi = np.einsum("gii->g", mats)
-            irreps.append(Irrep(d, mats, chi))
-            pos += 1 + order
-        if pos >= len(lines) or lines[pos] != "end":
-            raise IrrepCacheError(f"{path}: missing end marker (truncated file)")
-    except (IndexError, ValueError) as exc:
-        raise IrrepCacheError(f"{path}: parse error ({exc})") from exc
+    """Load a cached set, validate its fingerprint and arrays, and re-check invariants.
 
+    allow_pickle=False refuses object arrays without unpickling them, and the
+    archive's CRC-32 turns a truncated or bit-flipped member into an error.
+    """
+    try:
+        z = np.load(path, allow_pickle=False)
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise ValueError("a bare array, not an .npz archive")
+        with z:
+            head = [str(x) for x in z["head"].ravel()]
+            stacks = [z[f"arr_{i}"] for i in range(len(z.files) - 1)]
+        magic, fp, tol = head
+        tol = float(tol)
+    # RuntimeError: zipfile's answer to a flipped encryption, method or version field
+    except (OSError, EOFError, KeyError, ValueError, RuntimeError, zipfile.BadZipFile) as exc:
+        raise IrrepCacheError(f"{path}: unreadable cache ({exc})") from exc
+    if magic != _MAGIC:
+        raise IrrepCacheError(f"{path}: not a groupmix irrep cache")
+    if fp != g.fingerprint:
+        raise IrrepCacheError(
+            f"{path}: fingerprint mismatch (cache {fp[:12]}..., group {g.fingerprint[:12]}...)"
+        )
+
+    irreps = []
+    for i, mats in enumerate(stacks):
+        square = mats.ndim == 3 and mats.shape[1] == mats.shape[2]
+        if not (mats.dtype == np.complex128 and square and mats.shape[0] == g.order):
+            raise IrrepCacheError(
+                f"{path}: irrep {i} is {mats.dtype} {mats.shape}, not complex128 ({g.order}, d, d)"
+            )
+        if not np.isfinite(mats).all():
+            raise IrrepCacheError(f"{path}: non-finite matrix entry in irrep {i}")
+        irreps.append(Irrep(mats.shape[1], mats, np.einsum("gii->g", mats)))
     s = IrrepSet(fp, tuple(irreps), tol)
     report = check_irrep_set(g, s)
     if not report.all_passed:
@@ -495,16 +478,15 @@ def get_irreps(
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
         # repr gives the exact tol, so distinct tols never share a file
-        path = os.path.join(cache_dir, f"{g.fingerprint[:24]}_tol{float(tol)!r}_seed{seed}.irr")
+        path = os.path.join(cache_dir, f"{g.fingerprint[:24]}_tol{float(tol)!r}_seed{seed}.npz")
     if use_cache and key in _memo:
         s = _memo[key]
         if path is not None and not os.path.exists(path):
             save_irreps(s, path)
         return s
-    s = None
     if path is not None and use_cache and os.path.exists(path):
         s = load_irreps(path, g)
-    if s is None:
+    else:
         s = compute_irreps(g, tol=tol, seed=seed)
         if path is not None:
             save_irreps(s, path)

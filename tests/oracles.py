@@ -170,24 +170,6 @@ def homomorphism_residual(mul, stacks, pair_x, pair_y) -> float:
     return float(worst)
 
 
-def irrep_cache_text(s) -> str:
-    """The text of an irrep cache file, formatted value by value."""
-    lines = [
-        "groupmix-irreps v1",
-        f"fingerprint {s.group_fingerprint}",
-        f"order {s.order}",
-        f"tol {s.tol:.17g}",
-        f"count {len(s.irreps)}",
-    ]
-    for r in s.irreps:
-        lines.append(f"irrep dim {r.dim}")
-        for x in range(s.order):
-            row = r.matrices[x].ravel()
-            lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # direct-definition Fourier oracles
 

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from groupmix.cli import main, read_config
@@ -66,12 +67,32 @@ def test_verify_detects_corrupted_cache(cache):
 
     assert run(["irreps", "--group", "cyclic:6"]).returncode == 0
     cached = next(pathlib.Path(cache).iterdir())
-    lines = cached.read_text().splitlines()
-    lines[7] = "0.5 0.5"  # clobber one matrix row
-    cached.write_text("\n".join(lines) + "\n")
+    with np.load(cached, allow_pickle=False) as z:
+        members = {name: z[name] for name in z.files}
+    members["arr_1"][3] = 0.5 + 0.5j  # clobber one matrix row in a valid archive
+    with open(cached, "wb") as fh:
+        np.savez(fh, **members)
     proc = run(["verify", "--group", "cyclic:6"])
     assert proc.returncode == 1
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "experiment, flag",
+    [
+        ("nof", ["--m", "4"]),
+        ("nof", ["--k", "3"]),
+        ("repair", ["--engine", "fourier"]),
+        ("repair", ["--timing"]),
+        ("flatten", ["--timing"]),
+    ],
+)
+def test_experiment_rejects_flags_it_does_not_read(capsys, monkeypatch, tmp_path, experiment, flag):
+    monkeypatch.chdir(tmp_path)  # a regression would run the experiment and write here
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", experiment, "--group", "a5", "--cache-dir", str(tmp_path), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_experiment_flatten_summary(capsys, cache, tmp_path):

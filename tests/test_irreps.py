@@ -161,43 +161,150 @@ def test_homomorphism_check_matches_per_pair_reference(request, fixture, mode, i
     assert not rep.all_passed
 
 
-@pytest.mark.parametrize("fixture", ["a5", "sl2_3"])
-def test_save_writes_reference_bytes(request, fixture, tmp_path, irreps_cache):
-    s = irreps_cache(request.getfixturevalue(fixture))
-    path = tmp_path / "set.irr"
-    save_irreps(s, path)
-    assert path.read_bytes() == oracles.irrep_cache_text(s).encode()
+def _archive_parts(s: IrrepSet):
+    """The head and member arrays of s's cache archive, as lists to edit."""
+    return ["groupmix-irreps v2", s.group_fingerprint, repr(s.tol)], [r.matrices for r in s.irreps]
+
+
+def _write_archive(path, head, stacks):
+    """An archive laid out as save_irreps lays it out, from raw parts."""
+    with open(path, "wb") as fh:
+        np.savez(fh, *stacks, head=np.array(head))
 
 
 def test_save_load_roundtrip(tmp_path, a5, irreps_cache):
     s = irreps_cache(a5)
-    path = tmp_path / "a5.irr"
+    path = tmp_path / "a5.npz"
     save_irreps(s, path)
+    with np.load(path, allow_pickle=False) as z:
+        assert z.files == ["head"] + [f"arr_{i}" for i in range(len(s))]
+        assert z["head"].tolist() == _archive_parts(s)[0]
     loaded = load_irreps(path, a5)
-    for r1, r2 in zip(s.irreps, loaded.irreps):
-        assert np.max(np.abs(r1.matrices - r2.matrices)) <= 1e-15
+    assert (loaded.group_fingerprint, loaded.tol) == (s.group_fingerprint, s.tol)
+    for r1, r2 in zip(s.irreps, loaded.irreps, strict=True):
+        assert r1.dim == r2.dim
+        assert np.array_equal(r1.matrices, r2.matrices)
+        assert np.array_equal(r1.character, r2.character)
 
 
 def test_load_wrong_group_fingerprint(tmp_path, a5, sl2_3, irreps_cache):
-    path = tmp_path / "a5.irr"
+    path = tmp_path / "a5.npz"
     save_irreps(irreps_cache(a5), path)
     with pytest.raises(IrrepCacheError, match="fingerprint"):
         load_irreps(path, sl2_3)
 
 
 def test_load_truncated_file(tmp_path, c4, irreps_cache):
-    path = tmp_path / "c4.irr"
+    path = tmp_path / "c4.npz"
     save_irreps(irreps_cache(c4), path)
-    text = path.read_text().splitlines()
-    path.write_text("\n".join(text[: len(text) // 2]))
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
     with pytest.raises(IrrepCacheError):
         load_irreps(path, c4)
+
+
+@pytest.mark.parametrize("at", [0.3, 0.6, 0.9])
+def test_load_rejects_flipped_byte(tmp_path, a5, irreps_cache, at):
+    path = tmp_path / "a5.npz"
+    save_irreps(irreps_cache(a5), path)
+    data = bytearray(path.read_bytes())
+    data[int(at * len(data))] ^= 0x01
+    path.write_bytes(bytes(data))
+    with pytest.raises(IrrepCacheError, match="Bad CRC-32"):
+        load_irreps(path, a5)
+
+
+@pytest.mark.parametrize(
+    "field, offset, bit, message",
+    [
+        ("encryption flag", 8, 0x01, "encrypted"),
+        ("compression method", 10, 0x01, "compression method"),
+    ],
+)
+def test_load_rejects_flipped_zip_header_field(tmp_path, c4, irreps_cache, field, offset, bit, message):
+    # zipfile raises RuntimeError or NotImplementedError here, not BadZipFile
+    path = tmp_path / "c4.npz"
+    save_irreps(irreps_cache(c4), path)
+    data = bytearray(path.read_bytes())
+    central = data.find(b"PK\x01\x02")      # the first member's central directory entry
+    data[central + offset] ^= bit
+    path.write_bytes(bytes(data))
+    with pytest.raises(IrrepCacheError, match=message):
+        load_irreps(path, c4)
+
+
+@pytest.mark.parametrize("case", ["complex64", "2-D", "non-square", "wrong order"])
+def test_load_rejects_malformed_member(tmp_path, c12, irreps_cache, case):
+    head, stacks = _archive_parts(irreps_cache(c12))
+    m = stacks[1]
+    stacks[1] = {
+        "complex64": m.astype(np.complex64),
+        "2-D": m[:, 0, :],
+        "non-square": np.concatenate([m, m], axis=2),
+        "wrong order": m[:-1],
+    }[case]
+    path = tmp_path / "c12.npz"
+    _write_archive(path, head, stacks)
+    with pytest.raises(IrrepCacheError, match=r"irrep 1 is .*not complex128 \(12, d, d\)"):
+        load_irreps(path, c12)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("v1 magic", "not a groupmix irrep cache"),
+        ("text cache", "pickled"),         # neither zip nor .npy, and pickles are refused
+        ("bare array", "not an .npz archive"),
+    ],
+)
+def test_load_rejects_foreign_file(tmp_path, c4, irreps_cache, case, message):
+    s = irreps_cache(c4)
+    head, stacks = _archive_parts(s)
+    path = tmp_path / "c4.npz"
+    if case == "v1 magic":
+        _write_archive(path, ["groupmix-irreps v1"] + head[1:], stacks)
+    elif case == "text cache":
+        path.write_text(f"groupmix-irreps v1\nfingerprint {s.group_fingerprint}\n")
+    else:
+        with open(path, "wb") as fh:
+            np.save(fh, stacks[0])
+    with pytest.raises(IrrepCacheError, match=message):
+        load_irreps(path, c4)
+
+
+_unpickled = []
+
+
+def _record_unpickling():
+    _unpickled.append(True)
+    return 0
+
+
+class _Tripwire:
+    """Unpickling it calls _record_unpickling."""
+
+    def __reduce__(self):
+        return (_record_unpickling, ())
+
+
+def test_load_refuses_object_member_without_unpickling(tmp_path, c4, irreps_cache):
+    head, stacks = _archive_parts(irreps_cache(c4))
+    stacks[2] = np.array([_Tripwire()], dtype=object)
+    path = tmp_path / "c4.npz"
+    _write_archive(path, head, stacks)
+    with pytest.raises(IrrepCacheError, match="allow_pickle=False"):
+        load_irreps(path, c4)
+    assert _unpickled == []
+    # the tripwire works: loading with pickles allowed does run it
+    with np.load(path, allow_pickle=True) as z:
+        z["arr_2"]
+    assert _unpickled == [True]
 
 
 def test_get_irreps_disk_cache(tmp_path, c12):
     s1 = get_irreps(c12, cache_dir=str(tmp_path), use_cache=False)
     files = list(tmp_path.iterdir())
-    assert len(files) == 1
+    assert len(files) == 1 and files[0].name.endswith("_seed0.npz")
     s2 = get_irreps(c12, cache_dir=str(tmp_path), use_cache=True)
     assert s1.dims == s2.dims
 
@@ -264,15 +371,12 @@ def test_verify_schur_propagates_nan(a5, irreps_cache):
 
 
 def test_load_rejects_non_finite_entry(tmp_path, a5, irreps_cache):
-    path = tmp_path / "a5.irr"
-    save_irreps(irreps_cache(a5), path)
-    lines = path.read_text().splitlines()
-    at = [i for i, line in enumerate(lines) if line.startswith("irrep dim")][1] + 2
-    row = lines[at].split()
-    row[3] = "nan"
-    lines[at] = " ".join(row)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(IrrepCacheError, match=r"a5\.irr: non-finite"):
+    head, stacks = _archive_parts(irreps_cache(a5))
+    stacks[1] = np.array(stacks[1])
+    stacks[1][5, 0, 1] = np.nan
+    path = tmp_path / "a5.npz"
+    _write_archive(path, head, stacks)
+    with pytest.raises(IrrepCacheError, match=r"a5\.npz: non-finite matrix entry in irrep 1"):
         load_irreps(path, a5)
 
 
@@ -283,14 +387,18 @@ def test_cache_file_per_exact_tol(tmp_path, c12):
 
 
 class _DiskFullFile:
-    """A text file whose first write stores half its text, then fails."""
+    """A binary file whose first write stores half its bytes, then fails."""
 
     def __init__(self, fh):
         self.fh = fh
 
-    def write(self, text):
-        self.fh.write(text[: len(text) // 2])
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
         raise OSError("disk full")
+
+    def __getattr__(self, name):
+        # tell, seek, flush and the rest that zipfile uses
+        return getattr(self.fh, name)
 
     def __enter__(self):
         return self
@@ -305,7 +413,7 @@ def test_failed_save_leaves_no_file(tmp_path, monkeypatch, c4, irreps_cache):
     monkeypatch.setattr(
         irreps_module, "open", lambda *a, **kw: _DiskFullFile(open(*a, **kw)), raising=False
     )
-    path = tmp_path / "c4.irr"
+    path = tmp_path / "c4.npz"
     with pytest.raises(OSError, match="disk full"):
         save_irreps(irreps_cache(c4), path)
     assert list(tmp_path.iterdir()) == []
