@@ -34,7 +34,6 @@ from groupmix.groups import (
     check_dense_budget,
     flat_digits,
     same_space,
-    space_size,
 )
 from groupmix.irreps import IrrepSet
 
@@ -69,7 +68,7 @@ class Dist:
 
     @property
     def size(self) -> int:
-        return space_size(self.space)
+        return self.space.size
 
     def __repr__(self):
         return f"Dist({self.space!r}, {self.size} states)"
@@ -79,7 +78,7 @@ def make_dist(space: Space, values) -> Dist:
     """Validate and ingest a probability vector (tiny negatives clamp to 0)."""
     check_dense_budget(space)
     v = np.asarray(values, dtype=np.float64)
-    n = space_size(space)
+    n = space.size
     if v.shape != (n,):
         raise ValueError(f"expected {n} values for {space!r}, got shape {v.shape}")
     low = float(v.min()) if n else 0.0
@@ -95,12 +94,12 @@ def make_dist(space: Space, values) -> Dist:
 
 
 def uniform(space: Space) -> Dist:
-    n = space_size(space)
+    n = space.size
     return make_dist(space, np.full(n, 1.0 / n))
 
 
 def point_mass(space: Space, index: int = 0) -> Dist:
-    n = space_size(space)
+    n = space.size
     v = np.zeros(n)
     v[index] = 1.0
     return make_dist(space, v)

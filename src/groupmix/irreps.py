@@ -25,13 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from groupmix.groups import GroupTable
+from groupmix.groups import GroupTable, generators
 
 DEFAULT_TOL = 1e-9
 _CLUSTER_REL_GAP = 1e-8      # eigenvalue clustering threshold
 _MAX_SPLIT_ATTEMPTS = 8
-_FULL_PAIR_ORDER = 256       # homomorphism check: full up to here, sampled above
-_SAMPLED_PAIRS = 100_000
 _CHUNK = 256
 _INDICATOR_TOL = 1e-6        # Frobenius-Schur indicators must sit this close to -1, 0, 1
 
@@ -286,7 +284,6 @@ class IrrepSetReport:
     completeness_ok: bool
     identity_residual: float
     homomorphism_residual: float
-    homomorphism_mode: str
     unitarity_residual: float
     min_character_gap: float
     inequivalence_gap_required: float
@@ -308,44 +305,36 @@ class IrrepSetReport:
         )
 
 
-def check_irrep_set(g: GroupTable, s: IrrepSet, seed: int = 0) -> IrrepSetReport:
-    """Residuals for the defining properties of a computed irrep set."""
+def check_irrep_set(g: GroupTable, s: IrrepSet) -> IrrepSetReport:
+    """Residuals for the defining properties of a computed irrep set.
+
+    homomorphism_residual certifies ||rho(x) rho(y) - rho(xy)||_F <= it for
+    every pair (x, y) and every irrep.  Over all irreps it takes
+    delta = max ||rho(x) rho(s) - rho(xs)||_F over all x and each s in
+    generators(g), iota = ||rho(e) - I||_F, and u, the unitarity residual,
+    so that every ||rho(x)||_2 <= c = sqrt(1 + u).  If y = y's with s a
+    generator, then rho(x)rho(y) - rho(xy) = [rho(x)rho(y') - rho(xy')] rho(s)
+    + [rho(xy')rho(s) - rho(xy)] - rho(x)[rho(y')rho(s) - rho(y)], so the error
+    e_k for words of length k obeys e_k <= c e_{k-1} + (1 + c) delta, with
+    e_0 <= c iota for y = e.  Every y is a word of length at most L, hence
+    the bound c^(L+1) iota + (1 + c) delta sum_{j<L} c^j.
+    """
     n = g.order
+    gens, length = generators(g)
     ident_res = 0.0
     hom_res = 0.0
     unit_res = 0.0
-    if n <= _FULL_PAIR_ORDER:
-        mode = "full"
-        pair_x = np.repeat(np.arange(n), n)
-        pair_y = np.tile(np.arange(n), n)
-    else:
-        mode = "sampled"
-        rng = np.random.default_rng(seed)
-        pair_x = rng.integers(0, n, size=_SAMPLED_PAIRS)
-        pair_y = rng.integers(0, n, size=_SAMPLED_PAIRS)
-    # pairs grouped by right factor y: for the k irreps of one dimension d,
-    # rho(xs) rho(y) is one broadcast (len(xs), k, d, d) @ (k, d, d) product
-    by_y = np.argsort(pair_y, kind="stable")
-    ys, starts = np.unique(pair_y[by_y], return_index=True)
-    blocks = [(y, xs, g.mul[xs, y]) for y, xs in zip(ys, np.split(pair_x[by_y], starts[1:]))]
-
     # np.maximum/np.min propagate NaN, where max(x, nan) would return x
     for r in s.irreps:
         m = r.matrices
-        d = r.dim
-        ident_res = np.maximum(ident_res, np.linalg.norm(m[0] - np.eye(d)))
-        u = m @ m.conj().transpose(0, 2, 1) - np.eye(d)
-        unit_res = np.maximum(unit_res, np.max(np.sqrt(np.sum(np.abs(u) ** 2, axis=(1, 2)))))
-    # real-type irreps (all imaginary parts 0) take the same products in real arithmetic
-    kinds = [(r.dim, not r.matrices.imag.any()) for r in s.irreps]
-    for d, real in sorted(set(kinds)):
-        same = [r.matrices for r, kind in zip(s.irreps, kinds) if kind == (d, real)]
-        m = np.stack([x.real for x in same] if real else same, axis=1)
-        flat = m.reshape(n, len(same), d * d)
-        for y, xs, xys in blocks:
-            delta = (m[xs] @ m[y]).reshape(len(xs), len(same), d * d) - flat[xys]
-            parts = delta.view(np.float64)
-            hom_res = np.maximum(hom_res, np.sqrt(np.max(np.einsum("xri,xri->xr", parts, parts))))
+        eye = np.eye(r.dim)
+        ident_res = np.maximum(ident_res, np.linalg.norm(m[0] - eye))
+        u = m @ m.conj().transpose(0, 2, 1) - eye
+        unit_res = np.maximum(unit_res, np.max(np.linalg.norm(u, axis=(1, 2))))
+        delta = m[:, None] @ m[gens] - m[g.mul[:, gens]]
+        hom_res = np.maximum(hom_res, np.max(np.linalg.norm(delta, axis=(2, 3))))
+    c = np.sqrt(1.0 + unit_res)
+    hom_bound = c ** (length + 1) * ident_res + (1.0 + c) * hom_res * np.sum(c ** np.arange(length))
 
     chars = np.array([r.character for r in s.irreps])
     min_gap = np.inf
@@ -355,7 +344,7 @@ def check_irrep_set(g: GroupTable, s: IrrepSet, seed: int = 0) -> IrrepSetReport
     complete = sum(r.dim**2 for r in s.irreps) == n
     required_gap = 10.0 * s.tol * n
     return IrrepSetReport(
-        complete, float(ident_res), float(hom_res), mode, float(unit_res), float(min_gap), required_gap, s.tol
+        complete, float(ident_res), float(hom_bound), float(unit_res), float(min_gap), required_gap, s.tol
     )
 
 

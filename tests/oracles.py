@@ -9,6 +9,7 @@ read blocks out of those tensors by their documented slot layout.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from fractions import Fraction
 
@@ -56,6 +57,31 @@ def product_inv(inv, arity: int, x) -> np.ndarray:
     n = inv.shape[0]
     x = np.asarray(x, dtype=np.int64)
     return digits_to_flat(n, [inv[x // n**i % n] for i in range(arity)])
+
+
+def is_associative(mul) -> bool:
+    """(x y) z == x (y z) for all n^3 triples, one z at a time."""
+    return all(np.array_equal(mul[mul, z], mul[:, mul[:, z]]) for z in range(len(mul)))
+
+
+def word_lengths(mul, gens) -> list:
+    """Shortest k with x = s_1 s_2 ... s_k, each s_i in gens and k >= 1, for
+    every element x; None where no such word exists.  Breadth-first search
+    over right multiplication, one element at a time."""
+    length = [None] * len(mul)
+    queue = collections.deque()
+    for s in gens:
+        if length[s] is None:
+            length[s] = 1
+            queue.append(s)
+    while queue:
+        x = queue.popleft()
+        for s in gens:
+            y = int(mul[x][s])
+            if length[y] is None:
+                length[y] = length[x] + 1
+                queue.append(y)
+    return length
 
 
 def l2_sq_via_norm_identity(values) -> float:
@@ -148,13 +174,9 @@ def characters_per_element(mul, inv, seed: int = 12345):
 # irrep-set oracles
 
 
-def homomorphism_pairs(n: int, seed: int = 0):
-    """The (x, y) pairs an irrep check covers: all n^2 up to order 256,
-    otherwise 100,000 pairs drawn from default_rng(seed), x first."""
-    if n <= 256:
-        return np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, n, size=100_000), rng.integers(0, n, size=100_000)
+def homomorphism_pairs(n: int):
+    """All n^2 pairs (x, y), x first."""
+    return np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
 
 
 def homomorphism_residual(mul, stacks, pair_x, pair_y) -> float:
@@ -162,8 +184,8 @@ def homomorphism_residual(mul, stacks, pair_x, pair_y) -> float:
     pair_xy = mul[pair_x, pair_y]
     worst = 0.0
     for m in stacks:
-        for lo in range(0, len(pair_x), 65536):
-            hi = lo + 65536
+        for lo in range(0, len(pair_x), 8192):
+            hi = lo + 8192
             delta = m[pair_x[lo:hi]] @ m[pair_y[lo:hi]] - m[pair_xy[lo:hi]]
             res = np.sqrt(np.sum(np.abs(delta) ** 2, axis=(1, 2)))
             worst = np.maximum(worst, np.max(res))

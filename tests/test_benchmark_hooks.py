@@ -72,3 +72,20 @@ def test_child_calls_name_groupmix_functions(monkeypatch):
     missing = sorted(name for name in names if not callable(_resolve(name)))
     assert not missing, f"perfbench's child calls missing groupmix names: {missing}"
 
+
+
+def test_layer_totals_name_groupmix_functions():
+    # a renamed function would read as 0 s in its layer metric, not as an error
+    tree = ast.parse((PERFBENCH / "layers.py").read_text())
+    totalled = {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("total", "outer")
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and str(node.args[0].value).split(".")[0] in ("irreps", "groups")
+    }
+    assert {"irreps.check_irrep_set", "irreps.load_irreps", "groups.build_group"} <= totalled
+    missing = sorted(name for name in totalled if not inspect.isfunction(_resolve(name)))
+    assert not missing, f"perfbench/layers.py totals missing groupmix functions: {missing}"

@@ -19,7 +19,6 @@ import oracles
 def test_cyclic_modular_addition(c6):
     assert c6.order == 6
     assert c6.mul[2, 5] == 1
-    assert c6.labels[3] == "3"
 
 
 @pytest.mark.parametrize("q,expected", [(2, 6), (3, 24), (5, 120), (7, 336), (13, 2184)])
@@ -34,18 +33,13 @@ def test_alt5_order():
     g = build_group(groups.alt5())
     assert g.order == 60
     assert oracles.even_permutations_count(5) == 60
-    assert g.labels[0] == "e"
 
 
-def test_identity_at_index_zero(sl2_3, a5, c4):
-    for g in (sl2_3, a5, c4):
+def test_identity_at_index_zero(sl2_3, sl2_5, a5, c4, c6):
+    for g in (sl2_3, sl2_5, a5, c4, c6):
         n = g.order
         assert np.array_equal(g.mul[0], np.arange(n))
         assert np.array_equal(g.mul[:, 0], np.arange(n))
-
-
-def test_sl2_identity_label(sl2_5):
-    assert sl2_5.labels[0] == "[[1,0],[0,1]]"
 
 
 def test_nonprime_q_rejected():
@@ -82,15 +76,58 @@ def test_verify_trivial_group():
 def test_verify_detects_corruption(c6):
     mul = c6.mul.copy()
     mul[2, 3] = 0  # 2+3 is not 0 mod 6
-    bad = groups.GroupTable(c6.spec, c6.order, mul, c6.inv.copy(), c6.labels)
+    bad = groups.GroupTable(c6.spec, c6.order, mul, c6.inv.copy())
     assert not verify_group(bad).associativity_ok
 
 
-def test_sampled_associativity_path():
-    g = build_group(groups.sl2(7))  # order 336 > full-scan cutoff
+def test_associativity_exact_on_sl2_7(sl2_7):
+    assert verify_group(sl2_7).all_passed
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        x, y = rng.integers(1, sl2_7.order, size=2)
+        mul = sl2_7.mul.copy()
+        mul[x, y] = mul[x, y - 1]
+        assert not oracles.is_associative(mul)
+        bad = groups.GroupTable(sl2_7.spec, sl2_7.order, mul, sl2_7.inv.copy())
+        assert not verify_group(bad).associativity_ok
+
+
+def test_every_generator_is_checked():
+    # C2 x L5, L5 the loop below: identities and inverses (x x = e) hold,
+    # the first generator (1, e) is in the nucleus, and L5 is no group
+    loop = np.array(
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    )
+    c2, l5 = np.arange(10) % 2, np.arange(10) // 2
+    mul = ((c2[:, None] + c2[None, :]) % 2 + 2 * loop[l5[:, None], l5[None, :]]).astype(np.int32)
+    g = groups.GroupTable(groups.cyclic(10), 10, mul, np.arange(10, dtype=np.int32))
+    gens, _ = groups.generators(g)
+    assert gens[0] == 1 and len(gens) > 1
+    assert not oracles.is_associative(mul)
     rep = verify_group(g)
-    assert rep.associativity_mode == "sampled"
-    assert rep.all_passed
+    assert rep.identity_ok and rep.inverse_ok and not rep.associativity_ok
+
+
+def test_corrupted_sl2_13_fails_associativity():
+    # one wrong entry among 2184^2: a scan of 10^6 random triples misses it
+    g = build_group(groups.sl2(13))
+    mul = g.mul.copy()
+    mul[5, 7] = mul[5, 8]
+    rep = verify_group(groups.GroupTable(g.spec, g.order, mul, g.inv.copy()))
+    assert not rep.associativity_ok
+
+
+@pytest.mark.parametrize(
+    "fixture,expected",
+    [("c12", ([1], 11)), ("a5", ([1, 3, 12], 7)), ("sl2_3", ([1, 2], 5)), ("sl2_7", ([1, 2], 13))],
+)
+def test_generators_reach_every_element_within_l(request, fixture, expected):
+    g = request.getfixturevalue(fixture)
+    gens, length = groups.generators(g)
+    assert (gens.tolist(), length) == expected
+    lengths = oracles.word_lengths(g.mul, gens.tolist())
+    assert None not in lengths
+    assert max(lengths[1:]) == length
 
 
 def test_fingerprint_stable_and_distinct(a5, sl2_3):
@@ -101,7 +138,7 @@ def test_fingerprint_stable_and_distinct(a5, sl2_3):
 
 def test_fingerprint_covers_whole_table(c12):
     def table(mul):
-        return groups.GroupTable(c12.spec, c12.order, mul, c12.inv.copy(), c12.labels)
+        return groups.GroupTable(c12.spec, c12.order, mul, c12.inv.copy())
 
     changed = c12.mul.copy()
     changed.flat[100] = changed.flat[101]       # only past the first 64 entries

@@ -143,21 +143,53 @@ def test_one_extraction_per_irrep(sl2_7, monkeypatch):
     assert sorted(dims) == sorted(s.dims)
 
 
-@pytest.mark.parametrize("fixture,mode", [("a5", "full"), ("c12", "full"), ("sl2_7", "sampled")])
-def test_homomorphism_check_matches_per_pair_reference(request, fixture, mode, irreps_cache):
+def _perturbed(s: IrrepSet, k: int, x: int) -> IrrepSet:
+    """s with one entry of irrep k's matrix at element x moved by 1e-3."""
+    mats = np.array(s.irreps[k].matrices)
+    mats[x, 0, -1] += 1e-3
+    broken = Irrep(s.irreps[k].dim, mats, s.irreps[k].character.copy())
+    return IrrepSet(s.group_fingerprint, s.irreps[:k] + (broken,) + s.irreps[k + 1 :], s.tol)
+
+
+def _all_pairs_residual(g, s: IrrepSet) -> float:
+    pair_x, pair_y = oracles.homomorphism_pairs(g.order)
+    return oracles.homomorphism_residual(g.mul, [r.matrices for r in s.irreps], pair_x, pair_y)
+
+
+@pytest.mark.parametrize("fixture", ["a5", "c12", "sl2_7"])
+def test_homomorphism_check_matches_per_pair_reference(request, fixture, irreps_cache):
     g = request.getfixturevalue(fixture)
     s = irreps_cache(g)
-    k = len(s.irreps) // 2
-    mats = np.array(s.irreps[k].matrices)
-    mats[7, 0, -1] += 1e-3
-    broken = Irrep(s.irreps[k].dim, mats, s.irreps[k].character.copy())
-    s = IrrepSet(s.group_fingerprint, s.irreps[:k] + (broken,) + s.irreps[k + 1 :], s.tol)
+    s = _perturbed(s, len(s) // 2, 7)
     rep = check_irrep_set(g, s)
-    pair_x, pair_y = oracles.homomorphism_pairs(g.order)
-    expected = oracles.homomorphism_residual(g.mul, [r.matrices for r in s.irreps], pair_x, pair_y)
-    assert rep.homomorphism_mode == mode
+    expected = _all_pairs_residual(g, s)
+    _, length = groups.generators(g)
+    c = np.sqrt(1.0 + rep.unitarity_residual)
     assert expected > 1e-4
-    assert abs(rep.homomorphism_residual - expected) <= 1e-15
+    # certified over every pair, and within a factor that keeps it useful
+    assert expected <= rep.homomorphism_residual
+    assert rep.homomorphism_residual <= 2 * (length + 1) * c ** (length + 1) * max(
+        expected, rep.identity_residual
+    )
+    assert not rep.all_passed
+
+
+@pytest.mark.parametrize("where", ["identity", "generator", "non-generator"])
+@pytest.mark.parametrize("fixture", ["a5", "c12", "sl2_3"])
+def test_homomorphism_bound_covers_perturbed_sets(request, fixture, where, irreps_cache):
+    g = request.getfixturevalue(fixture)
+    gens = groups.generators(g)[0].tolist()
+    x = {
+        "identity": 0,
+        "generator": gens[-1],
+        "non-generator": min(set(range(1, g.order)) - set(gens)),
+    }[where]
+    s = irreps_cache(g)
+    s = _perturbed(s, len(s) - 1, x)
+    rep = check_irrep_set(g, s)
+    expected = _all_pairs_residual(g, s)
+    assert expected > 1e-4
+    assert expected <= rep.homomorphism_residual
     assert not rep.all_passed
 
 
