@@ -42,6 +42,13 @@ def test_identity_at_index_zero(sl2_3, sl2_5, a5, c4, c6):
         assert np.array_equal(g.mul[:, 0], np.arange(n))
 
 
+def test_sl2_identity_label(sl2_5):
+    # element 0 of SL(2,5) is the identity matrix [[1,0],[0,1]]
+    assert groups._sl2_elements(5)[0] == (1, 0, 0, 1)
+    assert np.array_equal(sl2_5.mul[0], np.arange(sl2_5.order))
+    assert sl2_5.inv[0] == 0
+
+
 def test_nonprime_q_rejected():
     with pytest.raises(GroupConstructionError, match="prime"):
         build_group(groups.sl2(4))
