@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from groupmix.fourier import BoundViolation, Dist, convolve
+from groupmix.fourier import BoundViolation, Dist, convolve, dist_fourier, dist_from_fourier, resolve_engine
 from groupmix.groups import ProductGroup
 from groupmix.irreps import IrrepSet
 from groupmix.uniformity import eps_k_uniform
@@ -213,13 +213,17 @@ def boost_pipeline(
     """
     if mode not in ("self-square", "fresh-copy"):
         raise ValueError(f"unknown pipeline mode {mode!r}")
+    in_fourier = mode == "fresh-copy" and resolve_engine(p.size, s, engine) == "fourier"
     log = ExperimentLog(eps_ks=tuple(eps_ks))
-    current = p
+    current = iterate = factor = p
     log.add(_measure(current, 0, mode, eps_ks, False, 0.0))
     while log.records[-1].linf_rel > target_eps and len(log.records) <= max_steps:
         t0 = time.perf_counter()
-        other = current if mode == "self-square" else p
-        current = convolve(current, other, s, engine=engine)
+        if in_fourier and factor is p:
+            iterate = factor = dist_fourier(p, s)
+        del current  # measured already; an inverse below needs the room
+        iterate = convolve(iterate, iterate if mode == "self-square" else factor, s, engine=engine)
+        current = dist_from_fourier(iterate, p.space) if in_fourier else iterate
         secs = time.perf_counter() - t0
         log.add(_measure(current, len(log.records), mode, eps_ks, False, secs))
     return current, log

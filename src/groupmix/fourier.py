@@ -4,7 +4,8 @@ Normalization follows the expectation convention: a coefficient is
 c(rho) = E_x f(x) conj(rho(x)), inversion is f(x) = sum_rho d_rho
 tr(c(rho) rho(x)^T), and convolution is the plain sum p*q(x) =
 sum_y p(y) q(y^{-1} x), so the convolution theorem carries the explicit
-|G| factor: (p*q)^(rho) = |G| p_hat(rho) q_hat(rho).
+|G| factor: (p*q)^(rho) = |G| p_hat(rho) q_hat(rho).  `convolve` applies it
+to two FourierData block by block, with no transform.
 
 Irreps of H^m are tensor products of base irreps, indexed by m-tuples of
 base-irrep indices with coordinate 0 as the least significant kron factor.
@@ -172,18 +173,6 @@ def _block_view(dense: np.ndarray, t: tuple[int, ...], s: IrrepSet) -> np.ndarra
     return view.transpose(list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2)))
 
 
-def _get_block(dense: np.ndarray, t: tuple[int, ...], s: IrrepSet) -> np.ndarray:
-    """The coefficient matrix of tuple t; coordinate 0 is the least
-    significant kron factor of its rows and columns."""
-    d = int(np.prod([s.dims[a] for a in t]))
-    return _block_view(dense, t, s).reshape(d, d)
-
-
-def _set_block(dense: np.ndarray, t: tuple[int, ...], s: IrrepSet, mat: np.ndarray):
-    view = _block_view(dense, t, s)
-    view[...] = np.reshape(mat, view.shape)
-
-
 def _block_norms_sq(dense: np.ndarray, s: IrrepSet) -> np.ndarray:
     """Squared Frobenius norm of every block, an (n_irreps,)*m array whose
     axis j, like the tensor's, holds coordinate m-1-j."""
@@ -195,11 +184,7 @@ def _block_norms_sq(dense: np.ndarray, s: IrrepSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FourierData:
-    """Coefficients of a function as one dense tensor in the slot layout.
-
-    `dense` has shape (n,)*arity; `_block_norms_sq` reads every block norm
-    off it.
-    """
+    """Coefficients of a function as one dense (n,)*arity tensor in the slot layout."""
 
     irreps: IrrepSet
     arity: int
@@ -312,14 +297,47 @@ def _convolve_direct_product(pg: ProductGroup, pv, qv) -> np.ndarray:
     return out.ravel(order="F")
 
 
+def _block_products(dx: np.ndarray, dy: np.ndarray, s: IrrepSet, out: np.ndarray):
+    """Set out's block at every tuple t to |G| x(t) y(t); out is dx or zeros, as zero x blocks are
+    skipped.  A block of norm <= eps/|G| times the mean value (the trivial block, |G| x[0] y[0])
+    becomes 0: all such move no value by over eps times the mean (|d tr(c rho)| <= d^2 |c|_F, sum
+    d^2 = |G|), and carried on they would decay into subnormals, on which BLAS is ~20x slower."""
+    floor = np.finfo(np.float64).eps * abs(dx.flat[0] * dy.flat[0])
+    for t in itertools.product(range(len(s)), repeat=dx.ndim):
+        view = _block_view(dx, t, s)
+        a = view.reshape(-1, int(np.prod([s.dims[r] for r in t])))
+        if not a.any():
+            continue
+        prod = a @ (a if dy is dx else _block_view(dy, t, s).reshape(a.shape))
+        prod *= 0.0 if np.linalg.norm(prod) * dx.size <= floor else float(dx.size)
+        _block_view(out, t, s)[...] = prod.reshape(view.shape)
+        del a, prod
+
+
+def _synthesize(space: Space, flat: np.ndarray, s: IrrepSet, m: int, bufs=None) -> Dist:
+    """The Dist with coefficients `flat`: synthesis, imaginary residual, make_dist."""
+    vals = _axis_passes(flat, _stacked(s)[1], m, bufs)
+    if np.iscomplexobj(vals):
+        worst_imag = max(float(vals.imag.max()), -float(vals.imag.min()))
+        if worst_imag > _REAL_TOL:
+            raise ValueError(f"synthesized values have imaginary residual {worst_imag}")
+        vals = np.ascontiguousarray(vals.real)
+    return make_dist(space, vals)
+
+
+def dist_from_fourier(fd: FourierData, space: Space) -> Dist:
+    """The distribution on `space` whose coefficients are fd (one inverse transform)."""
+    _check_base(fd.irreps, space)
+    return _synthesize(space, fd.dense.reshape(-1), fd.irreps, fd.arity)
+
+
 def convolve_fourier(p: Dist, q: Dist, s: IrrepSet) -> Dist:
     """Convolution through coefficient products: (p*q)^ = |G| p_hat q_hat."""
     if not same_space(p.space, q.space):
         raise SpaceMismatchError("convolution across different spaces")
     _check_base(s, p.space)
     m = p.space.arity if isinstance(p.space, ProductGroup) else 1
-    shape = (s.order,) * m
-    ana, synth = _stacked(s)
+    ana = _stacked(s)[0]
     bufs = [np.empty(p.size, dtype=ana.dtype) for _ in range(2)]
     cp = _axis_passes(p.values, ana, m, bufs)
     cq = cp
@@ -327,32 +345,41 @@ def convolve_fourier(p: Dist, q: Dist, s: IrrepSet) -> Dist:
         # q's passes start in the buffer p's passes left free
         spare = bufs[1] if cp is bufs[0] else bufs[0]
         cq = _axis_passes(q.values, ana, m, [spare, np.empty_like(spare)])
-    dp, dq = cp.reshape(shape), cq.reshape(shape)
-    for t in itertools.product(range(len(s)), repeat=m):
-        a = _get_block(dp, t, s)
-        _set_block(dp, t, s, a @ (a if cq is cp else _get_block(dq, t, s)))
-    del cq, dq
-    # the |G| = n^m factor rides on the synthesis matrix, n per axis
-    vals = _axis_passes(cp, s.order * synth, m, bufs)
-    if np.iscomplexobj(vals):
-        worst_imag = max(float(vals.imag.max()), -float(vals.imag.min()))
-        if worst_imag > _REAL_TOL:
-            raise ValueError(f"convolution output has imaginary residual {worst_imag}")
-        vals = np.ascontiguousarray(vals.real)
-    return make_dist(p.space, vals)
+    dp = cp.reshape((s.order,) * m)
+    _block_products(dp, dp if cq is cp else cq.reshape(dp.shape), s, dp)
+    del cq
+    return _synthesize(p.space, cp, s, m, bufs)
 
 
-def convolve(p: Dist, q: Dist, s: IrrepSet | None = None, engine: str | None = None) -> Dist:
-    """Engine dispatch: direct up to 10^4 states, fourier above (overridable)."""
+def resolve_engine(size: int, s: IrrepSet | None = None, engine: str | None = None) -> str:
+    """The engine `convolve` uses on `size` states: direct up to 10^4, fourier above."""
     if engine is None:
-        engine = "fourier" if p.size > _DIRECT_ENGINE_MAX else "direct"
-    if engine == "direct":
+        engine = "fourier" if size > _DIRECT_ENGINE_MAX else "direct"
+    if engine not in ("direct", "fourier"):
+        raise ValueError(f"unknown convolution engine {engine!r}")
+    if engine == "fourier" and s is None:
+        raise ValueError("fourier engine needs the base group's irreps")
+    return engine
+
+
+def convolve(p: Dist | FourierData, q: Dist | FourierData, s: IrrepSet | None = None,
+             engine: str | None = None) -> Dist | FourierData:
+    """p * q for two Dists, on the engine `resolve_engine` picks.  For two FourierData
+    it is the FourierData |G| p_hat q_hat, with no transform (s is not read)."""
+    if isinstance(p, FourierData) is not isinstance(q, FourierData):
+        raise TypeError("convolve needs two Dists or two FourierData, not one of each")
+    if isinstance(p, FourierData):
+        if engine not in (None, "fourier"):
+            raise ValueError(f"FourierData operands need the fourier engine, not {engine!r}")
+        same = q.irreps is p.irreps or np.array_equal(_stacked(q.irreps)[0], _stacked(p.irreps)[0])
+        if p.arity != q.arity or not same:
+            raise SpaceMismatchError("coefficient product across different arities or irrep sets")
+        out = np.zeros(p.dense.shape, dtype=np.result_type(p.dense, q.dense))
+        _block_products(p.dense, q.dense, p.irreps, out)
+        return FourierData(p.irreps, p.arity, out)
+    if resolve_engine(p.size, s, engine) == "direct":
         return convolve_direct(p, q)
-    if engine == "fourier":
-        if s is None:
-            raise ValueError("fourier engine needs the base group's irreps")
-        return convolve_fourier(p, q, s)
-    raise ValueError(f"unknown convolution engine {engine!r}")
+    return convolve_fourier(p, q, s)
 
 
 # ---------------------------------------------------------------------------

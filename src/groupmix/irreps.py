@@ -336,11 +336,14 @@ def check_irrep_set(g: GroupTable, s: IrrepSet) -> IrrepSetReport:
     c = np.sqrt(1.0 + unit_res)
     hom_bound = c ** (length + 1) * ident_res + (1.0 + c) * hom_res * np.sum(c ** np.arange(length))
 
-    chars = np.array([r.character for r in s.irreps])
-    min_gap = np.inf
-    for i in range(len(chars) - 1):
-        delta = (chars[i + 1 :] - chars[i]).view(np.float64)
-        min_gap = np.minimum(min_gap, np.sqrt(np.min(np.einsum("ji,ji->j", delta, delta))))
+    # |chi_i - chi_j|^2 by one Gram matrix; inequivalent pairs sit at 2n, pairs below n by difference
+    chars = np.array([r.character for r in s.irreps]).view(np.float64)
+    sq = np.einsum("ij,ij->i", chars, chars)
+    i, j = np.triu_indices(len(chars), 1)
+    d2 = (sq[:, None] + sq[None, :] - 2.0 * (chars @ chars.T))[i, j]
+    near = d2 < n
+    d2[near] = np.sum(np.square(chars[j[near]] - chars[i[near]]), axis=1)
+    min_gap = np.sqrt(np.min(d2, initial=np.inf))
     complete = sum(r.dim**2 for r in s.irreps) == n
     required_gap = 10.0 * s.tol * n
     return IrrepSetReport(

@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from groupmix.boost import ExperimentLog, _measure
-from groupmix.fourier import BoundViolation, Dist, convolve, make_dist
+from groupmix.fourier import (BoundViolation, Dist, convolve, dist_fourier, dist_from_fourier,
+                              make_dist, resolve_engine)
 from groupmix.groups import MAX_DENSE_STATES, GroupTable, ProductGroup
 from groupmix.irreps import IrrepSet
 from groupmix.uniformity import eps_k_uniform_counts
@@ -174,16 +175,20 @@ def advantage_curve(
 ) -> ExperimentLog:
     """Distance metrics of the t-fold convolution s_dist * ... * s_dist, t = 1..t_max.
 
-    Each step is measured by the pipelines' one-pass `_measure`.  tv_dist is
-    the statistical distance to uniform; BoundViolation is raised if it
-    increases in t.  Stops early once eps_uniform reaches target_eps.
+    On the fourier engine s_dist is transformed once: a step is one coefficient product
+    and one inverse for the one-pass `_measure`.  tv_dist is the statistical distance to
+    uniform; a rise in t raises BoundViolation.  Stops once eps_uniform reaches target_eps.
     """
     log = ExperimentLog(eps_ks=())
-    current = s_dist
+    in_fourier = resolve_engine(s_dist.size, s_irreps, engine) == "fourier"
+    current = factor = s_dist
     for t in range(1, t_max + 1):
         if t > 1:
-            current = convolve(current, s_dist, s_irreps, engine=engine)
-        rec = _measure(current, t, "fresh-copy", (), True, 0.0)
+            if in_fourier and factor is s_dist:
+                current = factor = dist_fourier(s_dist, s_irreps)
+            current = convolve(current, factor, s_irreps, engine=engine)
+        rec = _measure(dist_from_fourier(current, s_dist.space) if in_fourier and t > 1 else current,
+                       t, "fresh-copy", (), True, 0.0)
         if log.records:
             prev = log.records[-1].tv_dist
             if not rec.tv_dist <= prev + 1e-12:

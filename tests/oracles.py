@@ -192,6 +192,16 @@ def homomorphism_residual(mul, stacks, pair_x, pair_y) -> float:
     return float(worst)
 
 
+def min_character_gap(chars) -> float:
+    """min over pairs i < j of ||chi_i - chi_j||_2, row by row (NaN propagates)."""
+    chars = np.asarray(chars)
+    gap = np.inf
+    for i in range(len(chars) - 1):
+        delta = (chars[i + 1 :] - chars[i]).view(np.float64)
+        gap = np.minimum(gap, np.sqrt(np.min(np.einsum("ji,ji->j", delta, delta))))
+    return float(gap)
+
+
 # ---------------------------------------------------------------------------
 # direct-definition Fourier oracles
 

@@ -73,6 +73,36 @@ def test_child_calls_name_groupmix_functions(monkeypatch):
     assert not missing, f"perfbench's child calls missing groupmix names: {missing}"
 
 
+def test_traced_pipelines_keep_span_readers_working(monkeypatch, sl2_3, irreps_cache):
+    """A traced benchmark run wraps every public groupmix function, and the
+    child's SPAN_ATTRS readers take their counts from the wrapped calls'
+    arguments; a reader that raised would abort the run."""
+    child = _load(monkeypatch, "child")
+    import groupmix
+    import groupmix.cli  # noqa: F401  (instrument() reads every layer module)
+
+    for mod in [groupmix] + [sys.modules[f"groupmix.{layer}"] for layer in child.LAYERS]:
+        for attr, obj in list(vars(mod).items()):
+            if inspect.isfunction(obj):
+                monkeypatch.setattr(mod, attr, obj)  # restored after the test
+    s = irreps_cache(sl2_3)
+    tracer = child.Tracer()
+    tracer.instrument()
+    nof, boost = sys.modules["groupmix.nof"], sys.modules["groupmix.boost"]
+    box = nof.box_to_dist(nof.exact_s(sl2_3, 2))
+    nof.advantage_curve(box, 4, s, engine="fourier")
+    boost.boost_pipeline(box, "fresh-copy", 3, 0.0, s, engine="fourier")
+    boost.boost_pipeline(box, "self-square", 1, 0.0, s, engine="fourier")
+    spans = tracer.spans
+
+    # one convolve span per step; the fresh-copy loops never transform two Dists
+    loops = [i for i, sp in enumerate(spans) if sp[1] == -1 and sp[0].endswith(("_curve", "_pipeline"))]
+    steps = [[sp[0] for sp in spans if sp[1] == i].count("fourier.convolve") for i in loops]
+    assert steps == [3, 3, 1]
+    attrs = [(sp[0], sp[6]) for sp in spans if sp[6] is not None]
+    assert attrs == [("nof.exact_s", {"tuples": 24**4}), ("fourier.convolve_fourier", {"forwards": 1})]
+
+
 
 def test_layer_totals_name_groupmix_functions():
     # a renamed function would read as 0 s in its layer metric, not as an error

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -243,9 +245,30 @@ def test_pipeline_convolves_through_module_name(sl2_3, irreps_cache, monkeypatch
     pg = ProductGroup(sl2_3, 2)
     v = np.random.default_rng(SEED).random(pg.size)
     p = fx.make_dist(pg, v / v.sum())
-    _, log = boost_pipeline(p, mode, 3, 0.0, irreps_cache(sl2_3))
-    assert len(log.records) == 4
-    assert len(calls) == len(log.records) - 1
+    # sl2_3^2 is small enough that the default engine is direct
+    for engine in (None, "fourier"):
+        calls.clear()
+        _, log = boost_pipeline(p, mode, 3, 0.0, irreps_cache(sl2_3), engine=engine)
+        assert len(log.records) == 4
+        assert len(calls) == len(log.records) - 1, engine
+
+
+def test_pipeline_fresh_copy_in_coefficients_matches_dist_loop(sl2_3, irreps_cache):
+    # the fourier engine carries coefficients from step to step; the oracle
+    # re-transforms a Dist at every step, as the loop did before
+    s = irreps_cache(sl2_3)
+    box = nof.box_to_dist(nof.exact_s(sl2_3, 2))
+    final, log = boost_pipeline(box, "fresh-copy", 3, 0.0, s, eps_ks=(2,))
+    assert box.size > 10_000 and [r.step for r in log.records] == [0, 1, 2, 3]
+    current = box
+    for rec in log.records:
+        if rec.step:
+            current = fx.convolve_fourier(current, box, s)
+        want = boost._measure(current, rec.step, "fresh-copy", (2,), False, 0.0)
+        for field in ("l2_sq", "linf_rel"):
+            assert abs(getattr(rec, field) - getattr(want, field)) <= 1e-12, (rec.step, field)
+        assert abs(rec.eps_k[2] - want.eps_k[2]) <= 1e-12
+    assert np.max(np.abs(final.values - current.values)) <= 1e-12
 
 
 def test_pipeline_rejects_unknown_mode(a5):
@@ -312,3 +335,18 @@ def test_csv_timing_column_opt_in():
 
 def test_numerical_floor_flag():
     assert numerical_floor(100) == pytest.approx(10 * np.finfo(np.float64).eps * 100)
+
+
+def test_pipeline_fresh_copy_peak_memory(a5, irreps_cache):
+    # traced peak above the start, in real arrays of |G| doubles: p_hat, the
+    # iterate and the inverse's two buffers, with the last step's Dist
+    # released before the next inverse
+    box = nof.box_to_dist(nof.exact_s(a5, 2))
+    s = irreps_cache(a5)
+    tracemalloc.start()
+    try:
+        boost_pipeline(box, "fresh-copy", 2, 0.0, s, engine="fourier")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (box.size * 8) <= 4.25

@@ -393,6 +393,74 @@ def test_engine_dispatch_threshold(a5, a5_irr):
     assert np.max(np.abs(out.values - small.values)) < 1e-12
 
 
+def _random_pair(pg, seed=SEED):
+    rng = np.random.default_rng(seed)
+    return [fx.make_dist(pg, v / v.sum()) for v in (rng.random(pg.size), rng.random(pg.size))]
+
+
+@pytest.mark.parametrize("group", ["a5", "sl2_3"])
+def test_coefficient_product_matches_convolve_fourier(request, group):
+    # a5^2 runs the real path, sl2_3^2 the complex one
+    g = request.getfixturevalue(group)
+    s = get_irreps(g, seed=SEED)
+    pg = ProductGroup(g, 2)
+    p, q = _random_pair(pg)
+    fp, fq = fx.dist_fourier(p, s), fx.dist_fourier(q, s)
+    assert fp.dense.dtype == (np.float64 if group == "a5" else np.complex128)
+    for a, b, fa, fb in ((p, q, fp, fq), (p, p, fp, fp)):
+        got = fx.convolve(fa, fb, s, engine="fourier")
+        assert isinstance(got, fx.FourierData) and got.arity == 2
+        want = fx.dist_fourier(fx.convolve_fourier(a, b, s), s).dense
+        assert np.max(np.abs(got.dense - want)) <= 1e-12
+        # the definitional sum is independent of the block loop both share
+        back = fx.dist_from_fourier(got, pg)
+        assert np.max(np.abs(back.values - fx.convolve_direct(a, b).values)) <= 1e-12
+
+
+def test_coefficient_chain_zeroes_rounding_level_blocks(sl2_3):
+    # carried for 40 fresh copies, blocks that decay would reach subnormal
+    # entries; those below eps/|G| times the mean value are zeroed instead.
+    # SL(2,3) has two nontrivial 1-dim irreps r, r_bar, and only the tuples
+    # (r, r_bar, r_bar, r) of the box keep radius 1, beside the trivial one.
+    s = get_irreps(sl2_3, seed=SEED)
+    box = nof.box_to_dist(nof.exact_s(sl2_3, 2))
+    s_hat = x = fx.dist_fourier(box, s)
+    for _ in range(39):
+        x = fx.convolve(x, s_hat, s)
+    live = np.abs(x.dense[x.dense != 0])
+    assert live.min() >= np.finfo(np.float64).tiny
+    norms = fx._block_norms_sq(x.dense, s)
+    one_dim = [a for a in range(1, len(s)) if s.dims[a] == 1]
+    assert len(one_dim) == 2
+    r, r_bar = one_dim
+    want = {(0, 0, 0, 0), (r, r_bar, r_bar, r), (r_bar, r, r, r_bar)}
+    assert {tuple(int(a) for a in t[::-1]) for t in zip(*np.nonzero(norms))} == want
+    assert norms[0, 0, 0, 0] == pytest.approx(box.size ** -2.0, rel=1e-12)
+
+
+def test_coefficient_product_rejects_bad_operands(a5, a5_irr, sl2_3, irreps_cache):
+    pg = ProductGroup(a5, 2)
+    p, q = _random_pair(pg)
+    fp = fx.dist_fourier(p, a5_irr)
+    same_basis = irreps_cache(a5, seed=SEED)   # another object, equal matrices
+    assert same_basis is not a5_irr
+    fx.convolve(fp, fx.dist_fourier(q, same_basis), a5_irr)
+    with pytest.raises(TypeError):
+        fx.convolve(fp, q, a5_irr)
+    with pytest.raises(TypeError):
+        fx.convolve(p, fp, a5_irr)
+    with pytest.raises(ValueError, match="fourier engine"):
+        fx.convolve(fp, fp, a5_irr, engine="direct")
+    with pytest.raises(fx.SpaceMismatchError):
+        fx.convolve(fp, fx.dist_fourier(fx.uniform(ProductGroup(a5, 3)), a5_irr), a5_irr)
+    other_basis = get_irreps(a5, seed=SEED + 1)
+    assert not np.array_equal(other_basis.irreps[1].matrices, a5_irr.irreps[1].matrices)
+    with pytest.raises(fx.SpaceMismatchError):
+        fx.convolve(fp, fx.dist_fourier(q, other_basis))
+    with pytest.raises(fx.SpaceMismatchError):
+        fx.dist_from_fourier(fp, ProductGroup(sl2_3, 2))
+
+
 # ---------------------------------------------------------------------------
 # marginals
 

@@ -396,6 +396,59 @@ def test_check_irrep_set_propagates_nan(a5, irreps_cache):
     assert not rep.all_passed
 
 
+def _with_irrep(s: IrrepSet, at: int, r: Irrep) -> IrrepSet:
+    return IrrepSet(s.group_fingerprint, s.irreps[:at] + (r,) + s.irreps[at + 1 :], s.tol)
+
+
+def _chars(s: IrrepSet) -> np.ndarray:
+    return np.array([r.character for r in s.irreps])
+
+
+@pytest.mark.parametrize("fixture", ["a5", "c12", "sl2_7"])
+def test_inequivalence_gap_matches_pairwise_reference(request, fixture, irreps_cache):
+    g = request.getfixturevalue(fixture)
+    s = irreps_cache(g)
+    rep = check_irrep_set(g, s)
+    assert rep.inequivalence_ok and rep.all_passed
+    # inequivalent characters are orthogonal with squared norm n
+    assert rep.min_character_gap == pytest.approx(np.sqrt(2 * g.order), rel=1e-9)
+    assert rep.min_character_gap == pytest.approx(oracles.min_character_gap(_chars(s)), rel=1e-9)
+
+
+@pytest.mark.parametrize("fixture", ["a5", "c12", "sl2_7"])
+def test_inequivalence_check_fails_on_repeated_irrep(request, fixture, irreps_cache):
+    # a copy of irrep i in place of another irrep j of the same dimension keeps
+    # completeness (the dimensions are unchanged) but repeats a character
+    g = request.getfixturevalue(fixture)
+    s = irreps_cache(g)
+    i = 1
+    j = next(j for j in range(i + 1, len(s)) if s.dims[j] == s.dims[i])
+    twin = _with_irrep(s, j, s.irreps[i])
+    rep = check_irrep_set(g, twin)
+    assert rep.completeness_ok
+    assert rep.min_character_gap == 0.0 == oracles.min_character_gap(_chars(twin))
+    assert not rep.inequivalence_ok and not rep.all_passed
+    # a near-copy (gap tol sqrt(n), under the required 10 tol n) is taken by
+    # exact difference, as the pairwise loop takes it
+    near = Irrep(s.dims[i], s.irreps[i].matrices, s.irreps[i].character + s.tol)
+    rep = check_irrep_set(g, _with_irrep(s, j, near))
+    want = oracles.min_character_gap(_chars(_with_irrep(s, j, near)))
+    assert 0.0 < want < rep.inequivalence_gap_required
+    assert rep.min_character_gap == pytest.approx(want, rel=1e-9)
+    assert not rep.inequivalence_ok
+
+
+@pytest.mark.parametrize("fixture", ["a5", "c12", "sl2_7"])
+def test_inequivalence_check_fails_on_nan_character(request, fixture, irreps_cache):
+    g = request.getfixturevalue(fixture)
+    s = irreps_cache(g)
+    chi = s.irreps[2].character.copy()
+    chi[3] = np.nan
+    rep = check_irrep_set(g, _with_irrep(s, 2, Irrep(s.dims[2], s.irreps[2].matrices, chi)))
+    assert np.isnan(rep.min_character_gap)
+    assert not rep.inequivalence_ok and not rep.all_passed
+
+
 def test_verify_schur_propagates_nan(a5, irreps_cache):
     rep = verify_schur(_with_nan(irreps_cache(a5)))
     assert np.isnan(rep.max_residual)

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from groupmix import fourier as fx
-from groupmix import cli, groups, nof
+from groupmix import boost, cli, groups, nof
 from groupmix.irreps import get_irreps
 from groupmix.uniformity import eps_k_uniform_counts
 
@@ -148,7 +149,8 @@ def test_advantage_curve_monotone(sl2_2, irreps_cache):
 
 def test_advantage_curve_convolves_through_module_name(sl2_2, irreps_cache, monkeypatch):
     """perfbench times nof steps by patching `nof.convolve`; a loop that
-    bypassed that name would silently turn step_s into run_s."""
+    bypassed that name would silently turn step_s into run_s.  sl2_2^4 is
+    small enough that the default engine is direct."""
     calls = []
     real = nof.convolve
 
@@ -158,9 +160,28 @@ def test_advantage_curve_convolves_through_module_name(sl2_2, irreps_cache, monk
 
     monkeypatch.setattr(nof, "convolve", counted)
     t_max = 5
-    log = nof.advantage_curve(nof.box_to_dist(nof.exact_s(sl2_2, 2)), t_max, irreps_cache(sl2_2))
-    assert [r.step for r in log.records] == list(range(1, t_max + 1))
-    assert len(calls) == t_max - 1
+    box = nof.box_to_dist(nof.exact_s(sl2_2, 2))
+    for engine in (None, "fourier"):
+        calls.clear()
+        log = nof.advantage_curve(box, t_max, irreps_cache(sl2_2), engine=engine)
+        assert [r.step for r in log.records] == list(range(1, t_max + 1))
+        assert len(calls) == t_max - 1, engine
+
+
+def test_advantage_curve_in_coefficients_matches_dist_loop(sl2_3, irreps_cache):
+    # the fourier engine carries coefficients from step to step; the oracle
+    # re-transforms a Dist at every step, as the loop did before
+    s = irreps_cache(sl2_3)
+    box = nof.box_to_dist(nof.exact_s(sl2_3, 2))
+    log = nof.advantage_curve(box, 4, s)
+    assert box.size > 10_000 and len(log.records) == 4
+    current = box
+    for t, rec in enumerate(log.records, start=1):
+        if t > 1:
+            current = fx.convolve_fourier(current, box, s)
+        want = boost._measure(current, t, "fresh-copy", (), True, 0.0)
+        for field in ("l2_sq", "linf_rel", "tv_dist"):
+            assert abs(getattr(rec, field) - getattr(want, field)) <= 1e-12, (t, field)
 
 
 def test_experiment_nof_counts_the_box_once(tmp_path, monkeypatch, capsys):
@@ -193,3 +214,21 @@ def test_advantage_curve_reaches_target_on_alt5_like_group(sl2_2, irreps_cache):
 def test_box_to_dist_normalization(sl2_3):
     d = nof.box_to_dist(nof.exact_s(sl2_3, 2))
     assert abs(float(d.values.sum()) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("group, t_max, budget", [("a5", 3, 4.25), ("sl2_3", 4, 8.5)])
+def test_advantage_curve_peak_memory(request, irreps_cache, group, t_max, budget):
+    """Traced peak of the fourier-engine curve above its start, in real arrays
+    of |G| doubles.  A5 runs in float64: s_hat, the iterate, the inverse's two
+    buffers.  SL(2,3) runs in complex128, where s_hat and the iterate count
+    twice each, as do the inverse's two buffers."""
+    g = request.getfixturevalue(group)
+    s = irreps_cache(g)
+    box = nof.box_to_dist(nof.exact_s(g, 2))
+    tracemalloc.start()
+    try:
+        nof.advantage_curve(box, t_max, s, engine="fourier")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (box.size * 8) <= budget
