@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from groupmix.fourier import BoundViolation, Dist, convolve, dist_fourier, dist_from_fourier, resolve_engine
-from groupmix.groups import ProductGroup
 from groupmix.irreps import IrrepSet
 from groupmix.uniformity import eps_k_uniform
 
@@ -78,8 +77,6 @@ class ExperimentLog:
         lines = [",".join(self.csv_header())]
         for r in self.records:
             eps_vals = [fmt(r.eps_k.get(k)) for k in (self.eps_ks or (None,))]
-            if not self.eps_ks:
-                eps_vals = [""]
             row = [
                 str(r.step),
                 r.mode,
@@ -117,8 +114,6 @@ def flatten_bound_check(
 
     lhs = |p*p - u|_2^2, rhs = |p - u|_2^2 * 2 * |H|^(m-k) * d^-(k+1).
     """
-    if not isinstance(p.space, ProductGroup):
-        raise ValueError("flatten_bound_check needs a product-group distribution")
     n = p.space.base.order
     m = p.space.arity
     eps_in = eps_k_uniform(p, k).eps

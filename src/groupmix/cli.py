@@ -120,7 +120,11 @@ _CONFIG_KEYS = dict(
 
 
 def _resolve(args, path: str, config: dict, key: str, cast, fallback):
-    cli_val = getattr(args, key, None)
+    """The flag's value, else the config file's, else fallback.  A key the
+    subcommand's parser does not define is ignored: neither parsed nor validated."""
+    if not hasattr(args, key):
+        return fallback
+    cli_val = getattr(args, key)
     if cli_val is not None:
         return cli_val
     if key in config:

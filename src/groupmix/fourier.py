@@ -9,6 +9,8 @@ to two FourierData block by block, with no transform.
 
 Irreps of H^m are tensor products of base irreps, indexed by m-tuples of
 base-irrep indices with coordinate 0 as the least significant kron factor.
+A base group H is read as H^1 throughout, so every function on a Dist takes
+either kind of space.
 The transform is separable (Diaconis & Rockmore 1990): all base irreps are
 stacked into one n x n matrix, applied along each coordinate axis of the
 (n,)*m tensor with one batched matmul, m * n^(m+1) scalar work in all.
@@ -28,14 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from groupmix.groups import (
-    GroupTable,
-    ProductGroup,
-    Space,
-    check_dense_budget,
-    flat_digits,
-    same_space,
-)
+from groupmix.groups import GroupTable, ProductGroup, Space, check_dense_budget, same_space
 from groupmix.irreps import IrrepSet
 
 DIST_SUM_TOL = 1e-9
@@ -104,13 +99,6 @@ def point_mass(space: Space, index: int = 0) -> Dist:
     v = np.zeros(n)
     v[index] = 1.0
     return make_dist(space, v)
-
-
-def tv_distance(p: Dist, q: Dist) -> float:
-    """Statistical (total variation) distance: half the L1 distance."""
-    if not same_space(p.space, q.space):
-        raise SpaceMismatchError("tv_distance across different spaces")
-    return 0.5 * float(np.sum(np.abs(p.values - q.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +183,7 @@ class FourierData:
 
 
 def _check_base(s: IrrepSet, space: Space):
-    base = space.base if isinstance(space, ProductGroup) else space
-    if s.group_fingerprint != base.fingerprint:
+    if s.group_fingerprint != space.base.fingerprint:
         raise SpaceMismatchError("irrep set does not belong to this space's base group")
 
 
@@ -220,7 +207,7 @@ def fourier_inverse(fd: FourierData) -> np.ndarray:
     return product_fourier_inverse(fd)
 
 
-def product_fourier_forward(f, pg: ProductGroup, s: IrrepSet) -> FourierData:
+def product_fourier_forward(f, pg: Space, s: IrrepSet) -> FourierData:
     """Transform on H^m: one batched-matmul pass per coordinate."""
     _check_base(s, pg)
     check_dense_budget(pg)
@@ -238,10 +225,7 @@ def product_fourier_inverse(fd: FourierData) -> np.ndarray:
 
 
 def dist_fourier(p: Dist, s: IrrepSet) -> FourierData:
-    if isinstance(p.space, ProductGroup):
-        return product_fourier_forward(p.values, p.space, s)
-    _check_base(s, p.space)
-    return fourier_forward(p.values, s)
+    return product_fourier_forward(p.values, p.space, s)
 
 
 # ---------------------------------------------------------------------------
@@ -252,24 +236,13 @@ def convolve_direct(p: Dist, q: Dist) -> Dist:
     """Definitionally exact sum p*q(x) = sum_y p(y) q(y^{-1} x)."""
     if not same_space(p.space, q.space):
         raise SpaceMismatchError("convolution across different spaces")
-    if isinstance(p.space, ProductGroup) and p.space.arity > 1:
-        out = _convolve_direct_product(p.space, p.values, q.values)
-    else:
-        base = p.space.base if isinstance(p.space, ProductGroup) else p.space
-        out = _convolve_direct_single(base, p.values, q.values)
-    return make_dist(p.space, out)
-
-
-def _convolve_direct_single(g: GroupTable, pv, qv) -> np.ndarray:
-    n = g.order
-    out = np.zeros(n)
-    for c in range(n):
-        out[g.mul[:, c]] += pv * qv[c]
-    return out
+    return make_dist(p.space, _convolve_direct_product(p.space, p.values, q.values))
 
 
 def _rest_inverse_table(g: GroupTable, m_rest: int) -> np.ndarray:
-    """Index table L[Y, X] = flat(Y^{-1} X) over H^{m_rest}."""
+    """Index table L[Y, X] = flat(Y^{-1} X) over H^{m_rest}; over H^0 it is the
+    1x1 zero table.  Coordinate i enters as the most significant digit so far:
+    L[(y_i, Y), (x_i, X)] = flat(y_i^{-1} x_i) n^i + L[Y, X]."""
     n = g.order
     r = n**m_rest
     if r > _DIRECT_REST_MAX:
@@ -277,15 +250,18 @@ def _rest_inverse_table(g: GroupTable, m_rest: int) -> np.ndarray:
             f"direct product convolution would build a {r}x{r} index table; "
             "use the fourier engine for spaces this large"
         )
-    linv = g.mul[g.inv, :]
-    digs = flat_digits(ProductGroup(g, m_rest), np.arange(r))
-    acc = np.zeros((r, r), dtype=np.int64)
+    acc = np.zeros((1, 1), dtype=np.int64)
     for i in range(m_rest):
-        acc += linv[np.ix_(digs[i], digs[i])].astype(np.int64) * n**i
+        # in the loop, so a base group (rest H^0) builds no n x n table; m_rest >= 2 means n <= 64
+        linv = g.mul[g.inv, :].astype(np.int64) * n**i
+        acc = (linv[:, None, :, None] + acc[None, :, None, :]).reshape(n ** (i + 1), -1)
     return acc
 
 
-def _convolve_direct_product(pg: ProductGroup, pv, qv) -> np.ndarray:
+def _convolve_direct_product(pg: Space, pv, qv) -> np.ndarray:
+    """H^m as H times H^(m-1): pair coordinate 0 through the base table, the rest
+    through the index table of H^(m-1).  np.dot, unlike matmul, multiplies by a
+    1x1 matrix as a scalar, so on a base group a step costs what p * q[c] does."""
     n = pg.base.order
     rest = _rest_inverse_table(pg.base, pg.arity - 1)
     r = rest.shape[0]
@@ -293,7 +269,7 @@ def _convolve_direct_product(pg: ProductGroup, pv, qv) -> np.ndarray:
     qmat = qv.reshape(n, r, order="F")
     out = np.zeros((n, r))
     for c in range(n):
-        out[pg.base.mul[:, c]] += pmat @ qmat[c][rest]
+        out[pg.base.mul[:, c]] += pmat.dot(qmat[c][rest])
     return out.ravel(order="F")
 
 
@@ -336,7 +312,7 @@ def convolve_fourier(p: Dist, q: Dist, s: IrrepSet) -> Dist:
     if not same_space(p.space, q.space):
         raise SpaceMismatchError("convolution across different spaces")
     _check_base(s, p.space)
-    m = p.space.arity if isinstance(p.space, ProductGroup) else 1
+    m = p.space.arity
     ana = _stacked(s)[0]
     bufs = [np.empty(p.size, dtype=ana.dtype) for _ in range(2)]
     cp = _axis_passes(p.values, ana, m, bufs)
@@ -386,7 +362,7 @@ def convolve(p: Dist | FourierData, q: Dist | FourierData, s: IrrepSet | None = 
 # marginals and low-weight coefficients
 
 
-def _marginal_values(values: np.ndarray, pg: ProductGroup, coords: tuple[int, ...]) -> np.ndarray:
+def _marginal_values(values: np.ndarray, pg: Space, coords: tuple[int, ...]) -> np.ndarray:
     m = pg.arity
     if not coords:
         raise ValueError("empty coordinate subset")
@@ -403,8 +379,6 @@ def _marginal_values(values: np.ndarray, pg: ProductGroup, coords: tuple[int, ..
 
 def marginalize(p: Dist, coords) -> Dist:
     """Exact coordinate-sum marginal onto the listed coordinates, in order."""
-    if not isinstance(p.space, ProductGroup):
-        raise ValueError("marginalize needs a product-group distribution")
     coords = tuple(int(c) for c in coords)
     out_space = ProductGroup(p.space.base, len(coords))
     return make_dist(out_space, _marginal_values(p.values, p.space, coords))
@@ -420,8 +394,6 @@ def _low_weight_transforms(p: Dist, k: int, s: IrrepSet):
     weight-k marginals sum the full tensor; each smaller one is summed from
     the first weight-k marginal that contains it.
     """
-    if not isinstance(p.space, ProductGroup):
-        raise ValueError("low-weight coefficients need a product-group distribution")
     _check_base(s, p.space)
     m = p.space.arity
     if not 1 <= k <= m:

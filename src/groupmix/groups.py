@@ -3,7 +3,9 @@
 Groups are stored as dense multiplication tables with elements labelled
 0..n-1 and the identity always at index 0.  Product groups H^m are never
 materialized as tables; they are handled through flat/tuple index arithmetic
-with coordinate 0 least significant.
+with coordinate 0 least significant.  A base group is read as H^1: its
+`base` is itself and its `arity` is 1, so code on a space reads `base`,
+`arity` and `size` whichever kind it is given.
 """
 
 from __future__ import annotations
@@ -121,6 +123,14 @@ class GroupTable:
     @property
     def size(self) -> int:
         return self.order
+
+    @property
+    def base(self) -> GroupTable:
+        return self
+
+    @property
+    def arity(self) -> int:
+        return 1
 
     def __repr__(self):
         return f"GroupTable({self.spec}, order={self.order})"
@@ -349,14 +359,3 @@ def flat_to_tuple(pg: ProductGroup, flat: int) -> tuple[int, ...]:
         flat, r = divmod(flat, n)
         out.append(r)
     return tuple(out)
-
-
-def flat_digits(pg: ProductGroup, flat: np.ndarray) -> np.ndarray:
-    """Vectorized flat -> (arity, ...) coordinate digits, coordinate 0 first."""
-    n = pg.base.order
-    flat = np.asarray(flat, dtype=np.int64)
-    digs = np.empty((pg.arity,) + flat.shape, dtype=np.int64)
-    for i in range(pg.arity):
-        digs[i] = flat % n
-        flat = flat // n
-    return digs

@@ -15,6 +15,7 @@ and is the concrete witness that s is not 4-uniform.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -178,17 +179,21 @@ def advantage_curve(
     On the fourier engine s_dist is transformed once: a step is one coefficient product
     and one inverse for the one-pass `_measure`.  tv_dist is the statistical distance to
     uniform; a rise in t raises BoundViolation.  Stops once eps_uniform reaches target_eps.
+    seconds times a step t >= 2 from before the product to after the inverse; t = 1 is 0.
     """
     log = ExperimentLog(eps_ks=())
     in_fourier = resolve_engine(s_dist.size, s_irreps, engine) == "fourier"
     current = factor = s_dist
     for t in range(1, t_max + 1):
+        t0 = time.perf_counter()
         if t > 1:
             if in_fourier and factor is s_dist:
                 current = factor = dist_fourier(s_dist, s_irreps)
             current = convolve(current, factor, s_irreps, engine=engine)
-        rec = _measure(dist_from_fourier(current, s_dist.space) if in_fourier and t > 1 else current,
-                       t, "fresh-copy", (), True, 0.0)
+        point = dist_from_fourier(current, s_dist.space) if in_fourier and t > 1 else current
+        secs = time.perf_counter() - t0 if t > 1 else 0.0
+        rec = _measure(point, t, "fresh-copy", (), True, secs)
+        del point  # the next product needs the room
         if log.records:
             prev = log.records[-1].tv_dist
             if not rec.tv_dist <= prev + 1e-12:

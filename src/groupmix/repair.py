@@ -31,7 +31,6 @@ from groupmix.fourier import (
     make_dist,
     max_low_weight_norm,
 )
-from groupmix.groups import ProductGroup
 from groupmix.irreps import IrrepSet
 
 _IMAG_TOL = 1e-12
@@ -50,8 +49,6 @@ def _low_data(p: Dist, k: int, s: IrrepSet):
     ell sums the inverse transforms of every subset's weight-|S| slice, each
     broadcast from its subset's axes to all m.
     """
-    if not isinstance(p.space, ProductGroup):
-        raise ValueError("repair operations need a product-group distribution")
     m = p.space.arity
     n = p.space.base.order
     synth = _stacked(s)[1]

@@ -25,7 +25,6 @@ from groupmix.fourier import (
     marginalize,
     max_low_weight_norm,
 )
-from groupmix.groups import ProductGroup
 from groupmix.irreps import Irrep, IrrepSet
 
 FOURIER_UNIFORMITY_TOL = 1e-10
@@ -45,10 +44,6 @@ def eps_uniform(p: Dist) -> float:
 
 def eps_k_uniform(p: Dist, k: int, full_table: bool = False) -> UniformityReport:
     """Worst eps_uniform over all k-coordinate marginals."""
-    if not isinstance(p.space, ProductGroup):
-        if k != 1:
-            raise ValueError("eps_k_uniform with k != 1 needs a product-group distribution")
-        return UniformityReport(eps_uniform(p), (0,))
     m = p.space.arity
     if not 1 <= k <= m:
         raise ValueError(f"k must lie in [1, {m}], got {k}")
@@ -129,8 +124,8 @@ def rep_bound_check(p: Dist, rho: Irrep) -> tuple[float, float]:
 def rep_bound_check_all(p: Dist, s: IrrepSet) -> tuple[float, float, tuple]:
     """Worst-margin coefficient bound over every non-trivial (product) irrep.
 
-    Works on base groups and product groups alike; returns the (lhs, rhs)
-    pair of the tightest instance together with its irrep key.
+    Returns the (lhs, rhs) pair of the tightest instance together with its
+    irrep key, the tuple of base-irrep indices (a 1-tuple on a base group).
     """
     eps = eps_uniform(p)
     fd = dist_fourier(p, s)
@@ -140,7 +135,7 @@ def rep_bound_check_all(p: Dist, s: IrrepSet) -> tuple[float, float, tuple]:
     margin = lhs - rhs
     margin.flat[0] = -np.inf  # the trivial irrep carries no bound
     idx = np.unravel_index(np.argmax(margin), margin.shape)
-    key = tuple(int(a) for a in idx[::-1]) if isinstance(p.space, ProductGroup) else int(idx[0])
+    key = tuple(int(a) for a in idx[::-1])
     if not lhs[idx] <= rhs[idx] + 1e-15:
         raise BoundViolation(f"coefficient bound violated at {key}: {lhs[idx]} > {rhs[idx]}")
     return float(lhs[idx]), float(rhs[idx]), key

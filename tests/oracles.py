@@ -46,6 +46,13 @@ def digits_to_flat(n: int, digs) -> np.ndarray:
     return flat
 
 
+def flat_digits(pg, flat) -> np.ndarray:
+    """Digits (arity, ...) of flat indices of pg = H^arity, coordinate 0 first."""
+    n = pg.base.order
+    flat = np.asarray(flat, dtype=np.int64)
+    return np.stack([flat // n**i % n for i in range(pg.arity)])
+
+
 def product_mul(mul, arity: int, x, y) -> np.ndarray:
     """Coordinatewise product of flat indices of H^arity, by digit arithmetic."""
     n = mul.shape[0]

@@ -158,6 +158,19 @@ def test_experiment_nof_summary(capsys, cache, tmp_path):
     assert len(rows) == 5  # t = 1..4
 
 
+def test_experiment_nof_timing_column(capsys, cache, tmp_path):
+    # t = 1 is s itself and reads 0.0; every later step times its product and inverse
+    argv = ["experiment", "nof", "--group", "sl2:3", "--parties", "2", "--max-steps", "4",
+            "--cache-dir", cache]
+    timed, plain = str(tmp_path / "timed.csv"), str(tmp_path / "plain.csv")
+    assert run_cli(argv + ["--timing", "--out", timed], capsys)[0] == 0
+    assert run_cli(argv + ["--out", plain], capsys)[0] == 0
+    seconds = [row.split(",")[-1] for row in open(timed).read().splitlines()[1:]]
+    assert len(seconds) == 4 and float(seconds[0]) == 0.0
+    assert all(float(x) > 0.0 for x in seconds[1:])
+    assert all(row.endswith(",") for row in open(plain).read().splitlines()[1:])
+
+
 def test_experiment_repair_report(capsys, cache, tmp_path):
     out_path = str(tmp_path / "cert.txt")
     code, out, _ = run_cli(
@@ -188,6 +201,24 @@ def test_config_file_defaults_and_overrides(capsys, cache, tmp_path):
         capsys,
     )
     assert code == 1 and "--k" in err
+
+
+def test_config_file_keys_a_subcommand_does_not_read_are_ignored(capsys, cache, tmp_path):
+    # nof has no --k, so k=5 is ignored there; boost reads k and rejects it for m=4
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group=sl2:3\nm=4\nk=5\nmax_steps=2\n")
+    code, out, err = run_cli(
+        ["experiment", "nof", "--config", str(cfg), "--cache-dir", cache,
+         "--out", str(tmp_path / "nof.csv")],
+        capsys,
+    )
+    assert code == 0 and err == "" and "3-uniform=true" in out
+    code, _, err = run_cli(
+        ["experiment", "boost", "--config", str(cfg), "--cache-dir", cache,
+         "--out", str(tmp_path / "boost.csv")],
+        capsys,
+    )
+    assert code == 1 and "invalid --k" in err
 
 
 def test_config_file_rejects_unknown_key(capsys, cache, tmp_path):

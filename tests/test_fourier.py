@@ -7,10 +7,14 @@ import pytest
 
 from groupmix import fourier as fx
 from groupmix import groups, nof
-from groupmix.groups import ProductGroup, flat_digits
-from groupmix.irreps import get_irreps
+from groupmix.boost import flatten_bound_check
+from groupmix.groups import ProductGroup
+from groupmix.irreps import get_irreps, quasirandomness_degree
+from groupmix.repair import repair
+from groupmix.uniformity import eps_k_uniform, rep_bound_check_all
 
 import oracles
+from oracles import flat_digits
 
 SEED = 2024
 
@@ -550,3 +554,29 @@ def test_max_low_weight_norm_matches_block_dict(case, a5, c3, sl2_3):
     ref = oracles.max_block_norm(oracles.low_weight_blocks(p, k, s))
     assert ref > 0
     assert abs(got - ref) <= 1e-15 * ref
+
+
+@pytest.mark.parametrize("group", ["sl2_3", "a5"])
+def test_base_group_is_its_first_power(request, group):
+    # H and H^1 hold the same values, so every function on a Dist gives the
+    # same result on both: the arithmetic is the same, so equality is exact
+    g = request.getfixturevalue(group)
+    s = get_irreps(g, seed=SEED)
+    rng = np.random.default_rng(SEED)
+    # eps_1 <= 1e-3 < 1/|H|, flatten_bound_check's precondition at k = 1
+    v = 1e-3 * rng.dirichlet(np.ones(g.order)) + (1 - 1e-3) / g.order
+    w = rng.dirichlet(np.ones(g.order))
+    for space in (g, ProductGroup(g, 1)):
+        assert space.base is g and space.arity == 1 and space.size == g.order
+    (p, q), (p1, q1) = ([fx.make_dist(sp, x) for x in (v, w)] for sp in (g, ProductGroup(g, 1)))
+
+    assert np.array_equal(fx.marginalize(p, (0,)).values, fx.marginalize(p1, (0,)).values)
+    assert eps_k_uniform(p, 1) == eps_k_uniform(p1, 1)
+    assert fx.max_low_weight_norm(p, 1, s) == fx.max_low_weight_norm(p1, 1, s)
+    assert rep_bound_check_all(p, s) == rep_bound_check_all(p1, s)
+    (r, cert), (r1, cert1) = repair(p, 1, s), repair(p1, 1, s)
+    assert np.array_equal(r.values, r1.values) and cert == cert1
+    d = quasirandomness_degree(s)
+    assert flatten_bound_check(p, 1, d, s) == flatten_bound_check(p1, 1, d, s)
+    assert np.array_equal(fx.dist_fourier(p, s).dense, fx.dist_fourier(p1, s).dense)
+    assert np.array_equal(fx.convolve_direct(p, q).values, fx.convolve_direct(p1, q1).values)
