@@ -25,6 +25,7 @@ float64 arithmetic, and any other group in complex128.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -162,12 +163,17 @@ def _block_view(dense: np.ndarray, t: tuple[int, ...], s: IrrepSet) -> np.ndarra
 
 
 def _block_norms_sq(dense: np.ndarray, s: IrrepSet) -> np.ndarray:
-    """Squared Frobenius norm of every block, an (n_irreps,)*m array whose
-    axis j, like the tensor's, holds coordinate m-1-j."""
-    sq = np.abs(dense) ** 2
-    for axis in range(dense.ndim):
-        sq = np.add.reduceat(sq, _slot_offsets(s), axis=axis)
-    return sq
+    """Squared Frobenius norm of every block, an (n_irreps,)*m array whose axis j, like the
+    tensor's, holds coordinate m-1-j.  Squared one last-axis slice at a time (no full-size square),
+    that axis summed last: every sum runs as in one reduceat per axis over the whole tensor."""
+    offs, m = _slot_offsets(s), dense.ndim
+    part = np.empty((len(s),) * (m - 1) + dense.shape[-1:])
+    for j in range(dense.shape[-1]):
+        sq = np.abs(dense[..., j]) ** 2
+        for axis in range(m - 1):
+            sq = np.add.reduceat(sq, offs, axis=axis)
+        part[..., j] = sq
+    return np.add.reduceat(part, offs, axis=m - 1)
 
 
 @dataclass(frozen=True)
@@ -181,6 +187,11 @@ class FourierData:
     def __post_init__(self):
         self.dense.setflags(write=False)
 
+    @functools.cached_property
+    def block_norms_sq(self) -> np.ndarray:
+        """`_block_norms_sq` of the tensor; `convolve` sets its product's norms (to rounding)."""
+        return _block_norms_sq(self.dense, self.irreps)
+
 
 def _check_base(s: IrrepSet, space: Space):
     if s.group_fingerprint != space.base.fingerprint:
@@ -189,22 +200,6 @@ def _check_base(s: IrrepSet, space: Space):
 
 def _forward(values, s: IrrepSet, m: int) -> np.ndarray:
     return _axis_passes(np.asarray(values), _stacked(s)[0], m).reshape((s.order,) * m)
-
-
-def fourier_forward(f, s: IrrepSet) -> FourierData:
-    """Coefficients c(rho) = E_x f(x) conj(rho(x)) on a single group."""
-    f = np.asarray(f)
-    if f.shape != (s.order,):
-        raise ValueError(f"function length {f.shape} does not match group order {s.order}")
-    return FourierData(s, 1, _forward(f, s, 1))
-
-
-def fourier_inverse(fd: FourierData) -> np.ndarray:
-    """Pointwise reconstruction; complex unless the irreps and coefficients
-    are all real (realify at the call site)."""
-    if fd.arity != 1:
-        raise ValueError("fourier_inverse expects a single-group transform")
-    return product_fourier_inverse(fd)
 
 
 def product_fourier_forward(f, pg: Space, s: IrrepSet) -> FourierData:
@@ -273,21 +268,32 @@ def _convolve_direct_product(pg: Space, pv, qv) -> np.ndarray:
     return out.ravel(order="F")
 
 
-def _block_products(dx: np.ndarray, dy: np.ndarray, s: IrrepSet, out: np.ndarray):
-    """Set out's block at every tuple t to |G| x(t) y(t); out is dx or zeros, as zero x blocks are
-    skipped.  A block of norm <= eps/|G| times the mean value (the trivial block, |G| x[0] y[0])
-    becomes 0: all such move no value by over eps times the mean (|d tr(c rho)| <= d^2 |c|_F, sum
-    d^2 = |G|), and carried on they would decay into subnormals, on which BLAS is ~20x slower."""
+def _block_products(dx: np.ndarray, dy: np.ndarray, nx: np.ndarray, ny: np.ndarray, s: IrrepSet,
+                    out: np.ndarray) -> np.ndarray:
+    """Set out's block at every tuple t to |G| x(t) y(t) and return out's squared block norms; out
+    is dx or zeros, and nx, ny are the squared block norms of dx and dy.  A block of norm <= eps/|G|
+    times the mean value (the trivial block, |G| x[0] y[0]) becomes 0: all such move no value by
+    over eps times the mean (|d tr(c rho)| <= d^2 |c|_F, sum d^2 = |G|), and carried on they would
+    decay into subnormals, on which BLAS is ~20x slower.  As |x(t) y(t)|_F <= |x(t)|_F |y(t)|_F, nx
+    and ny tell which products it zeroes (1 + 1e-9 covers rounding; entries below 1e-162 square to
+    0): only the others are multiplied, and dead nonzero blocks of out = dx are set to 0."""
     floor = np.finfo(np.float64).eps * abs(dx.flat[0] * dy.flat[0])
-    for t in itertools.product(range(len(s)), repeat=dx.ndim):
+    dead = dx.size * np.sqrt(nx) * np.sqrt(ny) * (1 + 1e-9) <= floor    # NaN stays live
+    if out is dx:
+        for idx in np.argwhere(dead & (nx > 0)):
+            _block_view(out, tuple(idx[::-1]), s)[...] = 0.0
+    nout = np.zeros_like(nx)
+    for idx in np.argwhere(~dead):
+        t = tuple(idx[::-1])
         view = _block_view(dx, t, s)
         a = view.reshape(-1, int(np.prod([s.dims[r] for r in t])))
-        if not a.any():
-            continue
         prod = a @ (a if dy is dx else _block_view(dy, t, s).reshape(a.shape))
-        prod *= 0.0 if np.linalg.norm(prod) * dx.size <= floor else float(dx.size)
+        norm = np.linalg.norm(prod) * dx.size
+        prod *= 0.0 if norm <= floor else float(dx.size)
         _block_view(out, t, s)[...] = prod.reshape(view.shape)
+        nout[tuple(idx)] = 0.0 if norm <= floor else norm * norm
         del a, prod
+    return nout
 
 
 def _synthesize(space: Space, flat: np.ndarray, s: IrrepSet, m: int, bufs=None) -> Dist:
@@ -322,8 +328,10 @@ def convolve_fourier(p: Dist, q: Dist, s: IrrepSet) -> Dist:
         spare = bufs[1] if cp is bufs[0] else bufs[0]
         cq = _axis_passes(q.values, ana, m, [spare, np.empty_like(spare)])
     dp = cp.reshape((s.order,) * m)
-    _block_products(dp, dp if cq is cp else cq.reshape(dp.shape), s, dp)
-    del cq
+    dq = dp if cq is cp else cq.reshape(dp.shape)
+    nx = _block_norms_sq(dp, s)
+    _block_products(dp, dq, nx, nx if dq is dp else _block_norms_sq(dq, s), s, dp)
+    del cq, dq
     return _synthesize(p.space, cp, s, m, bufs)
 
 
@@ -351,8 +359,10 @@ def convolve(p: Dist | FourierData, q: Dist | FourierData, s: IrrepSet | None = 
         if p.arity != q.arity or not same:
             raise SpaceMismatchError("coefficient product across different arities or irrep sets")
         out = np.zeros(p.dense.shape, dtype=np.result_type(p.dense, q.dense))
-        _block_products(p.dense, q.dense, p.irreps, out)
-        return FourierData(p.irreps, p.arity, out)
+        norms = _block_products(p.dense, q.dense, p.block_norms_sq, q.block_norms_sq, p.irreps, out)
+        fd = FourierData(p.irreps, p.arity, out)
+        vars(fd)["block_norms_sq"] = norms     # the cached_property's slot
+        return fd
     if resolve_engine(p.size, s, engine) == "direct":
         return convolve_direct(p, q)
     return convolve_fourier(p, q, s)

@@ -162,10 +162,6 @@ class ProductGroup:
     def size(self) -> int:
         return self.base.order ** self.arity
 
-    @property
-    def fingerprint(self) -> str:
-        return f"{self.base.fingerprint}^{self.arity}"
-
     def __repr__(self):
         return f"ProductGroup({self.base.spec}^{self.arity})"
 
@@ -174,7 +170,8 @@ Space = GroupTable | ProductGroup
 
 
 def same_space(a: Space, b: Space) -> bool:
-    return a.fingerprint == b.fingerprint
+    """Whether a and b are the same power of the same base group (H and H^1 are)."""
+    return a.base.fingerprint == b.base.fingerprint and a.arity == b.arity
 
 
 def check_dense_budget(space: Space):

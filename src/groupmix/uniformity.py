@@ -20,7 +20,6 @@ import numpy as np
 from groupmix.fourier import (
     BoundViolation,
     Dist,
-    _block_norms_sq,
     dist_fourier,
     marginalize,
     max_low_weight_norm,
@@ -128,9 +127,8 @@ def rep_bound_check_all(p: Dist, s: IrrepSet) -> tuple[float, float, tuple]:
     irrep key, the tuple of base-irrep indices (a 1-tuple on a base group).
     """
     eps = eps_uniform(p)
-    fd = dist_fourier(p, s)
-    lhs = _block_norms_sq(fd.dense, s)
-    rhs = functools.reduce(np.multiply.outer, [np.asarray(s.dims)] * fd.arity) * eps**2
+    lhs = dist_fourier(p, s).block_norms_sq
+    rhs = functools.reduce(np.multiply.outer, [np.asarray(s.dims)] * p.space.arity) * eps**2
     rhs /= float(p.size) ** 2
     margin = lhs - rhs
     margin.flat[0] = -np.inf  # the trivial irrep carries no bound

@@ -409,3 +409,37 @@ def low_weight_blocks(p, k: int, s) -> dict:
 def max_block_norm(blocks: dict) -> float:
     """Largest Frobenius norm among a dict of blocks (0 when empty)."""
     return max((float(np.sqrt(frobenius_norm_sq(b))) for b in blocks.values()), default=0.0)
+
+
+def block_products_all_tuples(dx, dy, s, out):
+    """groupmix's coefficient product visiting every tuple: out's block at t becomes
+    |G| x(t) y(t), zero x blocks are skipped, and a product block of norm at most
+    eps/|G| times |G| x[0] y[0] becomes 0.  out is dx or zeros."""
+    from groupmix.fourier import _block_view
+
+    floor = np.finfo(np.float64).eps * abs(dx.flat[0] * dy.flat[0])
+    for t in itertools.product(range(len(s)), repeat=dx.ndim):
+        view = _block_view(dx, t, s)
+        a = view.reshape(-1, int(np.prod([s.dims[r] for r in t])))
+        if not a.any():
+            continue
+        prod = a @ (a if dy is dx else _block_view(dy, t, s).reshape(a.shape))
+        prod *= 0.0 if np.linalg.norm(prod) * dx.size <= floor else float(dx.size)
+        _block_view(out, t, s)[...] = prod.reshape(view.shape)
+
+
+def convolve_all_tuples(p, q, s):
+    """p * q for two groupmix FourierData (the FourierData of the product) or two
+    Dists (the Dist, through groupmix's forward and inverse transforms), with the
+    coefficient product of `block_products_all_tuples`."""
+    from groupmix import fourier as fx
+
+    if isinstance(p, fx.FourierData):
+        out = np.zeros(p.dense.shape, dtype=np.result_type(p.dense, q.dense))
+        block_products_all_tuples(p.dense, q.dense, p.irreps, out)
+        return fx.FourierData(p.irreps, p.arity, out)
+    m = p.space.arity
+    dp = fx._forward(p.values, s, m)
+    dq = dp if q is p else fx._forward(q.values, s, m)
+    block_products_all_tuples(dp, dq, s, dp)
+    return fx._synthesize(p.space, dp.reshape(-1), s, m)

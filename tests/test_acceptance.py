@@ -86,8 +86,8 @@ def test_c02_fourier_suite(c4, c12, a5, sl2_3, sl2_5, irreps_cache):
         s = irreps_cache(g)
         for _ in range(20):
             f = rng.standard_normal(g.order)
-            fd = fx.fourier_forward(f, s)
-            back = fx.fourier_inverse(fd)
+            fd = fx.product_fourier_forward(f, g, s)
+            back = fx.product_fourier_inverse(fd)
             assert np.max(np.abs(back - f)) <= 1e-10
             lhs = float(np.mean(np.abs(f) ** 2))
             blocks = oracles.irrep_blocks(fd)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,18 +110,18 @@ def test_frobenius_submultiplicative(a5_irr):
 
 
 def test_uniform_coefficients(a5, a5_irr):
-    fd = fx.fourier_forward(fx.uniform(a5).values, a5_irr)
+    fd = fx.product_fourier_forward(fx.uniform(a5).values, a5, a5_irr)
     blocks = oracles.irrep_blocks(fd)
     assert abs(blocks[0][0, 0] - 1.0 / 60) < 1e-15
     for i in range(1, len(a5_irr.irreps)):
         assert np.max(np.abs(blocks[i])) < 1e-12
     # and back: those coefficients reconstruct the constant 1/|G|
-    back = fx.fourier_inverse(fd)
+    back = fx.product_fourier_inverse(fd)
     assert np.max(np.abs(back - 1.0 / 60)) < 1e-12
 
 
 def test_point_mass_coefficients(a5, a5_irr):
-    blocks = oracles.irrep_blocks(fx.fourier_forward(fx.point_mass(a5, 0).values, a5_irr))
+    blocks = oracles.irrep_blocks(fx.product_fourier_forward(fx.point_mass(a5, 0).values, a5, a5_irr))
     for i, r in enumerate(a5_irr.irreps):
         assert np.max(np.abs(blocks[i] - np.eye(r.dim) / 60)) < 1e-15
 
@@ -129,7 +130,7 @@ def test_parseval_random_functions(a5, a5_irr):
     rng = np.random.default_rng(SEED)
     for _ in range(100):
         f = rng.standard_normal(60)
-        fd = fx.fourier_forward(f, a5_irr)
+        fd = fx.product_fourier_forward(f, a5, a5_irr)
         lhs = float(np.mean(np.abs(f) ** 2))
         rhs = sum(r.dim * oracles.frobenius_norm_sq(c)
                   for r, c in zip(a5_irr.irreps, oracles.irrep_blocks(fd)))
@@ -139,12 +140,12 @@ def test_parseval_random_functions(a5, a5_irr):
 def test_roundtrip_matches_bruteforce(a5, a5_irr):
     rng = np.random.default_rng(SEED)
     f = rng.standard_normal(60)
-    fd = fx.fourier_forward(f, a5_irr)
+    fd = fx.product_fourier_forward(f, a5, a5_irr)
     blocks = oracles.irrep_blocks(fd)
     for i, r in enumerate(a5_irr.irreps):
         oracle = oracles.fourier_forward_bruteforce(f, r.matrices)
         assert np.max(np.abs(blocks[i] - oracle)) < 1e-12
-    back = fx.fourier_inverse(fd)
+    back = fx.product_fourier_inverse(fd)
     oracle_back = oracles.fourier_inverse_bruteforce(
         [(blocks[i], r.matrices) for i, r in enumerate(a5_irr.irreps)]
     )
@@ -160,36 +161,26 @@ def test_forward_of_inverse_is_identity(a5, a5_irr):
     # slot layout: each irrep's block in row-major order, trivial irrep first
     dense = np.concatenate([coeffs[i].ravel() for i in range(len(a5_irr.irreps))])
     fd = fx.FourierData(a5_irr, 1, dense)
-    f = fx.fourier_inverse(fd)
-    again = oracles.irrep_blocks(fx.fourier_forward(f, a5_irr))
+    f = fx.product_fourier_inverse(fd)
+    again = oracles.irrep_blocks(fx.product_fourier_forward(f, a5, a5_irr))
     for i in coeffs:
         assert np.max(np.abs(again[i] - coeffs[i])) < 1e-10
 
 
 def test_missing_coefficient_rejected(a5, a5_irr):
-    fd = fx.fourier_forward(fx.uniform(a5).values, a5_irr)
+    fd = fx.product_fourier_forward(fx.uniform(a5).values, a5, a5_irr)
     broken = fx.FourierData(a5_irr, 1, fd.dense[:-25])  # no 5-dim irrep
     with pytest.raises(ValueError, match="shape"):
-        fx.fourier_inverse(broken)
+        fx.product_fourier_inverse(broken)
 
 
-def test_size_mismatch_rejected(a5_irr):
+def test_size_mismatch_rejected(a5, a5_irr):
     with pytest.raises(ValueError, match="length"):
-        fx.fourier_forward(np.ones(59), a5_irr)
+        fx.product_fourier_forward(np.ones(59), a5, a5_irr)
 
 
 # ---------------------------------------------------------------------------
 # product transform
-
-
-def test_product_m1_reduces_exactly(a5, a5_irr):
-    rng = np.random.default_rng(SEED)
-    f = rng.standard_normal(60)
-    single = fx.fourier_forward(f, a5_irr)
-    prod = fx.product_fourier_forward(f, ProductGroup(a5, 1), a5_irr)
-    prod_blocks = oracles.coefficient_blocks(prod)
-    for i, block in enumerate(oracles.irrep_blocks(single)):
-        assert np.array_equal(block, prod_blocks[(i,)])
 
 
 def test_product_transform_matches_bruteforce_cyclic(c3, c3_irr):
@@ -286,8 +277,8 @@ def test_product_function_factorizes(c3, c3_irr, a5, a5_irr):
             for x0 in range(n):
                 fprod[x0 + n * x1] = fa[x0] * fb[x1]
         blocks = oracles.coefficient_blocks(fx.product_fourier_forward(fprod, pg, s))
-        ca = oracles.irrep_blocks(fx.fourier_forward(fa, s))
-        cb = oracles.irrep_blocks(fx.fourier_forward(fb, s))
+        ca = oracles.irrep_blocks(fx.product_fourier_forward(fa, g, s))
+        cb = oracles.irrep_blocks(fx.product_fourier_forward(fb, g, s))
         for t in blocks:
             expected = np.kron(cb[t[1]], ca[t[0]])
             assert np.max(np.abs(blocks[t] - expected)) < 1e-10
@@ -364,7 +355,7 @@ def test_convolution_coefficient_inequality(a5, a5_irr):
         p = fx.make_dist(a5, pv / pv.sum())
         q = fx.make_dist(a5, qv / qv.sum())
         conv = fx.convolve_direct(p, q)
-        cp, cq, cc = (oracles.irrep_blocks(fx.fourier_forward(d.values, a5_irr))
+        cp, cq, cc = (oracles.irrep_blocks(fx.product_fourier_forward(d.values, a5, a5_irr))
                       for d in (p, q, conv))
         for i in range(len(cp)):
             lhs = oracles.frobenius_norm_sq(cc[i])
@@ -384,6 +375,23 @@ def test_identity_delta_under_fourier_engine(a5, a5_irr):
 def test_space_mismatch_rejected(a5, c6):
     with pytest.raises(fx.SpaceMismatchError):
         fx.convolve_direct(fx.uniform(a5), fx.uniform(c6))
+
+
+def test_base_group_and_first_power_are_one_space(a5, a5_irr):
+    c60 = groups.build_group(groups.cyclic(60))
+    h1 = ProductGroup(a5, 1)
+    assert groups.same_space(a5, h1) and groups.same_space(h1, a5)
+    assert not groups.same_space(a5, c60) and not groups.same_space(h1, ProductGroup(a5, 2))
+    rng = np.random.default_rng(SEED)
+    v, w = rng.dirichlet(np.ones(60)), rng.dirichlet(np.ones(60))
+    p = fx.make_dist(a5, v)
+    for conv in (fx.convolve_direct, lambda x, y: fx.convolve_fourier(x, y, a5_irr)):
+        mixed = conv(p, fx.make_dist(h1, w))
+        assert np.array_equal(mixed.values, conv(p, fx.make_dist(a5, w)).values)
+        with pytest.raises(fx.SpaceMismatchError):
+            conv(p, fx.make_dist(c60, w))
+        with pytest.raises(fx.SpaceMismatchError):
+            conv(p, fx.uniform(ProductGroup(a5, 2)))
 
 
 def test_engine_dispatch_threshold(a5, a5_irr):
@@ -440,6 +448,93 @@ def test_coefficient_chain_zeroes_rounding_level_blocks(sl2_3):
     want = {(0, 0, 0, 0), (r, r_bar, r_bar, r), (r_bar, r, r, r_bar)}
     assert {tuple(int(a) for a in t[::-1]) for t in zip(*np.nonzero(norms))} == want
     assert norms[0, 0, 0, 0] == pytest.approx(box.size ** -2.0, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def sl2_3_box(sl2_3):
+    """SL(2,3)'s irreps and the SL(2,3)^4 box distribution."""
+    return get_irreps(sl2_3, seed=SEED), nof.box_to_dist(nof.exact_s(sl2_3, 2))
+
+
+def test_products_match_all_tuples_oracle_on_box(sl2_3_box):
+    # skipping the tuples whose block norms put the product under the floor
+    # changes no bit against the loop over every tuple
+    s, box = sl2_3_box
+    assert np.array_equal(fx.convolve(box, box, s).values,
+                          oracles.convolve_all_tuples(box, box, s).values)
+    s_hat = x = want = fx.dist_fourier(box, s)
+    for _ in range(39):
+        x, want = fx.convolve(x, s_hat, s), oracles.convolve_all_tuples(want, s_hat, s)
+        assert np.array_equal(x.dense, want.dense)
+        # the norms the product hands on agree with the ones read off its tensor
+        norms = fx._block_norms_sq(x.dense, s)
+        assert np.array_equal(x.block_norms_sq > 0, norms > 0)
+        assert np.allclose(x.block_norms_sq, norms, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("group", ["a5", "sl2_3"])
+def test_products_match_all_tuples_oracle_on_random_pairs(request, group):
+    # a5^2 runs the real path, sl2_3^2 the complex one
+    g = request.getfixturevalue(group)
+    s = get_irreps(g, seed=SEED)
+    p, q = _random_pair(ProductGroup(g, 2))
+    fp, fq = fx.dist_fourier(p, s), fx.dist_fourier(q, s)
+    for a, b in ((p, q), (p, p), (fp, fq), (fp, fp)):
+        got, want = fx.convolve(a, b, s, engine="fourier"), oracles.convolve_all_tuples(a, b, s)
+        field = "dense" if isinstance(got, fx.FourierData) else "values"
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_box_product_multiplies_only_live_tuples(sl2_3_box, monkeypatch):
+    s, box = sl2_3_box
+    s_hat = fx.dist_fourier(box, s)
+    seen = set()
+    block_view = fx._block_view
+
+    def counting_view(dense, t, irreps):
+        seen.add(tuple(int(a) for a in t))
+        return block_view(dense, t, irreps)
+
+    monkeypatch.setattr(fx, "_block_view", counting_view)
+    fx.convolve(s_hat, s_hat, s)
+    assert seen == conjugate_tuples(s)
+
+
+def conjugate_tuples(s) -> set:
+    """The tuples (a, a_bar, a_bar, a), a_bar the irrep of conjugate character."""
+    chars = [np.trace(r.matrices, axis1=1, axis2=2) for r in s.irreps]
+    bar = [next(b for b in range(len(s)) if np.allclose(chars[b], chars[a].conj()))
+           for a in range(len(s))]
+    return {(a, bar[a], bar[a], a) for a in range(len(s))}
+
+
+def test_box_coefficients_live_only_on_conjugate_tuples(sl2_3_box):
+    # each party's u_i^b is averaged over H, so the box transform vanishes
+    # off (a, a_bar, a_bar, a); the rest is forward-transform rounding
+    # (measured: live norms >= 1.0e-6, all others <= 6.4e-22)
+    s, box = sl2_3_box
+    s_hat = fx.dist_fourier(box, s)
+    norms = np.sqrt(fx._block_norms_sq(s_hat.dense, s))
+    live = norms > np.finfo(np.float64).eps * abs(s_hat.dense.flat[0])
+    want = conjugate_tuples(s)
+    assert len(want) == len(s) == 7
+    assert {tuple(int(a) for a in t[::-1]) for t in np.argwhere(live)} == want
+
+
+def test_block_norms_make_no_full_size_temporary(a5_irr):
+    dense = np.random.default_rng(SEED).standard_normal((60,) * 3)
+    tracemalloc.start()
+    try:
+        got = fx._block_norms_sq(dense, a5_irr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense.nbytes / 8
+    # the same sums, in the same order, as one reduceat per axis over |dense|^2
+    want = np.abs(dense) ** 2
+    for axis in range(3):
+        want = np.add.reduceat(want, fx._slot_offsets(a5_irr), axis=axis)
+    assert np.array_equal(got, want)
 
 
 def test_coefficient_product_rejects_bad_operands(a5, a5_irr, sl2_3, irreps_cache):

@@ -139,7 +139,7 @@ def test_parseval_on_random_functions(n, data):
     g = small_group(n)
     s = get_irreps(g, seed=SEED)
     f = np.array([data.draw(st.integers(-50, 50)) for _ in range(n)], dtype=float) / 10.0
-    fd = fx.fourier_forward(f, s)
+    fd = fx.product_fourier_forward(f, g, s)
     lhs = float(np.mean(np.abs(f) ** 2))
     blocks = oracles.irrep_blocks(fd)
     rhs = sum(r.dim * oracles.frobenius_norm_sq(c) for r, c in zip(s.irreps, blocks))
@@ -151,7 +151,7 @@ def test_roundtrip_on_random_functions(n, data):
     g = small_group(n)
     s = get_irreps(g, seed=SEED)
     f = np.array([data.draw(st.integers(-50, 50)) for _ in range(n)], dtype=float) / 10.0
-    back = fx.fourier_inverse(fx.fourier_forward(f, s))
+    back = fx.product_fourier_inverse(fx.product_fourier_forward(f, g, s))
     assert np.max(np.abs(back - f)) <= 1e-10
 
 
