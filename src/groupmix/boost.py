@@ -107,9 +107,7 @@ class FlattenRecord:
     eps_k_in: float
 
 
-def flatten_bound_check(
-    p: Dist, k: int, d: int, s: IrrepSet | None = None, engine: str | None = None
-) -> FlattenRecord:
+def flatten_bound_check(p: Dist, k: int, d: int, s: IrrepSet | None = None) -> FlattenRecord:
     """Self-convolution flattening bound for an (|H|^-k, k)-uniform input.
 
     lhs = |p*p - u|_2^2, rhs = |p - u|_2^2 * 2 * |H|^(m-k) * d^-(k+1).
@@ -123,7 +121,7 @@ def flatten_bound_check(
             f"input is not (|H|^-{k}, {k})-uniform: eps_{k} = {eps_in} > {required}"
         )
     base = l2_sq_dist_to_uniform(p)
-    conv = convolve(p, p, s, engine=engine)
+    conv = convolve(p, p, s)
     lhs = l2_sq_dist_to_uniform(conv)
     rhs = base * 2.0 * float(n) ** (m - k) * float(d) ** (-(k + 1))
     holds = lhs <= rhs + 1e-12
@@ -141,13 +139,11 @@ class SquareBoostRecord:
     holds: bool
 
 
-def square_boost_check(
-    p: Dist, q: Dist, k: int, s: IrrepSet | None = None, engine: str | None = None
-) -> SquareBoostRecord:
+def square_boost_check(p: Dist, q: Dist, k: int, s: IrrepSet | None = None) -> SquareBoostRecord:
     """eps_k of a convolution is at most the product of the inputs' eps_k."""
     eps_p = eps_k_uniform(p, k).eps
     eps_q = eps_k_uniform(q, k).eps
-    conv = convolve(p, q, s, engine=engine)
+    conv = convolve(p, q, s)
     eps_c = eps_k_uniform(conv, k).eps
     holds = eps_c <= eps_p * eps_q + 1e-12
     if not holds:
@@ -162,11 +158,9 @@ class L2LinfRecord:
     holds: bool
 
 
-def l2_to_linf_check(
-    p: Dist, s: IrrepSet | None = None, engine: str | None = None
-) -> L2LinfRecord:
+def l2_to_linf_check(p: Dist, s: IrrepSet | None = None) -> L2LinfRecord:
     """|p*p - u|_inf <= |p - u|_2^2 (Cauchy-Schwarz on the convolution sum)."""
-    conv = convolve(p, p, s, engine=engine)
+    conv = convolve(p, p, s)
     linf = float(np.max(np.abs(conv.values - 1.0 / p.size)))
     l2sq = l2_sq_dist_to_uniform(p)
     holds = linf <= l2sq + 1e-15
@@ -199,7 +193,6 @@ def boost_pipeline(
     target_eps: float,
     s: IrrepSet | None = None,
     eps_ks: tuple[int, ...] = (),
-    engine: str | None = None,
 ) -> tuple[Dist, ExperimentLog]:
     """Iterated convolution until eps_uniform reaches target_eps.
 
@@ -208,7 +201,7 @@ def boost_pipeline(
     """
     if mode not in ("self-square", "fresh-copy"):
         raise ValueError(f"unknown pipeline mode {mode!r}")
-    in_fourier = mode == "fresh-copy" and resolve_engine(p.size, s, engine) == "fourier"
+    in_fourier = mode == "fresh-copy" and resolve_engine(p.size, s) == "fourier"
     log = ExperimentLog(eps_ks=tuple(eps_ks))
     current = iterate = factor = p
     log.add(_measure(current, 0, mode, eps_ks, False, 0.0))
@@ -217,7 +210,7 @@ def boost_pipeline(
         if in_fourier and factor is p:
             iterate = factor = dist_fourier(p, s)
         del current  # measured already; an inverse below needs the room
-        iterate = convolve(iterate, iterate if mode == "self-square" else factor, s, engine=engine)
+        iterate = convolve(iterate, iterate if mode == "self-square" else factor, s)
         current = dist_from_fourier(iterate, p.space) if in_fourier else iterate
         secs = time.perf_counter() - t0
         log.add(_measure(current, len(log.records), mode, eps_ks, False, secs))

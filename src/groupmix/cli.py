@@ -76,7 +76,6 @@ class RunConfig:
     delta: float = 1e-9
     mode: str = "self-square"
     repair_mode: str = "adaptive"
-    engine: str | None = None
     out: str | None = None
     timing: bool = False
     cache_dir: str | None = None
@@ -101,11 +100,6 @@ class RunConfig:
                 self.repair_mode in ("adaptive", "paper-formula"),
                 "unknown repair mode",
             ),
-            (
-                "engine",
-                self.engine in (None, "direct", "fourier"),
-                "must be direct or fourier",
-            ),
         ]
         for field_name, ok, msg in checks:
             if not ok:
@@ -115,7 +109,7 @@ class RunConfig:
 # RunConfig fields that a --config file may set, with their parsers
 _CONFIG_KEYS = dict(
     group=str, m=int, k=int, parties=int, seed=int, tol=float, max_steps=int, target_eps=float,
-    delta=float, mode=str, repair_mode=str, engine=str, out=str, cache_dir=str,
+    delta=float, mode=str, repair_mode=str, out=str, cache_dir=str,
 )
 
 
@@ -227,7 +221,7 @@ def cmd_experiment_flatten(args) -> int:
     cfg, g, s = _setup(args)
     p = _box_input(cfg, g)
     d = quasirandomness_degree(s)
-    record = boost.flatten_bound_check(p, cfg.k, d, s, engine=cfg.engine)
+    record = boost.flatten_bound_check(p, cfg.k, d, s)
     ratio = "" if record.ratio is None else _fmt(record.ratio)
     summary = (
         f"lhs={_fmt(record.lhs)} rhs={_fmt(record.rhs)} ratio={ratio} "
@@ -246,9 +240,7 @@ def cmd_experiment_boost(args) -> int:
     cfg, g, s = _setup(args)
     p = _box_input(cfg, g)
     target = cfg.target_eps if cfg.target_eps is not None else float(g.order) ** (-cfg.m)
-    final, log = boost.boost_pipeline(
-        p, cfg.mode, cfg.max_steps, target, s, eps_ks=(cfg.k,), engine=cfg.engine
-    )
+    final, log = boost.boost_pipeline(p, cfg.mode, cfg.max_steps, target, s, eps_ks=(cfg.k,))
     out = cfg.out or f"boost_{cfg.group.replace(':', '')}_m{cfg.m}.csv"
     log.write_csv(out, include_timing=cfg.timing)
     last = log.records[-1]
@@ -264,7 +256,7 @@ def cmd_experiment_nof(args) -> int:
     cfg, g, s = _setup(args)
     report = nof.verify_s_uniformity(g, cfg.parties, seed=cfg.seed)
     target = cfg.target_eps if cfg.target_eps is not None else float(g.order) ** (-(2**cfg.parties))
-    log = nof.advantage_curve(report.box, cfg.max_steps, s, target_eps=target, engine=cfg.engine)
+    log = nof.advantage_curve(report.box, cfg.max_steps, s, target_eps=target)
     out = cfg.out or f"nof_{cfg.group.replace(':', '')}_p{cfg.parties}.csv"
     log.write_csv(out, include_timing=cfg.timing)
     reached = [r.step for r in log.records if r.linf_rel <= target]
@@ -325,7 +317,6 @@ _EXPERIMENT_FLAGS = {
     "--m": dict(type=int, help="product-group arity"),
     "--k": dict(type=int, help="uniformity parameter"),
     "--parties": dict(type=int),
-    "--engine": dict(choices=("direct", "fourier")),
     "--mode": dict(choices=("self-square", "fresh-copy")),
     "--max-steps": dict(type=int),
     "--target-eps": dict(type=float),
@@ -337,11 +328,11 @@ _EXPERIMENT_FLAGS = {
 
 _EXPERIMENTS = (
     ("flatten", cmd_experiment_flatten, "self-convolution flattening bound on the box dist",
-     "--m --k --engine --out"),
+     "--m --k --out"),
     ("boost", cmd_experiment_boost, "iterated-convolution pipeline on the box dist",
-     "--m --k --engine --out --timing --mode --max-steps --target-eps"),
+     "--m --k --out --timing --mode --max-steps --target-eps"),
     ("nof", cmd_experiment_nof, "box-dist uniformity report and advantage curve",
-     "--engine --out --timing --parties --max-steps --target-eps"),
+     "--out --timing --parties --max-steps --target-eps"),
     ("repair", cmd_experiment_repair, "repair a perturbed box dist to exact k-uniformity",
      "--m --k --out --delta --repair-mode"),
 )
@@ -383,6 +374,7 @@ def main(argv=None) -> int:
         IrrepComputationError,
         ValueError,
         AssertionError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

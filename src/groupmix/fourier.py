@@ -243,7 +243,7 @@ def _rest_inverse_table(g: GroupTable, m_rest: int) -> np.ndarray:
     if r > _DIRECT_REST_MAX:
         raise ValueError(
             f"direct product convolution would build a {r}x{r} index table; "
-            "use the fourier engine for spaces this large"
+            "use convolve_fourier for spaces this large"
         )
     acc = np.zeros((1, 1), dtype=np.int64)
     for i in range(m_rest):
@@ -271,17 +271,14 @@ def _convolve_direct_product(pg: Space, pv, qv) -> np.ndarray:
 def _block_products(dx: np.ndarray, dy: np.ndarray, nx: np.ndarray, ny: np.ndarray, s: IrrepSet,
                     out: np.ndarray) -> np.ndarray:
     """Set out's block at every tuple t to |G| x(t) y(t) and return out's squared block norms; out
-    is dx or zeros, and nx, ny are the squared block norms of dx and dy.  A block of norm <= eps/|G|
-    times the mean value (the trivial block, |G| x[0] y[0]) becomes 0: all such move no value by
-    over eps times the mean (|d tr(c rho)| <= d^2 |c|_F, sum d^2 = |G|), and carried on they would
-    decay into subnormals, on which BLAS is ~20x slower.  As |x(t) y(t)|_F <= |x(t)|_F |y(t)|_F, nx
-    and ny tell which products it zeroes (1 + 1e-9 covers rounding; entries below 1e-162 square to
-    0): only the others are multiplied, and dead nonzero blocks of out = dx are set to 0."""
+    is zeroed and is neither operand, and nx, ny are the squared block norms of dx and dy.  A block
+    of norm <= eps/|G| times the mean value (the trivial block, |G| x[0] y[0]) stays 0: all such move
+    no value by over eps times the mean (|d tr(c rho)| <= d^2 |c|_F, sum d^2 = |G|), and carried on
+    they would decay into subnormals, on which BLAS is ~20x slower.  As |x(t) y(t)|_F <= |x(t)|_F
+    |y(t)|_F, nx and ny tell which products it zeroes (1 + 1e-9 covers rounding; entries below
+    1e-162 square to 0): only the others are multiplied."""
     floor = np.finfo(np.float64).eps * abs(dx.flat[0] * dy.flat[0])
     dead = dx.size * np.sqrt(nx) * np.sqrt(ny) * (1 + 1e-9) <= floor    # NaN stays live
-    if out is dx:
-        for idx in np.argwhere(dead & (nx > 0)):
-            _block_view(out, tuple(idx[::-1]), s)[...] = 0.0
     nout = np.zeros_like(nx)
     for idx in np.argwhere(~dead):
         t = tuple(idx[::-1])
@@ -322,39 +319,40 @@ def convolve_fourier(p: Dist, q: Dist, s: IrrepSet) -> Dist:
     ana = _stacked(s)[0]
     bufs = [np.empty(p.size, dtype=ana.dtype) for _ in range(2)]
     cp = _axis_passes(p.values, ana, m, bufs)
+    free = bufs[1] if cp is bufs[0] else bufs[0]
     cq = cp
     if not (q is p or q.values is p.values):
-        # q's passes start in the buffer p's passes left free
-        spare = bufs[1] if cp is bufs[0] else bufs[0]
-        cq = _axis_passes(q.values, ana, m, [spare, np.empty_like(spare)])
+        # q's passes start in the buffer p's passes left free; the product goes to the other one
+        bufs = [free, np.empty_like(free)]
+        cq = _axis_passes(q.values, ana, m, bufs)
+        free = bufs[1] if cq is bufs[0] else bufs[0]
+    del bufs    # so that cq's buffer is released before the inverse
     dp = cp.reshape((s.order,) * m)
     dq = dp if cq is cp else cq.reshape(dp.shape)
+    free.fill(0)
     nx = _block_norms_sq(dp, s)
-    _block_products(dp, dq, nx, nx if dq is dp else _block_norms_sq(dq, s), s, dp)
+    _block_products(dp, dq, nx, nx if dq is dp else _block_norms_sq(dq, s), s,
+                    free.reshape(dp.shape))
     del cq, dq
-    return _synthesize(p.space, cp, s, m, bufs)
+    return _synthesize(p.space, free, s, m, [cp, free])
 
 
-def resolve_engine(size: int, s: IrrepSet | None = None, engine: str | None = None) -> str:
+def resolve_engine(size: int, s: IrrepSet | None = None) -> str:
     """The engine `convolve` uses on `size` states: direct up to 10^4, fourier above."""
-    if engine is None:
-        engine = "fourier" if size > _DIRECT_ENGINE_MAX else "direct"
-    if engine not in ("direct", "fourier"):
-        raise ValueError(f"unknown convolution engine {engine!r}")
-    if engine == "fourier" and s is None:
+    if size <= _DIRECT_ENGINE_MAX:
+        return "direct"
+    if s is None:
         raise ValueError("fourier engine needs the base group's irreps")
-    return engine
+    return "fourier"
 
 
-def convolve(p: Dist | FourierData, q: Dist | FourierData, s: IrrepSet | None = None,
-             engine: str | None = None) -> Dist | FourierData:
+def convolve(p: Dist | FourierData, q: Dist | FourierData,
+             s: IrrepSet | None = None) -> Dist | FourierData:
     """p * q for two Dists, on the engine `resolve_engine` picks.  For two FourierData
     it is the FourierData |G| p_hat q_hat, with no transform (s is not read)."""
     if isinstance(p, FourierData) is not isinstance(q, FourierData):
         raise TypeError("convolve needs two Dists or two FourierData, not one of each")
     if isinstance(p, FourierData):
-        if engine not in (None, "fourier"):
-            raise ValueError(f"FourierData operands need the fourier engine, not {engine!r}")
         same = q.irreps is p.irreps or np.array_equal(_stacked(q.irreps)[0], _stacked(p.irreps)[0])
         if p.arity != q.arity or not same:
             raise SpaceMismatchError("coefficient product across different arities or irrep sets")
@@ -363,7 +361,7 @@ def convolve(p: Dist | FourierData, q: Dist | FourierData, s: IrrepSet | None = 
         fd = FourierData(p.irreps, p.arity, out)
         vars(fd)["block_norms_sq"] = norms     # the cached_property's slot
         return fd
-    if resolve_engine(p.size, s, engine) == "direct":
+    if resolve_engine(p.size, s) == "direct":
         return convolve_direct(p, q)
     return convolve_fourier(p, q, s)
 

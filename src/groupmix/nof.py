@@ -172,7 +172,6 @@ def advantage_curve(
     t_max: int,
     s_irreps: IrrepSet | None = None,
     target_eps: float | None = None,
-    engine: str | None = None,
 ) -> ExperimentLog:
     """Distance metrics of the t-fold convolution s_dist * ... * s_dist, t = 1..t_max.
 
@@ -182,14 +181,14 @@ def advantage_curve(
     seconds times a step t >= 2 from before the product to after the inverse; t = 1 is 0.
     """
     log = ExperimentLog(eps_ks=())
-    in_fourier = resolve_engine(s_dist.size, s_irreps, engine) == "fourier"
+    in_fourier = resolve_engine(s_dist.size, s_irreps) == "fourier"
     current = factor = s_dist
     for t in range(1, t_max + 1):
         t0 = time.perf_counter()
         if t > 1:
             if in_fourier and factor is s_dist:
                 current = factor = dist_fourier(s_dist, s_irreps)
-            current = convolve(current, factor, s_irreps, engine=engine)
+            current = convolve(current, factor, s_irreps)
         point = dist_from_fourier(current, s_dist.space) if in_fourier and t > 1 else current
         secs = time.perf_counter() - t0 if t > 1 else 0.0
         rec = _measure(point, t, "fresh-copy", (), True, secs)

@@ -213,10 +213,10 @@ def test_c06_boost_pipeline(a5, a5_box, sl2_3, irreps_cache):
     iterate = q
     direct = q
     for t in range(2, 9):
-        iterate = fx.convolve(iterate, q, s3, engine="fourier")
+        iterate = fx.convolve(iterate, q, s3)
         direct = fx.convolve_direct(direct, q)
         assert np.max(np.abs(iterate.values - direct.values)) <= 1e-9
-    finals, _ = boost.boost_pipeline(q, "fresh-copy", 7, 0.0, s3, engine="fourier")
+    finals, _ = boost.boost_pipeline(q, "fresh-copy", 7, 0.0, s3)
     assert np.max(np.abs(finals.values - direct.values)) <= 1e-9
     elapsed = time.perf_counter() - t0
     _report(

@@ -90,9 +90,9 @@ def test_traced_pipelines_keep_span_readers_working(monkeypatch, sl2_3, irreps_c
     tracer.instrument()
     nof, boost = sys.modules["groupmix.nof"], sys.modules["groupmix.boost"]
     box = nof.box_to_dist(nof.exact_s(sl2_3, 2))
-    nof.advantage_curve(box, 4, s, engine="fourier")
-    boost.boost_pipeline(box, "fresh-copy", 3, 0.0, s, engine="fourier")
-    boost.boost_pipeline(box, "self-square", 1, 0.0, s, engine="fourier")
+    nof.advantage_curve(box, 4, s)
+    boost.boost_pipeline(box, "fresh-copy", 3, 0.0, s)
+    boost.boost_pipeline(box, "self-square", 1, 0.0, s)
     spans = tracer.spans
 
     # one convolve span per step; the fresh-copy loops never transform two Dists

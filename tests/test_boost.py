@@ -242,13 +242,14 @@ def test_pipeline_convolves_through_module_name(sl2_3, irreps_cache, monkeypatch
         return real(*args, **kwargs)
 
     monkeypatch.setattr(boost, "convolve", counted)
-    pg = ProductGroup(sl2_3, 2)
-    v = np.random.default_rng(SEED).random(pg.size)
-    p = fx.make_dist(pg, v / v.sum())
-    # sl2_3^2 is small enough that the default engine is direct
-    for engine in (None, "fourier"):
+    # sl2_3^2 runs the direct engine, sl2_3^3 the fourier one
+    for m, engine in ((2, "direct"), (3, "fourier")):
+        pg = ProductGroup(sl2_3, m)
+        assert fx.resolve_engine(pg.size, irreps_cache(sl2_3)) == engine
+        v = np.random.default_rng(SEED).random(pg.size)
+        p = fx.make_dist(pg, v / v.sum())
         calls.clear()
-        _, log = boost_pipeline(p, mode, 3, 0.0, irreps_cache(sl2_3), engine=engine)
+        _, log = boost_pipeline(p, mode, 3, 0.0, irreps_cache(sl2_3))
         assert len(log.records) == 4
         assert len(calls) == len(log.records) - 1, engine
 
@@ -345,7 +346,7 @@ def test_pipeline_fresh_copy_peak_memory(a5, irreps_cache):
     s = irreps_cache(a5)
     tracemalloc.start()
     try:
-        boost_pipeline(box, "fresh-copy", 2, 0.0, s, engine="fourier")
+        boost_pipeline(box, "fresh-copy", 2, 0.0, s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -85,6 +85,9 @@ def test_verify_detects_corrupted_cache(cache):
         ("repair", ["--engine", "fourier"]),
         ("repair", ["--timing"]),
         ("flatten", ["--timing"]),
+        ("flatten", ["--engine", "fourier"]),
+        ("boost", ["--engine", "fourier"]),
+        ("nof", ["--engine", "direct"]),
     ],
 )
 def test_experiment_rejects_flags_it_does_not_read(capsys, monkeypatch, tmp_path, experiment, flag):
@@ -223,12 +226,25 @@ def test_config_file_keys_a_subcommand_does_not_read_are_ignored(capsys, cache, 
 
 def test_config_file_rejects_unknown_key(capsys, cache, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("group=sl2:3\nm=4\nkk=2\n")
-    code, _, err = run_cli(
-        ["experiment", "flatten", "--config", str(cfg), "--cache-dir", cache], capsys
-    )
+    # engine is no key: the input size picks the convolution engine
+    for key in ("kk=2", "engine=fourier"):
+        cfg.write_text(f"group=sl2:3\nm=4\n{key}\n")
+        code, _, err = run_cli(
+            ["experiment", "flatten", "--config", str(cfg), "--cache-dir", cache], capsys
+        )
+        assert code == 1
+        assert f"unknown config key(s) {key.split('=')[0]};" in err and str(cfg) in err
+
+
+@pytest.mark.parametrize(
+    "flags, path",
+    [(["--config", "{tmp}/missing.cfg"], "missing.cfg"), (["--out", "{tmp}/no/dir/f.txt"], "f.txt")],
+)
+def test_unusable_paths_print_an_error(capsys, cache, tmp_path, flags, path):
+    argv = ["experiment", "flatten", "--group", "sl2:2", "--m", "4", "--k", "3", "--cache-dir", cache]
+    code, _, err = run_cli(argv + [f.format(tmp=tmp_path) for f in flags], capsys)
     assert code == 1
-    assert "kk" in err and str(cfg) in err
+    assert err.startswith("error: ") and path in err
 
 
 def test_config_file_rejects_bad_value(capsys, cache, tmp_path):

@@ -319,8 +319,8 @@ def test_uniform_absorbs(a5, a5_irr):
     v = rng.random(60)
     p = fx.make_dist(a5, v / v.sum())
     u = fx.uniform(a5)
-    for eng in ("direct", "fourier"):
-        out = fx.convolve(p, u, a5_irr, engine=eng)
+    for conv in (fx.convolve_direct, lambda x, y: fx.convolve_fourier(x, y, a5_irr)):
+        out = conv(p, u)
         assert np.max(np.abs(out.values - u.values)) < 1e-12
 
 
@@ -394,7 +394,7 @@ def test_base_group_and_first_power_are_one_space(a5, a5_irr):
             conv(p, fx.uniform(ProductGroup(a5, 2)))
 
 
-def test_engine_dispatch_threshold(a5, a5_irr):
+def test_engine_dispatch_threshold(a5, a5_irr, sl2_3):
     pg3 = ProductGroup(a5, 3)
     assert pg3.size > 10_000
     p = fx.uniform(pg3)
@@ -403,6 +403,9 @@ def test_engine_dispatch_threshold(a5, a5_irr):
     small = fx.uniform(ProductGroup(a5, 2))
     out = fx.convolve(small, small)  # direct default below threshold
     assert np.max(np.abs(out.values - small.values)) < 1e-12
+    big = fx.uniform(ProductGroup(sl2_3, 4))
+    with pytest.raises(ValueError, match="13824x13824 index table; use convolve_fourier"):
+        fx.convolve_direct(big, big)
 
 
 def _random_pair(pg, seed=SEED):
@@ -420,7 +423,7 @@ def test_coefficient_product_matches_convolve_fourier(request, group):
     fp, fq = fx.dist_fourier(p, s), fx.dist_fourier(q, s)
     assert fp.dense.dtype == (np.float64 if group == "a5" else np.complex128)
     for a, b, fa, fb in ((p, q, fp, fq), (p, p, fp, fp)):
-        got = fx.convolve(fa, fb, s, engine="fourier")
+        got = fx.convolve(fa, fb, s)
         assert isinstance(got, fx.FourierData) and got.arity == 2
         want = fx.dist_fourier(fx.convolve_fourier(a, b, s), s).dense
         assert np.max(np.abs(got.dense - want)) <= 1e-12
@@ -474,15 +477,18 @@ def test_products_match_all_tuples_oracle_on_box(sl2_3_box):
 
 @pytest.mark.parametrize("group", ["a5", "sl2_3"])
 def test_products_match_all_tuples_oracle_on_random_pairs(request, group):
-    # a5^2 runs the real path, sl2_3^2 the complex one
+    # a5^2 runs the real path, sl2_3^2 the complex one; both are below the
+    # size at which convolve picks the fourier engine, so Dists call it directly
     g = request.getfixturevalue(group)
     s = get_irreps(g, seed=SEED)
     p, q = _random_pair(ProductGroup(g, 2))
     fp, fq = fx.dist_fourier(p, s), fx.dist_fourier(q, s)
-    for a, b in ((p, q), (p, p), (fp, fq), (fp, fp)):
-        got, want = fx.convolve(a, b, s, engine="fourier"), oracles.convolve_all_tuples(a, b, s)
-        field = "dense" if isinstance(got, fx.FourierData) else "values"
-        assert np.array_equal(getattr(got, field), getattr(want, field))
+    for a, b in ((p, q), (p, p)):
+        got, want = fx.convolve_fourier(a, b, s), oracles.convolve_all_tuples(a, b, s)
+        assert np.array_equal(got.values, want.values)
+    for a, b in ((fp, fq), (fp, fp)):
+        got, want = fx.convolve(a, b, s), oracles.convolve_all_tuples(a, b, s)
+        assert np.array_equal(got.dense, want.dense)
 
 
 def test_box_product_multiplies_only_live_tuples(sl2_3_box, monkeypatch):
@@ -548,8 +554,6 @@ def test_coefficient_product_rejects_bad_operands(a5, a5_irr, sl2_3, irreps_cach
         fx.convolve(fp, q, a5_irr)
     with pytest.raises(TypeError):
         fx.convolve(p, fp, a5_irr)
-    with pytest.raises(ValueError, match="fourier engine"):
-        fx.convolve(fp, fp, a5_irr, engine="direct")
     with pytest.raises(fx.SpaceMismatchError):
         fx.convolve(fp, fx.dist_fourier(fx.uniform(ProductGroup(a5, 3)), a5_irr), a5_irr)
     other_basis = get_irreps(a5, seed=SEED + 1)

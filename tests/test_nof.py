@@ -147,10 +147,10 @@ def test_advantage_curve_monotone(sl2_2, irreps_cache):
     assert tvs[0] == pytest.approx(0.5 * float(np.sum(np.abs(s_dist.values - u.values))))
 
 
-def test_advantage_curve_convolves_through_module_name(sl2_2, irreps_cache, monkeypatch):
+def test_advantage_curve_convolves_through_module_name(sl2_2, sl2_3, irreps_cache, monkeypatch):
     """perfbench times nof steps by patching `nof.convolve`; a loop that
-    bypassed that name would silently turn step_s into run_s.  sl2_2^4 is
-    small enough that the default engine is direct."""
+    bypassed that name would silently turn step_s into run_s.  The sl2_2^4 box
+    runs the direct engine, the sl2_3^4 box the fourier one."""
     calls = []
     real = nof.convolve
 
@@ -160,10 +160,11 @@ def test_advantage_curve_convolves_through_module_name(sl2_2, irreps_cache, monk
 
     monkeypatch.setattr(nof, "convolve", counted)
     t_max = 5
-    box = nof.box_to_dist(nof.exact_s(sl2_2, 2))
-    for engine in (None, "fourier"):
+    for g, engine in ((sl2_2, "direct"), (sl2_3, "fourier")):
+        box = nof.box_to_dist(nof.exact_s(g, 2))
+        assert fx.resolve_engine(box.size, irreps_cache(g)) == engine
         calls.clear()
-        log = nof.advantage_curve(box, t_max, irreps_cache(sl2_2), engine=engine)
+        log = nof.advantage_curve(box, t_max, irreps_cache(g))
         assert [r.step for r in log.records] == list(range(1, t_max + 1))
         assert len(calls) == t_max - 1, engine
 
@@ -227,7 +228,7 @@ def test_advantage_curve_peak_memory(request, irreps_cache, group, t_max, budget
     box = nof.box_to_dist(nof.exact_s(g, 2))
     tracemalloc.start()
     try:
-        nof.advantage_curve(box, t_max, s, engine="fourier")
+        nof.advantage_curve(box, t_max, s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
