@@ -293,9 +293,50 @@ def _block_products(dx: np.ndarray, dy: np.ndarray, nx: np.ndarray, ny: np.ndarr
     return nout
 
 
-def _synthesize(space: Space, flat: np.ndarray, s: IrrepSet, m: int, bufs=None) -> Dist:
-    """The Dist with coefficients `flat`: synthesis, imaginary residual, make_dist."""
-    vals = _axis_passes(flat, _stacked(s)[1], m, bufs)
+def _live_passes(flat: np.ndarray, syn: np.ndarray, s: IrrepSet, m: int, live: np.ndarray,
+                 bufs: list[np.ndarray] | None = None) -> np.ndarray:
+    """Synthesis of the flat (n,)*m tensor whose blocks are zero off `live`, an array of
+    norm-array indices (axis j the irrep of coordinate m-1-j) sorted by coordinate 0.
+
+    For each live tuple and each slot r of its coordinate-0 irrep, the d^2 x n rows of syn
+    of axes 0..m-2 are applied, in `_axis_passes`' order, to the block's slab at r; the result
+    is one row of a (width, n^(m-1)) stack, and one GEMM with the syn rows of those slots
+    gives every value.  The stack fills the front of bufs[0] and the values bufs[1], which
+    may be flat itself: the stack is complete before it is written.  A slab temporary has
+    at most n^(m-2) d^2 entries.
+    """
+    n, offs, sq = s.order, _slot_offsets(s), np.square(s.dims)
+    bufs = bufs or [np.empty(flat.size, dtype=np.result_type(flat, syn)) for _ in range(2)]
+    syn = syn.astype(bufs[0].dtype, copy=False)
+    dense = flat.reshape((n,) * m)
+    slabs = [(t, r) for t in live for r in range(offs[t[-1]], offs[t[-1]] + sq[t[-1]])]
+    stack = bufs[0][: len(slabs) * n ** (m - 1)].reshape(len(slabs), n ** (m - 1))
+    for row, (t, r) in zip(stack, slabs):
+        sl = [slice(offs[a], offs[a] + sq[a]) for a in t[:-1]]
+        src = dense[tuple(sl) + (r,)]
+        for k in range(m - 2):
+            src = np.matmul(syn[sl[k]].T, src.reshape(n**k, sq[t[k]], -1))
+        np.matmul(src.reshape(n ** (m - 2), -1), syn[sl[-1]], out=row.reshape(n ** (m - 2), n))
+    np.matmul(stack.T, syn[[r for _, r in slabs]], out=bufs[1].reshape(-1, n))
+    return bufs[1]
+
+
+def _synthesize(space: Space, flat: np.ndarray, s: IrrepSet, m: int, bufs=None,
+                norms: np.ndarray | None = None) -> Dist:
+    """The Dist with coefficients `flat`: synthesis, imaginary residual, make_dist.
+
+    Given flat's squared block norms, a block is live iff its norm is not 0, so a NaN block
+    stays live and fails make_dist.  When m >= 2 and the live tuples' coordinate-0 irreps
+    have d^2 summing to at most n, `_live_passes` synthesizes from the live blocks alone: its
+    stack then fits in one buffer and its final GEMM costs at most one of the m dense passes.
+    Otherwise `_axis_passes` runs."""
+    syn = _stacked(s)[1]
+    live = np.argwhere(norms != 0) if norms is not None and m >= 2 else None
+    if live is not None and np.square(s.dims)[live[:, -1]].sum() <= s.order:
+        # ascending coordinate-0 slots: the final GEMM sums them in _axis_passes' order
+        vals = _live_passes(flat, syn, s, m, live[np.argsort(live[:, -1], kind="stable")], bufs)
+    else:
+        vals = _axis_passes(flat, syn, m, bufs)
     if np.iscomplexobj(vals):
         worst_imag = max(float(vals.imag.max()), -float(vals.imag.min()))
         if worst_imag > _REAL_TOL:
@@ -305,9 +346,10 @@ def _synthesize(space: Space, flat: np.ndarray, s: IrrepSet, m: int, bufs=None) 
 
 
 def dist_from_fourier(fd: FourierData, space: Space) -> Dist:
-    """The distribution on `space` whose coefficients are fd (one inverse transform)."""
+    """The distribution on `space` whose coefficients are fd (one inverse transform, from the
+    live blocks alone where `_synthesize` finds few enough)."""
     _check_base(fd.irreps, space)
-    return _synthesize(space, fd.dense.reshape(-1), fd.irreps, fd.arity)
+    return _synthesize(space, fd.dense.reshape(-1), fd.irreps, fd.arity, norms=fd.block_norms_sq)
 
 
 def convolve_fourier(p: Dist, q: Dist, s: IrrepSet) -> Dist:
@@ -331,10 +373,10 @@ def convolve_fourier(p: Dist, q: Dist, s: IrrepSet) -> Dist:
     dq = dp if cq is cp else cq.reshape(dp.shape)
     free.fill(0)
     nx = _block_norms_sq(dp, s)
-    _block_products(dp, dq, nx, nx if dq is dp else _block_norms_sq(dq, s), s,
-                    free.reshape(dp.shape))
+    nout = _block_products(dp, dq, nx, nx if dq is dp else _block_norms_sq(dq, s), s,
+                           free.reshape(dp.shape))
     del cq, dq
-    return _synthesize(p.space, free, s, m, [cp, free])
+    return _synthesize(p.space, free, s, m, [cp, free], nout)
 
 
 def resolve_engine(size: int, s: IrrepSet | None = None) -> str:

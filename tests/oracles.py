@@ -443,3 +443,11 @@ def convolve_all_tuples(p, q, s):
     dq = dp if q is p else fx._forward(q.values, s, m)
     block_products_all_tuples(dp, dq, s, dp)
     return fx._synthesize(p.space, dp.reshape(-1), s, m)
+
+
+def synthesize_dense(flat, s, m):
+    """The values of the flat (n,)*m coefficient tensor by groupmix's dense synthesis, one
+    pass per axis over every block, whatever the block norms say."""
+    from groupmix import fourier as fx
+
+    return fx._axis_passes(flat, fx._stacked(s)[1], m)

@@ -543,6 +543,135 @@ def test_block_norms_make_no_full_size_temporary(a5_irr):
     assert np.array_equal(got, want)
 
 
+# ---------------------------------------------------------------------------
+# synthesis from the live blocks
+
+
+@pytest.fixture(scope="module")
+def c5():
+    return groups.build_group(groups.cyclic(5))
+
+
+def _count_axis_passes(monkeypatch) -> list:
+    calls = []
+    axis_passes = fx._axis_passes
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return axis_passes(*args, **kwargs)
+
+    monkeypatch.setattr(fx, "_axis_passes", counting)
+    return calls
+
+
+def _live_synthesis_error(x, space) -> float:
+    """Largest |value| difference between dist_from_fourier of x and the dense synthesis,
+    in units of 1/|G|."""
+    got = fx.dist_from_fourier(x, space).values
+    want = oracles.synthesize_dense(x.dense.reshape(-1), x.irreps, x.arity).real
+    return float(np.max(np.abs(got - want))) * space.size
+
+
+def _trivial_only(g, s, arity):
+    """The coefficients of the uniform distribution on H^arity, exactly 0 off the trivial entry."""
+    dense = np.zeros((g.order,) * arity)
+    dense.flat[0] = float(g.order) ** -arity
+    return fx.FourierData(s, arity, dense)
+
+
+@pytest.mark.parametrize("group, t_max", [("a5", 7), ("sl2_3", 12), ("c5", 7)])
+def test_live_synthesis_matches_dense_on_box_chains(request, monkeypatch, group, t_max):
+    # A5 runs the real path, SL(2,3) the complex one and C5 has only 1-dim irreps; in each
+    # the box's live tuples (a, a_bar, a_bar, a) have coordinate-0 irreps of total d^2 = n
+    g = request.getfixturevalue(group)
+    s = get_irreps(g, seed=SEED)
+    space = ProductGroup(g, 4)
+    s_hat = x = fx.dist_fourier(nof.box_to_dist(nof.exact_s(g, 2)), s)
+    calls = _count_axis_passes(monkeypatch)
+    for _ in range(2, t_max + 1):
+        x = fx.convolve(x, s_hat, s)
+        before = len(calls)
+        assert _live_synthesis_error(x, space) <= 1e-12
+        assert len(calls) == before + 1    # the oracle's, none in dist_from_fourier
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_live_synthesis_with_only_the_trivial_block(a5, a5_irr, arity):
+    # uniform * p in coefficients, uniform's tensor zero off its trivial entry; arity 1 takes
+    # the dense path, arity 2 the live one
+    pg = ProductGroup(a5, arity)
+    p, _ = _random_pair(pg)
+    x = fx.convolve(_trivial_only(a5, a5_irr, arity), fx.dist_fourier(p, a5_irr))
+    assert np.count_nonzero(x.block_norms_sq) == 1 and x.block_norms_sq.flat[0] != 0
+    assert _live_synthesis_error(x, pg) <= 1e-12
+    assert np.max(np.abs(fx.dist_from_fourier(x, pg).values - 1 / pg.size)) <= 1e-12 / pg.size
+
+
+def test_synthesis_with_every_block_live_stays_dense(a5, a5_irr):
+    pg = ProductGroup(a5, 2)
+    fp, fq = (fx.dist_fourier(d, a5_irr) for d in _random_pair(pg))
+    x = fx.convolve(fp, fq)
+    assert np.all(x.block_norms_sq != 0)
+    assert np.array_equal(fx.dist_from_fourier(x, pg).values,
+                          oracles.synthesize_dense(x.dense.reshape(-1), a5_irr, 2))
+
+
+def test_synthesis_with_no_live_block_fails_make_dist(a5, a5_irr):
+    with pytest.raises(ValueError, match="sum to 0.0"):
+        fx.dist_from_fourier(fx.FourierData(a5_irr, 2, np.zeros((60, 60))), ProductGroup(a5, 2))
+
+
+@pytest.mark.parametrize("tuple_", [(0, 0), (1, 2)])
+def test_nan_block_stays_live(a5, a5_irr, monkeypatch, tuple_):
+    # once in the live trivial block and once in an otherwise-dead block, on the live path
+    # each time: a liveness test of norms > 0 would drop the second and return uniform values
+    pg = ProductGroup(a5, 2)
+    clean = _trivial_only(a5, a5_irr, 2)
+    dense = clean.dense.copy()
+    fx._block_view(dense, tuple_, a5_irr)[(0,) * 4] = np.nan
+    bad = fx.FourierData(a5_irr, 2, dense)
+    calls = _count_axis_passes(monkeypatch)
+    with pytest.raises(ValueError, match="nan"):
+        fx.dist_from_fourier(bad, pg)
+    with pytest.raises(ValueError, match="nan"):
+        fx.dist_from_fourier(fx.convolve(bad, clean), pg)
+    assert not calls
+    block_products = fx._block_products
+
+    def nan_products(dx, dy, nx, ny, s, out):
+        norms = block_products(dx, dy, nx, ny, s, out)
+        fx._block_view(out, tuple_, s)[(0,) * 4] = np.nan
+        norms[tuple_[::-1]] = np.nan
+        return norms
+
+    monkeypatch.setattr(fx, "_block_products", nan_products)
+    u = fx.uniform(pg)
+    with pytest.raises(ValueError, match="nan"):
+        fx.convolve_fourier(u, u, a5_irr)
+    assert len(calls) == 1    # the forward transform's
+
+
+@pytest.mark.parametrize("group, budget", [("a5", 2.125), ("sl2_3", 4.125)])
+def test_live_synthesis_peak_memory(request, monkeypatch, group, budget):
+    """Traced peak of dist_from_fourier on the box's square, in real arrays of |G| doubles:
+    the stack and the values, both complex on SL(2,3); the stack goes before the real copy."""
+    g = request.getfixturevalue(group)
+    s = get_irreps(g, seed=SEED)
+    space = ProductGroup(g, 4)
+    s_hat = fx.dist_fourier(nof.box_to_dist(nof.exact_s(g, 2)), s)
+    x = fx.convolve(s_hat, s_hat)
+    del s_hat
+    calls = _count_axis_passes(monkeypatch)
+    tracemalloc.start()
+    try:
+        fx.dist_from_fourier(x, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not calls
+    assert peak / (space.size * 8) <= budget
+
+
 def test_coefficient_product_rejects_bad_operands(a5, a5_irr, sl2_3, irreps_cache):
     pg = ProductGroup(a5, 2)
     p, q = _random_pair(pg)
