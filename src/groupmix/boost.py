@@ -32,8 +32,9 @@ def numerical_floor(size: int) -> float:
 
 
 def l2_sq_dist_to_uniform(p: Dist) -> float:
-    """sum_x (p(x) - 1/|G|)^2, un-normalized."""
-    return float(np.sum((p.values - 1.0 / p.size) ** 2))
+    """sum_x (p(x) - 1/|G|)^2, un-normalized, squared in place in one deviation buffer."""
+    dev = p.values - 1.0 / p.size
+    return float(np.sum(np.square(dev, out=dev)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +162,9 @@ class L2LinfRecord:
 def l2_to_linf_check(p: Dist, s: IrrepSet | None = None) -> L2LinfRecord:
     """|p*p - u|_inf <= |p - u|_2^2 (Cauchy-Schwarz on the convolution sum)."""
     conv = convolve(p, p, s)
-    linf = float(np.max(np.abs(conv.values - 1.0 / p.size)))
+    dev = conv.values - 1.0 / p.size
+    linf = float(np.max(np.abs(dev, out=dev)))
+    del dev
     l2sq = l2_sq_dist_to_uniform(p)
     holds = linf <= l2sq + 1e-15
     if not holds:

@@ -121,9 +121,8 @@ def _stacked(s: IrrepSet) -> tuple[np.ndarray, np.ndarray]:
     return rows.conj() / s.order, (rows * np.repeat(s.dims, np.square(s.dims))).T
 
 
-def _axis_passes(
-    t: np.ndarray, mat: np.ndarray, m: int, bufs: list[np.ndarray] | None = None
-) -> np.ndarray:
+def _axis_passes(t: np.ndarray, mat: np.ndarray, m: int, bufs: list[np.ndarray] | None = None,
+                 s: IrrepSet | None = None, floor: float | None = None):
     """Contract mat[in, out] with every axis of the flat (n,)*m tensor t.
 
     Pass k views the tensor as (n^k, n, n^(m-1-k)) and multiplies its middle
@@ -131,6 +130,14 @@ def _axis_passes(
     a single (n^(m-1), n) @ mat.  Passes alternate between two flat buffers
     of the result dtype of t and mat (t may be one of them) and return the
     one holding the result.
+
+    Given the irreps s and a floor, mat being the analysis matrix, t is transformed for the
+    product t * t and comes back with its squared block norms.  After each pass `_kept_groups`
+    drops the prefix groups under which the floor would zero every product, and the next pass
+    runs over the kept ones: one batched matmul per group, and in the last pass one GEMM over
+    the kept rows, gathered into the front of the free buffer (a GEMM per group would change
+    bits: BLAS multiplies few rows with other kernels).  A pass that keeps every group is the
+    dense one.  Under a dropped prefix the norms read 0 and the tensor holds stale values.
     """
     n = mat.shape[0]
     bufs = bufs or [np.empty(t.size, dtype=np.result_type(t, mat)) for _ in range(2)]
@@ -139,15 +146,71 @@ def _axis_passes(
     if src.dtype != bufs[0].dtype:
         bufs[1][...] = src
         src = bufs[1]
+    keep = np.ones((), dtype=bool)    # the kept prefix groups: before pass 0 the empty prefix
+    if floor is not None:
+        cuts = _slot_offsets(s)
+        slots = [slice(lo, lo + d * d) for lo, d in zip(cuts, s.dims)]
+        irrep_of_slot = np.repeat(np.arange(len(s)), np.square(s.dims))
     for k in range(m):
         dst = bufs[1] if src is bufs[0] else bufs[0]
         b, a = n**k, n ** (m - 1 - k)
-        if a == 1:
+        if keep.all() and a == 1:
             np.matmul(src.reshape(b, n), mat, out=dst.reshape(b, n))
-        else:
+        elif keep.all():
             np.matmul(mat.T, src.reshape(b, n, a), out=dst.reshape(b, n, a))
+        elif a > 1:
+            sv, dv = src.reshape((n,) * k + (n, a)), dst.reshape((n,) * k + (n, a))
+            for g in np.argwhere(keep):
+                sl = tuple(slots[i] for i in g)
+                np.matmul(mat.T, sv[sl], out=dv[sl])
+        else:
+            rows = np.flatnonzero(keep[np.ix_(*[irrep_of_slot] * k)])
+            # mode="raise" would buffer the whole gather; rows are in range
+            live = np.take(src.reshape(b, n), rows, axis=0, out=dst[: rows.size * n].reshape(-1, n),
+                           mode="clip")
+            # src is spent: its front takes the product, scattered into place
+            np.matmul(live, mat, out=src[: rows.size * n].reshape(-1, n))
+            dst.reshape(b, n)[rows] = src[: rows.size * n].reshape(-1, n)
         src = dst
-    return src
+        if floor is not None:
+            keep, norms = _kept_groups(src, cuts, slots, keep, m, floor)
+    if floor is None:
+        return src
+    if floor > np.finfo(np.float64).eps * abs(src[0] * src[0]):
+        raise BoundViolation(f"pruning floor {floor} above the product floor of {src[0]}")
+    return src, norms
+
+
+def _kept_groups(y: np.ndarray, cuts: np.ndarray, slots: list[slice], keep: np.ndarray, m: int,
+                 floor: float):
+    """After pass k = keep.ndim of the forward transform for y * y (irrep a in slots[a], from
+    cuts[a]): the groups of irreps on axes 0..k under a kept prefix that the floor may not zero,
+    and the energies summed.  After the last pass these are the squared block norms, 0 under a
+    dropped prefix.
+
+    A group's energy E sums |y|^2 over its slots and the n^j values of the j = m-1-k axes not
+    yet transformed.  By Parseval (E_x |f|^2 = sum_rho d_rho |c(rho)|_F^2) every block under it
+    ends with squared norm at most E/n^j, so once |G| E/n^j (1 + 1e-9) <= floor, at most the
+    floor of `_block_products`, that test skips all of them.  Before the last pass the first n
+    values of each group's first row bound E from below; only prefixes with a group that bound
+    does not keep are summed, so a pass that keeps every group reads one short row per group."""
+    n, k = slots[-1].stop, keep.ndim
+    j = m - 1 - k
+    y = y.reshape((n,) * (k + 1) + (n**j,) * bool(j))
+    live = np.repeat(keep[..., None], len(cuts), axis=-1)
+    scale = y.size / float(n) ** j * (1 + 1e-9)    # a group is dropped at scale E <= floor
+    todo = live
+    if j:
+        head = np.abs(y[np.ix_(*[cuts] * (k + 1), np.arange(n))])
+        todo = live & (scale * np.sum(np.square(head, out=head), axis=-1) <= floor)    # NaN: kept
+    energy = np.zeros(live.shape)
+    if todo.all():
+        energy = _segment_norms_sq(y, [cuts] * (k + 1) + [[0]] * bool(j)).reshape(live.shape)
+    else:
+        children = [[0]] * k + [cuts] + [[0]] * bool(j)    # all of a prefix's groups at once
+        for g in np.argwhere(todo.any(axis=-1)):
+            energy[tuple(g)] = _segment_norms_sq(y[tuple(slots[i] for i in g)], children).reshape(-1)
+    return live & ~(todo & (scale * energy <= floor)), energy
 
 
 def _slot_offsets(s: IrrepSet) -> np.ndarray:
@@ -162,18 +225,24 @@ def _block_view(dense: np.ndarray, t: tuple[int, ...], s: IrrepSet) -> np.ndarra
     return view.transpose(list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2)))
 
 
+def _segment_norms_sq(x: np.ndarray, cuts: list) -> np.ndarray:
+    """Sums of |x|^2 over every product of segments, cuts[j] the reduceat starts on axis j.
+
+    x is walked one axis-0 row at a time: each row is squared and summed with reduceat, fastest
+    axis first, and axis 0 is summed last, so no temporary is larger than a row."""
+    part = np.empty(x.shape[:1] + tuple(len(c) for c in cuts[1:]))
+    for i in range(len(x)):
+        sq = np.square(np.abs(x[i : i + 1]) if np.iscomplexobj(x) else x[i : i + 1])
+        for axis in range(x.ndim - 1, 0, -1):
+            sq = np.add.reduceat(sq, cuts[axis], axis=axis)
+        part[i] = sq[0]
+    return np.add.reduceat(part, cuts[0], axis=0)
+
+
 def _block_norms_sq(dense: np.ndarray, s: IrrepSet) -> np.ndarray:
     """Squared Frobenius norm of every block, an (n_irreps,)*m array whose axis j, like the
-    tensor's, holds coordinate m-1-j.  Squared one last-axis slice at a time (no full-size square),
-    that axis summed last: every sum runs as in one reduceat per axis over the whole tensor."""
-    offs, m = _slot_offsets(s), dense.ndim
-    part = np.empty((len(s),) * (m - 1) + dense.shape[-1:])
-    for j in range(dense.shape[-1]):
-        sq = np.abs(dense[..., j]) ** 2
-        for axis in range(m - 1):
-            sq = np.add.reduceat(sq, offs, axis=axis)
-        part[..., j] = sq
-    return np.add.reduceat(part, offs, axis=m - 1)
+    tensor's, holds coordinate m-1-j."""
+    return _segment_norms_sq(dense, [_slot_offsets(s)] * dense.ndim)
 
 
 @dataclass(frozen=True)
@@ -353,28 +422,34 @@ def dist_from_fourier(fd: FourierData, space: Space) -> Dist:
 
 
 def convolve_fourier(p: Dist, q: Dist, s: IrrepSet) -> Dist:
-    """Convolution through coefficient products: (p*q)^ = |G| p_hat q_hat."""
+    """Convolution through coefficient products: (p*q)^ = |G| p_hat q_hat.
+
+    For p * p the forward transform drops the prefix groups whose products the floor would zero
+    (`_axis_passes`), against eps/|G|^2 (sum p)^2 less 1e-6: at most the floor `_block_products`
+    takes from the trivial coefficient sum p/|G|.  Two operands are transformed in full, since
+    pruning one needs the other's energies at each pass."""
     if not same_space(p.space, q.space):
         raise SpaceMismatchError("convolution across different spaces")
     _check_base(s, p.space)
     m = p.space.arity
     ana = _stacked(s)[0]
     bufs = [np.empty(p.size, dtype=ana.dtype) for _ in range(2)]
-    cp = _axis_passes(p.values, ana, m, bufs)
-    free = bufs[1] if cp is bufs[0] else bufs[0]
-    cq = cp
-    if not (q is p or q.values is p.values):
+    if q is p or q.values is p.values:
+        floor = np.finfo(np.float64).eps * float(p.values.sum()) ** 2 / p.size**2 * (1 - 1e-6)
+        cp, nx = _axis_passes(p.values, ana, m, bufs, s, floor)
+        cq, ny = cp, nx
+    else:
+        cp = _axis_passes(p.values, ana, m, bufs)
         # q's passes start in the buffer p's passes left free; the product goes to the other one
-        bufs = [free, np.empty_like(free)]
+        bufs = [bufs[1] if cp is bufs[0] else bufs[0], np.empty_like(cp)]
         cq = _axis_passes(q.values, ana, m, bufs)
-        free = bufs[1] if cq is bufs[0] else bufs[0]
+        nx, ny = (_block_norms_sq(c.reshape((s.order,) * m), s) for c in (cp, cq))
+    free = bufs[1] if cq is bufs[0] else bufs[0]
     del bufs    # so that cq's buffer is released before the inverse
     dp = cp.reshape((s.order,) * m)
     dq = dp if cq is cp else cq.reshape(dp.shape)
     free.fill(0)
-    nx = _block_norms_sq(dp, s)
-    nout = _block_products(dp, dq, nx, nx if dq is dp else _block_norms_sq(dq, s), s,
-                           free.reshape(dp.shape))
+    nout = _block_products(dp, dq, nx, ny, s, free.reshape(dp.shape))
     del cq, dq
     return _synthesize(p.space, free, s, m, [cp, free], nout)
 

@@ -428,10 +428,12 @@ def block_products_all_tuples(dx, dy, s, out):
         _block_view(out, t, s)[...] = prod.reshape(view.shape)
 
 
-def convolve_all_tuples(p, q, s):
+def convolve_all_tuples(p, q, s, live_synthesis=False):
     """p * q for two groupmix FourierData (the FourierData of the product) or two
-    Dists (the Dist, through groupmix's forward and inverse transforms), with the
-    coefficient product of `block_products_all_tuples`."""
+    Dists (the Dist, through groupmix's dense forward and inverse transforms), with the
+    coefficient product of `block_products_all_tuples`.  With live_synthesis the Dist
+    is synthesized by `_synthesize`'s rule from the blocks the loop kept, as
+    `convolve_fourier` synthesizes its product."""
     from groupmix import fourier as fx
 
     if isinstance(p, fx.FourierData):
@@ -442,7 +444,8 @@ def convolve_all_tuples(p, q, s):
     dp = fx._forward(p.values, s, m)
     dq = dp if q is p else fx._forward(q.values, s, m)
     block_products_all_tuples(dp, dq, s, dp)
-    return fx._synthesize(p.space, dp.reshape(-1), s, m)
+    norms = fx._block_norms_sq(dp, s) if live_synthesis else None
+    return fx._synthesize(p.space, dp.reshape(-1), s, m, norms=norms)
 
 
 def synthesize_dense(flat, s, m):

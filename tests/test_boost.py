@@ -66,6 +66,26 @@ def test_l2_identity_formulas_agree(a5):
         assert abs(l2_sq_dist_to_uniform(p) - oracles.l2_sq_via_norm_identity(p.values)) <= 1e-12
 
 
+def test_distance_checks_hold_one_deviation_buffer(a5, irreps_cache):
+    # traced peaks in arrays of |G| doubles on A5^3 (fourier engine): the l2 helper squares its
+    # deviation in place, and the linf check takes |p*p - u| in place, so it holds the product
+    # and one deviation, not three full-size arrays (3.06 before); the l2 sum runs over the
+    # same squares in the same order as the two-temporary form
+    v = np.random.default_rng(SEED).random(a5.order**3)
+    p = fx.make_dist(ProductGroup(a5, 3), v / v.sum())
+    s = irreps_cache(a5)
+    peaks = []
+    for check in (l2_sq_dist_to_uniform, lambda d: l2_to_linf_check(d, s)):
+        tracemalloc.start()
+        try:
+            check(p)
+            peaks.append(tracemalloc.get_traced_memory()[1] / (p.size * 8))
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.0625 and peaks[1] <= 2.5
+    assert l2_sq_dist_to_uniform(p) == float(np.sum((p.values - 1.0 / p.size) ** 2))
+
+
 def test_tv_to_uniform_matches_materialized_uniform(a5):
     # same elementwise subtraction as against a materialized uniform Dist, so
     # the tv_dist column is unchanged to the last bit

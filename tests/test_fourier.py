@@ -536,9 +536,9 @@ def test_block_norms_make_no_full_size_temporary(a5_irr):
     finally:
         tracemalloc.stop()
     assert peak < dense.nbytes / 8
-    # the same sums, in the same order, as one reduceat per axis over |dense|^2
+    # the same sums, in the same order, as one reduceat per axis over |dense|^2, fastest first
     want = np.abs(dense) ** 2
-    for axis in range(3):
+    for axis in reversed(range(3)):
         want = np.add.reduceat(want, fx._slot_offsets(a5_irr), axis=axis)
     assert np.array_equal(got, want)
 
@@ -670,6 +670,158 @@ def test_live_synthesis_peak_memory(request, monkeypatch, group, budget):
         tracemalloc.stop()
     assert not calls
     assert peak / (space.size * 8) <= budget
+
+
+# ---------------------------------------------------------------------------
+# the pruned forward transform of p * p
+
+
+@pytest.fixture(scope="module")
+def a5_box(a5, a5_irr):
+    """A5's irreps and the A5^4 box distribution."""
+    return a5_irr, nof.box_to_dist(nof.exact_s(a5, 2))
+
+
+def _pruning_calls(monkeypatch) -> list:
+    """(floor, norms) of every `_axis_passes` call that is given a floor."""
+    calls = []
+    axis_passes = fx._axis_passes
+
+    def recording(*args, **kwargs):
+        out = axis_passes(*args, **kwargs)
+        if args[5:] and args[5] is not None:
+            calls.append((args[5], out[1]))
+        return out
+
+    monkeypatch.setattr(fx, "_axis_passes", recording)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["a5 box", "a5 box square", "a5 box-uniform mixture", "c5 box"])
+def test_pruned_self_products_match_all_tuples_oracle(request, monkeypatch, a5_box, case):
+    # the live synthesis is the oracle's too (the dense one differs in the last bits on A5^4);
+    # the products and the forward are all-tuples and dense there
+    if case == "c5 box":
+        c5 = request.getfixturevalue("c5")
+        s, x = get_irreps(c5, seed=SEED), nof.box_to_dist(nof.exact_s(c5, 2))
+    else:
+        s, x = a5_box
+        if case == "a5 box square":
+            x = fx.convolve_fourier(x, x, s)
+        elif case == "a5 box-uniform mixture":
+            x = fx.make_dist(x.space, 0.5 * x.values + 0.5 / x.size)
+    calls = _pruning_calls(monkeypatch)
+    got = fx.convolve_fourier(x, x, s)
+    assert len(calls) == 1 and np.count_nonzero(calls[0][1]) < calls[0][1].size
+    want = oracles.convolve_all_tuples(x, x, s, live_synthesis=True)
+    assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("group", ["a5", "sl2_3"])
+def test_two_operand_products_match_all_tuples_oracle(request, monkeypatch, group):
+    # A5^3 real, SL(2,3)^3 complex, both over the direct engine's cap; two operands are not
+    # pruned, one random operand prunes nothing
+    g = request.getfixturevalue(group)
+    s = get_irreps(g, seed=SEED)
+    p, q = _random_pair(ProductGroup(g, 3))
+    calls = _pruning_calls(monkeypatch)
+    for a, b in ((p, q), (p, p)):
+        assert np.array_equal(fx.convolve_fourier(a, b, s).values,
+                              oracles.convolve_all_tuples(a, b, s).values)
+    assert len(calls) == 1 and np.all(calls[0][1] != 0)
+
+
+@pytest.mark.parametrize("irreps_and_box", ["a5_box", "sl2_3_box"])
+def test_pruned_tuples_fail_the_block_products_test(request, monkeypatch, irreps_and_box):
+    # every tuple the forward dropped is one `_block_products` would skip on the dense forward's
+    # norms, and every kept tuple's norm is the dense one, bit for bit
+    s, box = request.getfixturevalue(irreps_and_box)
+    calls = _pruning_calls(monkeypatch)
+    fx.convolve_fourier(box, box, s)
+    (floor, norms), = calls
+    dense = fx._forward(box.values, s, box.space.arity)
+    want = fx._block_norms_sq(dense, s)
+    final = np.finfo(np.float64).eps * abs(dense.flat[0] * dense.flat[0])
+    assert floor <= final
+    dropped = norms == 0
+    assert np.count_nonzero(~dropped) == len(s) ** 2    # under the kept (a, a_bar, a_bar)
+    assert np.all(box.size * np.sqrt(want[dropped]) * np.sqrt(want[dropped]) * (1 + 1e-9) <= final)
+    assert np.array_equal(norms[~dropped], want[~dropped])
+
+
+def test_pruning_floor_above_the_product_floor_raises(monkeypatch, sl2_3_box):
+    s, box = sl2_3_box
+    axis_passes = fx._axis_passes
+
+    def doubled(t, mat, m, bufs=None, s=None, floor=None):
+        return axis_passes(t, mat, m, bufs, s, None if floor is None else 2 * floor)
+
+    monkeypatch.setattr(fx, "_axis_passes", doubled)
+    with pytest.raises(fx.BoundViolation, match="pruning floor"):
+        fx.convolve_fourier(box, box, s)
+
+
+def _forward_matmuls(monkeypatch) -> list:
+    """The operand shapes of every np.matmul inside an `_axis_passes` call given a floor."""
+    shapes, pruning = [], [False]
+    matmul, axis_passes = np.matmul, fx._axis_passes
+
+    def recording_matmul(a, b, **kwargs):
+        if pruning[0]:
+            shapes.append((a.shape, b.shape))
+        return matmul(a, b, **kwargs)
+
+    def recording_passes(*args, **kwargs):
+        pruning[0] = len(args) > 5 and args[5] is not None
+        try:
+            return axis_passes(*args, **kwargs)
+        finally:
+            pruning[0] = False
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    monkeypatch.setattr(fx, "_axis_passes", recording_passes)
+    return shapes
+
+
+def test_pruned_last_pass_transforms_only_kept_rows(monkeypatch, a5_box):
+    # the rows of the kept (a, a_bar, a_bar), 9.8% of the 216,000
+    s, box = a5_box
+    shapes = _forward_matmuls(monkeypatch)
+    fx.convolve_fourier(box, box, s)
+    (rows, n), _ = shapes[-1]
+    assert n == 60 and rows <= sum(d**6 for d in s.dims) == 21_180
+
+
+def test_unpruned_passes_are_one_matmul_each(monkeypatch, a5, a5_irr):
+    p, _ = _random_pair(ProductGroup(a5, 3))
+    shapes = _forward_matmuls(monkeypatch)
+    fx.convolve_fourier(p, p, a5_irr)
+    assert shapes == [((60, 60), (1, 60, 3600)), ((60, 60), (60, 60, 60)), ((3600, 60), (60, 60))]
+
+
+@pytest.mark.parametrize("group, operands, budget", [
+    ("a5", "box", 2.061), ("sl2_3", "box", 5.027), ("a5", "p, q", 3.31), ("sl2_3", "p, q", 7.36),
+])
+def test_convolve_fourier_peak_memory(request, group, operands, budget):
+    """Traced peak of convolve_fourier in real arrays of |G| doubles, the least of three calls
+    (the first ones also fill caches that outlive them).  A box self-product on H^4 keeps the
+    unpruned forward's peak (2.0608 and 5.0261 before the pruning, rounded up); two random
+    operands on H^3 stay under the 3.31 and 7.36 measured when the product took a third buffer."""
+    if operands == "box":
+        s, p = request.getfixturevalue(f"{group}_box")
+        q = p
+    else:
+        s = get_irreps(request.getfixturevalue(group), seed=SEED)
+        p, q = _random_pair(ProductGroup(request.getfixturevalue(group), 3))
+    peaks = []
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            fx.convolve_fourier(p, q, s)
+            peaks.append(tracemalloc.get_traced_memory()[1] / (p.size * 8))
+        finally:
+            tracemalloc.stop()
+    assert min(peaks) <= budget
 
 
 def test_coefficient_product_rejects_bad_operands(a5, a5_irr, sl2_3, irreps_cache):
