@@ -254,18 +254,18 @@ def cmd_experiment_boost(args) -> int:
 
 def cmd_experiment_nof(args) -> int:
     cfg, g, s = _setup(args)
-    report = nof.verify_s_uniformity(g, cfg.parties, seed=cfg.seed)
+    report = nof.verify_s_uniformity(g, cfg.parties)
     target = cfg.target_eps if cfg.target_eps is not None else float(g.order) ** (-(2**cfg.parties))
     log = nof.advantage_curve(report.box, cfg.max_steps, s, target_eps=target)
     out = cfg.out or f"nof_{cfg.group.replace(':', '')}_p{cfg.parties}.csv"
     log.write_csv(out, include_timing=cfg.timing)
     reached = [r.step for r in log.records if r.linf_rel <= target]
     reached_at = str(reached[0]) if reached else "none"
-    ok = report.is_3_uniform and report.four_wise_deviation > 0 and report.identity_sample_rate == 1.0
+    ok = report.is_3_uniform and report.four_wise_deviation > 0 and report.identity_rate == 1.0
     print(
         f"3-uniform={'true' if report.is_3_uniform else 'false'} "
         f"four_wise_deviation={float(report.four_wise_deviation)!r} "
-        f"identity_rate={report.identity_sample_rate!r} "
+        f"identity_rate={report.identity_rate!r} "
         f"reached_target_at_t={reached_at} log={out}"
     )
     return 0 if ok else 1
@@ -303,7 +303,7 @@ def cmd_experiment_repair(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser, seed_help="seed of this command's random draws"):
+def _add_common(p: argparse.ArgumentParser, seed_help="accepted but unused: nothing here is random"):
     p.add_argument("--group", help="cyclic:N | sl2:Q | a5")
     p.add_argument("--seed", type=int, help=seed_help)
     p.add_argument("--tol", type=float)
@@ -347,7 +347,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_irr.set_defaults(func=cmd_irreps)
 
     p_ver = sub.add_parser("verify", help="residual checks: schur, parseval, convolution")
-    _add_common(p_ver)
+    _add_common(p_ver, seed_help="seed of the random test functions")
     p_ver.add_argument("--which", choices=("schur", "parseval", "convolution", "all"), default="all")
     p_ver.set_defaults(func=cmd_verify)
 

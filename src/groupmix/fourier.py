@@ -424,33 +424,24 @@ def dist_from_fourier(fd: FourierData, space: Space) -> Dist:
 def convolve_fourier(p: Dist, q: Dist, s: IrrepSet) -> Dist:
     """Convolution through coefficient products: (p*q)^ = |G| p_hat q_hat.
 
-    For p * p the forward transform drops the prefix groups whose products the floor would zero
-    (`_axis_passes`), against eps/|G|^2 (sum p)^2 less 1e-6: at most the floor `_block_products`
-    takes from the trivial coefficient sum p/|G|.  Two operands are transformed in full, since
-    pruning one needs the other's energies at each pass."""
+    Two operands go through `dist_fourier`, `convolve` on the two FourierData and
+    `dist_from_fourier`.  For p * p the forward transform drops the prefix groups whose products
+    the floor would zero (`_axis_passes`), against eps/|G|^2 (sum p)^2 less 1e-6: at most the
+    floor `_block_products` takes from the trivial coefficient sum p/|G|."""
     if not same_space(p.space, q.space):
         raise SpaceMismatchError("convolution across different spaces")
     _check_base(s, p.space)
+    if q is not p and q.values is not p.values:
+        return dist_from_fourier(convolve(dist_fourier(p, s), dist_fourier(q, s)), p.space)
     m = p.space.arity
     ana = _stacked(s)[0]
     bufs = [np.empty(p.size, dtype=ana.dtype) for _ in range(2)]
-    if q is p or q.values is p.values:
-        floor = np.finfo(np.float64).eps * float(p.values.sum()) ** 2 / p.size**2 * (1 - 1e-6)
-        cp, nx = _axis_passes(p.values, ana, m, bufs, s, floor)
-        cq, ny = cp, nx
-    else:
-        cp = _axis_passes(p.values, ana, m, bufs)
-        # q's passes start in the buffer p's passes left free; the product goes to the other one
-        bufs = [bufs[1] if cp is bufs[0] else bufs[0], np.empty_like(cp)]
-        cq = _axis_passes(q.values, ana, m, bufs)
-        nx, ny = (_block_norms_sq(c.reshape((s.order,) * m), s) for c in (cp, cq))
-    free = bufs[1] if cq is bufs[0] else bufs[0]
-    del bufs    # so that cq's buffer is released before the inverse
+    floor = np.finfo(np.float64).eps * float(p.values.sum()) ** 2 / p.size**2 * (1 - 1e-6)
+    cp, norms = _axis_passes(p.values, ana, m, bufs, s, floor)
+    free = bufs[1] if cp is bufs[0] else bufs[0]
     dp = cp.reshape((s.order,) * m)
-    dq = dp if cq is cp else cq.reshape(dp.shape)
     free.fill(0)
-    nout = _block_products(dp, dq, nx, ny, s, free.reshape(dp.shape))
-    del cq, dq
+    nout = _block_products(dp, dp, norms, norms, s, free.reshape(dp.shape))
     return _synthesize(p.space, free, s, m, [cp, free], nout)
 
 

@@ -41,20 +41,19 @@ def eps_uniform(p: Dist) -> float:
     return float(np.max(np.abs(p.values * p.size - 1.0)))
 
 
-def eps_k_uniform(p: Dist, k: int, full_table: bool = False) -> UniformityReport:
-    """Worst eps_uniform over all k-coordinate marginals."""
-    m = p.space.arity
+def _worst_subset(m: int, k: int, dev, full_table: bool) -> UniformityReport:
+    """The largest dev(subset) over the k-subsets of range(m), at the first subset reaching it."""
     if not 1 <= k <= m:
         raise ValueError(f"k must lie in [1, {m}], got {k}")
-    worst, arg = -1.0, None
-    table = {} if full_table else None
-    for subset in itertools.combinations(range(m), k):
-        e = eps_uniform(marginalize(p, subset))
-        if table is not None:
-            table[subset] = e
-        if e > worst:
-            worst, arg = e, subset
-    return UniformityReport(worst, arg, table)
+    table = {subset: dev(subset) for subset in itertools.combinations(range(m), k)}
+    arg = max(table, key=table.__getitem__)
+    return UniformityReport(table[arg], arg, table if full_table else None)
+
+
+def eps_k_uniform(p: Dist, k: int, full_table: bool = False) -> UniformityReport:
+    """Worst eps_uniform over all k-coordinate marginals."""
+    return _worst_subset(p.space.arity, k, lambda subset: eps_uniform(marginalize(p, subset)),
+                         full_table)
 
 
 def eps_k_uniform_counts(counts: np.ndarray, n: int, m: int, k: int, full_table: bool = False):
@@ -66,24 +65,15 @@ def eps_k_uniform_counts(counts: np.ndarray, n: int, m: int, k: int, full_table:
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
     arr = counts.reshape((n,) * m, order="F")
-    worst: Fraction = Fraction(-1)
-    arg = None
-    table = {} if full_table else None
-    for subset in itertools.combinations(range(m), k):
+
+    def dev(subset):
         other = tuple(i for i in range(m) if i not in subset)
-        marg = arr.sum(axis=other) if other else arr
+        marg = arr.sum(axis=other) if other else arr    # arr.sum(axis=()) would copy arr
         cells = n ** len(subset)
-        hi = int(marg.max())
-        lo = int(marg.min())
-        dev = max(
-            abs(Fraction(hi * cells, total) - 1),
-            abs(Fraction(lo * cells, total) - 1),
-        )
-        if table is not None:
-            table[subset] = dev
-        if dev > worst:
-            worst, arg = dev, subset
-    return UniformityReport(worst, arg, table)
+        return max(abs(Fraction(int(marg.max()) * cells, total) - 1),
+                   abs(Fraction(int(marg.min()) * cells, total) - 1))
+
+    return _worst_subset(m, k, dev, full_table)
 
 
 def is_k_uniform_fourier(

@@ -161,6 +161,21 @@ def test_experiment_nof_summary(capsys, cache, tmp_path):
     assert len(rows) == 5  # t = 1..4
 
 
+def test_experiment_nof_is_the_same_under_every_seed(capsys, cache, tmp_path):
+    # the identity rate is exact, so nothing in the run reads --seed
+    outputs = []
+    for seed in ("0", "7"):
+        out_path = str(tmp_path / f"nof{seed}.csv")
+        code, out, _ = run_cli(
+            ["experiment", "nof", "--group", "sl2:3", "--parties", "2", "--seed", seed,
+             "--cache-dir", cache, "--out", out_path],
+            capsys,
+        )
+        assert code == 0 and "identity_rate=1.0 " in out
+        outputs.append((open(out_path, "rb").read(), out.replace(out_path, "OUT")))
+    assert outputs[0] == outputs[1]
+
+
 def test_experiment_nof_timing_column(capsys, cache, tmp_path):
     # t = 1 is s itself and reads 0.0; every later step times its product and inverse
     argv = ["experiment", "nof", "--group", "sl2:3", "--parties", "2", "--max-steps", "4",

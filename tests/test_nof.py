@@ -26,6 +26,11 @@ def c2():
     return groups.build_group(groups.cyclic(2))
 
 
+@pytest.fixture(scope="module")
+def c5():
+    return groups.build_group(groups.cyclic(5))
+
+
 def test_counts_match_bruteforce_oracle(c2, sl2_2):
     for g in (c2, sl2_2):
         b = nof.exact_s(g, 2)
@@ -78,11 +83,43 @@ def test_exact_three_subset_marginals(sl2_3, a5):
 
 def test_four_wise_deviation_positive(sl2_2, sl2_3):
     for g in (sl2_2, sl2_3):
-        rep = nof.verify_s_uniformity(g, 2, identity_samples=10_000)
+        rep = nof.verify_s_uniformity(g, 2)
         assert rep.is_3_uniform
         assert rep.four_wise_deviation == Fraction(g.order - 1)
-        assert rep.identity_sample_rate == 1.0
+        assert rep.identity_rate == 1.0
         assert np.array_equal(rep.box.values, nof.box_to_dist(nof.exact_s(g, 2)).values)
+
+
+@pytest.mark.parametrize("group, parties", [("sl2_2", 2), ("c2", 3)])
+def test_identity_rate_is_the_exact_mass_on_the_identity(request, monkeypatch, group, parties):
+    # one support cell's counts moved to a point with w != e: the rate falls by exactly that
+    # mass; on three parties it is read off the first four coordinates' marginal
+    g = request.getfixturevalue(group)
+    real = nof.exact_s(g, parties)
+    n, m = g.order, real.arity
+    digits = np.stack(np.unravel_index(np.arange(n**m), (n,) * m, order="F"), axis=1)
+    off = np.flatnonzero(~nof.cancellation_identity_holds(g, digits[:, :4]))
+    counts = real.counts.copy()
+    i = int(np.flatnonzero(counts)[0])
+    moved = int(counts[i])
+    counts[off[0]] += moved
+    counts[i] = 0
+    monkeypatch.setattr(nof, "exact_s", lambda h, k: nof.BoxDist(h, k, counts, real.total))
+    rep = nof.verify_s_uniformity(g, parties)
+    assert 0 < moved < real.total
+    assert rep.identity_rate == (real.total - moved) / real.total
+
+
+@pytest.mark.parametrize("group", ["a5", "sl2_3", "c5"])
+def test_identity_cells_satisfy_the_cancellation_identity(request, group):
+    g = request.getfixturevalue(group)
+    n = g.order
+    cells = nof._identity_cells(g)
+    assert np.unique(cells).size == cells.size == n**3
+    digits = np.stack(np.unravel_index(cells, (n,) * 4, order="F"), axis=1)
+    assert np.all(nof.cancellation_identity_holds(g, digits))
+    # and they are the box's support
+    assert np.array_equal(np.sort(cells), np.flatnonzero(nof.exact_s(g, 2).counts))
 
 
 def test_three_parties_on_tiny_group(c2):
@@ -207,7 +244,7 @@ def test_experiment_nof_counts_the_box_once(tmp_path, monkeypatch, capsys):
 def test_advantage_curve_reaches_target_on_alt5_like_group(sl2_2, irreps_cache):
     # S3 is not quasirandom, but the curve still decays toward its floor;
     # early stop works through target_eps
-    box = nof.verify_s_uniformity(sl2_2, 2, identity_samples=100).box
+    box = nof.verify_s_uniformity(sl2_2, 2).box
     log = nof.advantage_curve(box, 64, irreps_cache(sl2_2), target_eps=10.0)
     assert log.records[-1].linf_rel <= 10.0
 

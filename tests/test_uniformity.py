@@ -68,6 +68,26 @@ def test_eps_k_counts_path_on_box_dist(sl2_3):
     assert rep4.eps == Fraction(sl2_3.order - 1)
 
 
+@pytest.mark.parametrize("k", [0, 3])
+def test_eps_k_counts_rejects_k_outside_one_to_m(a5, k):
+    pg = ProductGroup(a5, 2)
+    with pytest.raises(ValueError, match="k must lie"):
+        eps_k_uniform_counts(np.ones(25, dtype=np.int64), 5, 2, k)
+    with pytest.raises(ValueError, match="k must lie"):
+        eps_k_uniform(fx.uniform(pg), k)
+
+
+def test_eps_k_reports_the_first_worst_subset():
+    # every pair of a point mass on H^3 deviates alike: the scan keeps the first
+    counts = np.zeros(27, dtype=np.int64)
+    counts[0] = 1
+    rep = eps_k_uniform_counts(counts, 3, 3, 2, full_table=True)
+    assert rep.worst_subset == (0, 1) and rep.eps == Fraction(8)
+    assert set(rep.per_subset.values()) == {Fraction(8)}
+    rep = eps_k_uniform_counts(counts, 3, 3, 3)
+    assert rep.worst_subset == (0, 1, 2) and rep.eps == Fraction(26) and rep.per_subset is None
+
+
 def test_eps_k_monotone_in_k(a5):
     pg = ProductGroup(a5, 3)
     rng = np.random.default_rng(SEED)
