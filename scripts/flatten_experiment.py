@@ -37,9 +37,7 @@ def main():
         print(f"{spec}: d={d} lhs={rec.lhs:.6e} rhs={rec.rhs:.6e} ratio={rec.ratio:.6e}")
 
         target = float(g.order) ** (-4)
-        final, log = boost.boost_pipeline(
-            p, "self-square", args.max_steps, target, s, eps_ks=(3,)
-        )
+        final, log = boost.boost_pipeline(p, "self-square", args.max_steps, target, s, k=3)
         path = f"{args.out_prefix}_{spec.replace(':', '')}.csv"
         log.write_csv(path, include_timing=True)
         for prev, cur in zip(log.records, log.records[1:]):

@@ -1,11 +1,11 @@
 """Convolution-boosting checks and pipelines.
 
 The quantities tracked per step: the un-normalized squared L2 distance to
-uniform sum_x (p(x) - 1/|G|)^2, the relative L-infinity deviation, and the
-configured eps_k values.  Repeated convolution flattens (H^-k, k)-uniform
-distributions at a rate governed by the quasirandomness degree of the base
-group; the checks below assert the inequalities behind that on concrete
-inputs.
+uniform sum_x (p(x) - 1/|G|)^2, the relative L-infinity deviation, and
+eps_k for at most one configured k.  Repeated convolution flattens
+(H^-k, k)-uniform distributions at a rate governed by the quasirandomness
+degree of the base group; `flatten_bound_check` asserts that rate on a
+concrete input.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class StepRecord:
     mode: str
     l2_sq: float
     linf_rel: float
-    eps_k: dict[int, float] = field(default_factory=dict)
+    eps_k: float | None = None
     tv_dist: float | None = None
     seconds: float = 0.0
     at_floor: bool = False
@@ -56,17 +56,12 @@ class StepRecord:
 @dataclass
 class ExperimentLog:
     records: list[StepRecord] = field(default_factory=list)
-    eps_ks: tuple[int, ...] = ()
 
     def add(self, record: StepRecord):
         self.records.append(record)
 
     def csv_header(self) -> list[str]:
-        if len(self.eps_ks) <= 1:
-            eps_cols = ["eps_k"]
-        else:
-            eps_cols = [f"eps_k{k}" for k in self.eps_ks]
-        return ["step", "mode", "l2_sq", "linf_rel", *eps_cols, "tv_dist", "seconds"]
+        return ["step", "mode", "l2_sq", "linf_rel", "eps_k", "tv_dist", "seconds"]
 
     def to_csv(self, include_timing: bool = False) -> str:
         """Deterministic CSV; wall-clock is written only when asked for,
@@ -77,13 +72,12 @@ class ExperimentLog:
 
         lines = [",".join(self.csv_header())]
         for r in self.records:
-            eps_vals = [fmt(r.eps_k.get(k)) for k in (self.eps_ks or (None,))]
             row = [
                 str(r.step),
                 r.mode,
                 fmt(r.l2_sq),
                 fmt(r.linf_rel),
-                *eps_vals,
+                fmt(r.eps_k),
                 fmt(r.tv_dist),
                 fmt(r.seconds) if include_timing else "",
             ]
@@ -132,60 +126,20 @@ def flatten_bound_check(p: Dist, k: int, d: int, s: IrrepSet | None = None) -> F
     return FlattenRecord(lhs, rhs, ratio, holds, eps_in)
 
 
-@dataclass(frozen=True)
-class SquareBoostRecord:
-    eps_p: float
-    eps_q: float
-    eps_conv: float
-    holds: bool
-
-
-def square_boost_check(p: Dist, q: Dist, k: int, s: IrrepSet | None = None) -> SquareBoostRecord:
-    """eps_k of a convolution is at most the product of the inputs' eps_k."""
-    eps_p = eps_k_uniform(p, k).eps
-    eps_q = eps_k_uniform(q, k).eps
-    conv = convolve(p, q, s)
-    eps_c = eps_k_uniform(conv, k).eps
-    holds = eps_c <= eps_p * eps_q + 1e-12
-    if not holds:
-        raise BoundViolation(f"square boost violated: {eps_c} > {eps_p} * {eps_q}")
-    return SquareBoostRecord(eps_p, eps_q, eps_c, holds)
-
-
-@dataclass(frozen=True)
-class L2LinfRecord:
-    linf: float
-    l2sq: float
-    holds: bool
-
-
-def l2_to_linf_check(p: Dist, s: IrrepSet | None = None) -> L2LinfRecord:
-    """|p*p - u|_inf <= |p - u|_2^2 (Cauchy-Schwarz on the convolution sum)."""
-    conv = convolve(p, p, s)
-    dev = conv.values - 1.0 / p.size
-    linf = float(np.max(np.abs(dev, out=dev)))
-    del dev
-    l2sq = l2_sq_dist_to_uniform(p)
-    holds = linf <= l2sq + 1e-15
-    if not holds:
-        raise BoundViolation(f"L2-to-Linf bound violated: {linf} > {l2sq}")
-    return L2LinfRecord(linf, l2sq, holds)
-
-
 # ---------------------------------------------------------------------------
 # pipeline
 
 
-def _measure(p: Dist, step: int, mode: str, eps_ks, track_tv: bool, secs: float) -> StepRecord:
+def _measure(p: Dist, step: int, mode: str, k: int | None, track_tv: bool, secs: float) -> StepRecord:
     """One step's record from one deviation buffer: l2, then |dev| in place
-    for linf (= eps_uniform) and tv."""
+    for linf (= eps_uniform) and tv; eps_k only when k is given."""
     dev = p.values - 1.0 / p.size
     l2 = float(dev @ dev)
     np.abs(dev, out=dev)
     linf = p.size * float(np.max(dev))
     tv = 0.5 * float(np.sum(dev)) if track_tv else None
     del dev
-    eps_k = {k: eps_k_uniform(p, k).eps for k in eps_ks}
+    eps_k = None if k is None else eps_k_uniform(p, k).eps
     return StepRecord(step, mode, l2, linf, eps_k, tv, secs, linf < numerical_floor(p.size))
 
 
@@ -195,7 +149,7 @@ def boost_pipeline(
     max_steps: int,
     target_eps: float,
     s: IrrepSet | None = None,
-    eps_ks: tuple[int, ...] = (),
+    k: int | None = None,
 ) -> tuple[Dist, ExperimentLog]:
     """Iterated convolution until eps_uniform reaches target_eps.
 
@@ -205,9 +159,9 @@ def boost_pipeline(
     if mode not in ("self-square", "fresh-copy"):
         raise ValueError(f"unknown pipeline mode {mode!r}")
     in_fourier = mode == "fresh-copy" and resolve_engine(p.size, s) == "fourier"
-    log = ExperimentLog(eps_ks=tuple(eps_ks))
+    log = ExperimentLog()
     current = iterate = factor = p
-    log.add(_measure(current, 0, mode, eps_ks, False, 0.0))
+    log.add(_measure(current, 0, mode, k, False, 0.0))
     while log.records[-1].linf_rel > target_eps and len(log.records) <= max_steps:
         t0 = time.perf_counter()
         if in_fourier and factor is p:
@@ -216,5 +170,5 @@ def boost_pipeline(
         iterate = convolve(iterate, iterate if mode == "self-square" else factor, s)
         current = dist_from_fourier(iterate, p.space) if in_fourier else iterate
         secs = time.perf_counter() - t0
-        log.add(_measure(current, len(log.records), mode, eps_ks, False, secs))
+        log.add(_measure(current, len(log.records), mode, k, False, secs))
     return current, log

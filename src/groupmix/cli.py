@@ -182,7 +182,7 @@ def cmd_verify(args) -> int:
 
     if which in ("schur", "all"):
         schur = verify_schur(s)
-        rows.append(("schur", schur.max_residual, schur.max_residual <= max(cfg.tol, 1e-8)))
+        rows.append(("schur", schur.max_residual, schur.passed))
     if which in ("parseval", "all"):
         worst = 0.0
         for _ in range(20):
@@ -240,7 +240,7 @@ def cmd_experiment_boost(args) -> int:
     cfg, g, s = _setup(args)
     p = _box_input(cfg, g)
     target = cfg.target_eps if cfg.target_eps is not None else float(g.order) ** (-cfg.m)
-    final, log = boost.boost_pipeline(p, cfg.mode, cfg.max_steps, target, s, eps_ks=(cfg.k,))
+    final, log = boost.boost_pipeline(p, cfg.mode, cfg.max_steps, target, s, k=cfg.k)
     out = cfg.out or f"boost_{cfg.group.replace(':', '')}_m{cfg.m}.csv"
     log.write_csv(out, include_timing=cfg.timing)
     last = log.records[-1]

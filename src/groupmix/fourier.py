@@ -480,8 +480,6 @@ def convolve(p: Dist | FourierData, q: Dist | FourierData,
 
 def _marginal_values(values: np.ndarray, pg: Space, coords: tuple[int, ...]) -> np.ndarray:
     m = pg.arity
-    if not coords:
-        raise ValueError("empty coordinate subset")
     if len(set(coords)) != len(coords) or not all(0 <= c < m for c in coords):
         raise ValueError(f"bad coordinate subset {coords} for arity {m}")
     n = pg.base.order

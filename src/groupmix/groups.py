@@ -192,19 +192,20 @@ def build_group(spec: GroupSpec) -> GroupTable:
 
     Element order is canonical: cyclic by residue; sl2 lexicographic by
     (a, b, c, d) with the identity swapped to index 0; alt5 lexicographic
-    by permutation image (the identity is already first).
+    by permutation image (the identity is already first).  The order follows
+    from the spec, so an over-cap group is rejected before its table is built.
     """
-    if spec.kind == "cyclic":
-        table = _build_cyclic(spec.param)
-    elif spec.kind == "sl2":
-        table = _build_sl2(spec.param)
-    else:
-        table = _build_alt5()
-    if table.order > MAX_BASE_ORDER:
+    q = spec.param
+    order = {"cyclic": q, "sl2": q * (q * q - 1)}.get(spec.kind, 60)
+    if order > MAX_BASE_ORDER:
         raise GroupConstructionError(
-            f"group order {table.order} above supported base-group maximum {MAX_BASE_ORDER}"
+            f"group order {order} above supported base-group maximum {MAX_BASE_ORDER}"
         )
-    return table
+    if spec.kind == "cyclic":
+        return _build_cyclic(q)
+    if spec.kind == "sl2":
+        return _build_sl2(q)
+    return _build_alt5()
 
 
 def _build_cyclic(n: int) -> GroupTable:

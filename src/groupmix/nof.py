@@ -191,7 +191,7 @@ def advantage_curve(
     uniform; a rise in t raises BoundViolation.  Stops once eps_uniform reaches target_eps.
     seconds times a step t >= 2 from before the product to after the inverse; t = 1 is 0.
     """
-    log = ExperimentLog(eps_ks=())
+    log = ExperimentLog()
     in_fourier = resolve_engine(s_dist.size, s_irreps) == "fourier"
     current = factor = s_dist
     for t in range(1, t_max + 1):
@@ -202,7 +202,7 @@ def advantage_curve(
             current = convolve(current, factor, s_irreps)
         point = dist_from_fourier(current, s_dist.space) if in_fourier and t > 1 else current
         secs = time.perf_counter() - t0 if t > 1 else 0.0
-        rec = _measure(point, t, "fresh-copy", (), True, secs)
+        rec = _measure(point, t, "fresh-copy", None, True, secs)
         del point  # the next product needs the room
         if log.records:
             prev = log.records[-1].tv_dist

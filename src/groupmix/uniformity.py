@@ -10,21 +10,14 @@ spaces make sampling unnecessary.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from groupmix.fourier import (
-    BoundViolation,
-    Dist,
-    dist_fourier,
-    marginalize,
-    max_low_weight_norm,
-)
-from groupmix.irreps import Irrep, IrrepSet
+from groupmix.fourier import Dist, marginalize, max_low_weight_norm
+from groupmix.irreps import IrrepSet
 
 FOURIER_UNIFORMITY_TOL = 1e-10
 
@@ -87,46 +80,6 @@ def is_k_uniform_fourier(
     """
     worst = max_low_weight_norm(p, k, s)
     return worst <= tol / p.size, worst
-
-
-def rep_bound_check(p: Dist, rho: Irrep) -> tuple[float, float]:
-    """Coefficient-norm bound for an eps-uniform distribution.
-
-    For non-trivial rho: |p_hat(rho)|_2^2 <= d_rho * eps^2 / |G|^2 where
-    eps = eps_uniform(p).  Returns (lhs, rhs); raises BoundViolation when the
-    inequality fails.
-    """
-    if rho.is_trivial:
-        raise ValueError("rep_bound_check needs a non-trivial irrep")
-    n = rho.matrices.shape[0]
-    if p.size != n:
-        raise ValueError("distribution and irrep live on different groups")
-    coeff = np.tensordot(rho.matrices.conj(), p.values, axes=([0], [0])) / n
-    lhs = float(np.vdot(coeff, coeff).real)
-    eps = eps_uniform(p)
-    rhs = rho.dim * eps**2 / float(n) ** 2
-    if not lhs <= rhs + 1e-15:
-        raise BoundViolation(f"coefficient bound violated: {lhs} > {rhs}")
-    return lhs, rhs
-
-
-def rep_bound_check_all(p: Dist, s: IrrepSet) -> tuple[float, float, tuple]:
-    """Worst-margin coefficient bound over every non-trivial (product) irrep.
-
-    Returns the (lhs, rhs) pair of the tightest instance together with its
-    irrep key, the tuple of base-irrep indices (a 1-tuple on a base group).
-    """
-    eps = eps_uniform(p)
-    lhs = dist_fourier(p, s).block_norms_sq
-    rhs = functools.reduce(np.multiply.outer, [np.asarray(s.dims)] * p.space.arity) * eps**2
-    rhs /= float(p.size) ** 2
-    margin = lhs - rhs
-    margin.flat[0] = -np.inf  # the trivial irrep carries no bound
-    idx = np.unravel_index(np.argmax(margin), margin.shape)
-    key = tuple(int(a) for a in idx[::-1])
-    if not lhs[idx] <= rhs[idx] + 1e-15:
-        raise BoundViolation(f"coefficient bound violated at {key}: {lhs[idx]} > {rhs[idx]}")
-    return float(lhs[idx]), float(rhs[idx]), key
 
 
 def report_to_text(report: UniformityReport) -> str:

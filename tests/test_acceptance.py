@@ -24,9 +24,9 @@ from groupmix.uniformity import (
     eps_k_uniform_counts,
     eps_uniform,
     is_k_uniform_fourier,
-    rep_bound_check,
-    rep_bound_check_all,
 )
+
+from bounds import l2_to_linf_check, rep_bound_check, square_boost_check
 
 SEED = 2024
 
@@ -179,14 +179,14 @@ def test_c05_norm_claims(sl2_5, a5, irreps_cache):
             ta, tb = rng.uniform(0, 1, size=2)
             p = fx.make_dist(space, (1 - ta) / size + ta * v1 / v1.sum())
             q = fx.make_dist(space, (1 - tb) / size + tb * v2 / v2.sum())
-            assert boost.l2_to_linf_check(p, s).holds               # conv bound, 1e-15 slack
-            rep_bound_check_all(p, s)                               # coefficient bound, 1e-15
-            assert boost.square_boost_check(p, q, 1, s).holds       # eps product bound, 1e-12
-    for r in s_sl.irreps[1:]:
+            assert l2_to_linf_check(p, s).holds                     # conv bound, 1e-15 slack
+            rep_bound_check(p, s)                                   # coefficient bound, 1e-15
+            assert square_boost_check(p, q, 1, s).holds             # eps product bound, 1e-12
+    for _ in s_sl.irreps[1:]:  # one larger-t draw per non-trivial irrep, each checked on all
         v = rng.random(sl2_5.order)
         t = rng.uniform(0, 0.2)
         p = fx.make_dist(sl2_5, (1 - t) / sl2_5.order + t * v / v.sum())
-        lhs, rhs = rep_bound_check(p, r)
+        lhs, rhs, _ = rep_bound_check(p, s_sl)
         assert lhs <= rhs + 1e-15
     elapsed = time.perf_counter() - t0
     _report(5, f"L2->Linf, coefficient, and eps-product bounds on 100 instances each, {elapsed:.1f}s")
@@ -197,7 +197,7 @@ def test_c06_boost_pipeline(a5, a5_box, sl2_3, irreps_cache):
     s5 = irreps_cache(a5)
     p = nof.box_to_dist(a5_box)
     target = 60.0**-4
-    final, log = boost.boost_pipeline(p, "self-square", 6, target, s5, eps_ks=(3,))
+    final, log = boost.boost_pipeline(p, "self-square", 6, target, s5, k=3)
     assert log.records[-1].linf_rel <= target
     assert len(log.records) - 1 <= 6
     l2s = [r.l2_sq for r in log.records]

@@ -13,15 +13,14 @@ from groupmix.boost import (
     boost_pipeline,
     flatten_bound_check,
     l2_sq_dist_to_uniform,
-    l2_to_linf_check,
     numerical_floor,
-    square_boost_check,
 )
 from groupmix.groups import ProductGroup
 from groupmix.irreps import get_irreps, quasirandomness_degree
 from groupmix.uniformity import eps_uniform
 
 import oracles
+from bounds import l2_to_linf_check, square_boost_check
 
 SEED = 2024
 
@@ -107,13 +106,13 @@ def test_measure_matches_separate_metrics(a5, sl2_3):
         cases.append(fx.make_dist(pg, v / v.sum()))
     cases += [fx.point_mass(pg, 7), nof.box_to_dist(nof.exact_s(sl2_3, 2))]
     for p in cases:
-        rec = boost._measure(p, 0, "self-square", (), True, 0.0)
+        rec = boost._measure(p, 0, "self-square", None, True, 0.0)
         assert rec.l2_sq == pytest.approx(l2_sq_dist_to_uniform(p), rel=1e-12, abs=0)
         assert rec.linf_rel == pytest.approx(eps_uniform(p), rel=1e-12, abs=0)
         assert rec.tv_dist == oracles.tv_to_uniform(p)
-    rec = boost._measure(fx.uniform(pg), 0, "self-square", (), True, 0.0)
+    rec = boost._measure(fx.uniform(pg), 0, "self-square", None, True, 0.0)
     assert (rec.l2_sq, rec.linf_rel, rec.tv_dist) == (0.0, 0.0, 0.0)
-    assert boost._measure(cases[0], 0, "self-square", (), False, 0.0).tv_dist is None
+    assert boost._measure(cases[0], 0, "self-square", None, False, 0.0).tv_dist is None
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +229,7 @@ def test_pipeline_fresh_copy_matches_direct_convolution(sl2_3, irreps_cache):
     rng = np.random.default_rng(SEED)
     v = rng.random(pg.size)
     p = fx.make_dist(pg, v / v.sum())
-    final, log = boost_pipeline(
-        p, "fresh-copy", 7, 0.0, irreps_cache(sl2_3), eps_ks=(2,)
-    )
+    final, log = boost_pipeline(p, "fresh-copy", 7, 0.0, irreps_cache(sl2_3), k=2)
     current = p
     for t in range(1, 8):
         current = fx.convolve_direct(current, p)
@@ -279,16 +276,16 @@ def test_pipeline_fresh_copy_in_coefficients_matches_dist_loop(sl2_3, irreps_cac
     # re-transforms a Dist at every step, as the loop did before
     s = irreps_cache(sl2_3)
     box = nof.box_to_dist(nof.exact_s(sl2_3, 2))
-    final, log = boost_pipeline(box, "fresh-copy", 3, 0.0, s, eps_ks=(2,))
+    final, log = boost_pipeline(box, "fresh-copy", 3, 0.0, s, k=2)
     assert box.size > 10_000 and [r.step for r in log.records] == [0, 1, 2, 3]
     current = box
     for rec in log.records:
         if rec.step:
             current = fx.convolve_fourier(current, box, s)
-        want = boost._measure(current, rec.step, "fresh-copy", (2,), False, 0.0)
+        want = boost._measure(current, rec.step, "fresh-copy", 2, False, 0.0)
         for field in ("l2_sq", "linf_rel"):
             assert abs(getattr(rec, field) - getattr(want, field)) <= 1e-12, (rec.step, field)
-        assert abs(rec.eps_k[2] - want.eps_k[2]) <= 1e-12
+        assert abs(rec.eps_k - want.eps_k) <= 1e-12
     assert np.max(np.abs(final.values - current.values)) <= 1e-12
 
 
@@ -305,7 +302,7 @@ def test_pipeline_l2_monotone_in_contracting_regime(a5, irreps_cache):
     t = 0.9 / 60.0 / 59.0
     r = rng.random(pg.size)
     p = fx.make_dist(pg, (1 - t) / pg.size + t * r / r.sum())
-    _, log = boost_pipeline(p, "self-square", 6, 0.0, irreps_cache(a5), eps_ks=(1,))
+    _, log = boost_pipeline(p, "self-square", 6, 0.0, irreps_cache(a5), k=1)
     l2s = [rec.l2_sq for rec in log.records]
     for prev, cur, rec in zip(l2s, l2s[1:], log.records[1:]):
         if not rec.at_floor:
@@ -315,13 +312,13 @@ def test_pipeline_l2_monotone_in_contracting_regime(a5, irreps_cache):
 def test_pipeline_log_structure(sl2_3, irreps_cache):
     pg = ProductGroup(sl2_3, 2)
     p = nof.box_to_dist(nof.exact_s(sl2_3, 1))
-    final, log = boost_pipeline(p, "self-square", 3, 0.0, irreps_cache(sl2_3), eps_ks=(1,))
+    final, log = boost_pipeline(p, "self-square", 3, 0.0, irreps_cache(sl2_3), k=1)
     assert log.records[0].step == 0
     assert log.records[0].linf_rel == pytest.approx(
         float(np.max(np.abs(p.values * p.size - 1))), abs=1e-14
     )
     assert all(r.mode == "self-square" for r in log.records)
-    assert all(1 in r.eps_k for r in log.records)
+    assert all(r.eps_k is not None for r in log.records)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +332,7 @@ def test_csv_header_and_determinism(sl2_3, irreps_cache):
     p = fx.make_dist(pg, v / v.sum())
 
     def run():
-        _, log = boost_pipeline(p, "self-square", 3, 0.0, irreps_cache(sl2_3), eps_ks=(1,))
+        _, log = boost_pipeline(p, "self-square", 3, 0.0, irreps_cache(sl2_3), k=1)
         return log.to_csv()
 
     csv1, csv2 = run(), run()
@@ -346,10 +343,10 @@ def test_csv_header_and_determinism(sl2_3, irreps_cache):
 
 
 def test_csv_timing_column_opt_in():
-    log = ExperimentLog(eps_ks=(2,))
+    log = ExperimentLog()
     from groupmix.boost import StepRecord
 
-    log.add(StepRecord(0, "fresh-copy", 1.0, 2.0, {2: 0.5}, 0.25, 1.5))
+    log.add(StepRecord(0, "fresh-copy", 1.0, 2.0, 0.5, 0.25, 1.5))
     with_timing = log.to_csv(include_timing=True)
     assert with_timing.splitlines()[1] == "0,fresh-copy,1.0,2.0,0.5,0.25,1.5"
 

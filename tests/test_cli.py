@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from groupmix.cli import main, read_config
+from groupmix.cli import default_cache_dir, main, read_config
 
 
 def run_cli(argv, capsys):
@@ -32,6 +32,17 @@ def test_irreps_summary_cyclic(capsys, cache):
     code, out, _ = run_cli(["irreps", "--group", "cyclic:4", "--cache-dir", cache], capsys)
     assert code == 0
     assert out.strip() == "dims=[1, 1, 1, 1] sum_sq=4 d=1"
+
+
+def test_irreps_summary_trivial_group(capsys, cache):
+    code, out, _ = run_cli(["irreps", "--group", "cyclic:1", "--cache-dir", cache], capsys)
+    assert code == 0
+    assert out.strip() == "dims=[1] sum_sq=1 d=1"
+
+
+def test_cache_dir_defaults_to_the_environment(monkeypatch, tmp_path):
+    monkeypatch.setenv("GROUPMIX_CACHE_DIR", str(tmp_path))
+    assert default_cache_dir() == str(tmp_path)
 
 
 def test_irreps_rejects_nonprime_q(capsys, cache):
@@ -270,6 +281,16 @@ def test_config_file_rejects_bad_value(capsys, cache, tmp_path):
     )
     assert code == 1
     assert str(cfg) in err and "'four'" in err and "key m" in err
+
+
+def test_config_file_rejects_line_without_equals(capsys, cache, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group=sl2:3\nm 4\n")
+    code, _, err = run_cli(
+        ["experiment", "flatten", "--config", str(cfg), "--cache-dir", cache], capsys
+    )
+    assert code == 1
+    assert f"{cfg}:2: expected KEY=VALUE, got 'm 4'" in err
 
 
 def test_config_hash_starts_comment_only_at_line_start_or_after_space(capsys, cache, tmp_path):

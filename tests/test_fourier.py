@@ -12,9 +12,10 @@ from groupmix.boost import flatten_bound_check
 from groupmix.groups import ProductGroup
 from groupmix.irreps import get_irreps, quasirandomness_degree
 from groupmix.repair import repair
-from groupmix.uniformity import eps_k_uniform, rep_bound_check_all
+from groupmix.uniformity import eps_k_uniform
 
 import oracles
+from bounds import rep_bound_check
 from oracles import flat_digits
 
 SEED = 2024
@@ -51,6 +52,11 @@ def test_dist_validation(a5):
     v[1] = v[1] - 1e-16
     d = fx.make_dist(a5, v)
     assert np.all(d.values >= 0.0)
+
+
+def test_make_dist_rejects_wrong_length(c4):
+    with pytest.raises(ValueError, match="expected 4 values"):
+        fx.make_dist(c4, np.full(5, 0.2))
 
 
 def test_make_dist_rejects_non_finite(c4):
@@ -880,9 +886,12 @@ def test_marginalization_commutes_with_convolution(a5, a5_irr):
 def test_bad_subset_rejected(a5):
     pg = ProductGroup(a5, 2)
     u = fx.uniform(pg)
-    for bad in ((), (0, 0), (2,), (-1,)):
-        with pytest.raises(ValueError):
+    for bad in ((0, 0), (2,), (-1,)):
+        with pytest.raises(ValueError, match="bad coordinate subset"):
             fx.marginalize(u, bad)
+    # the empty marginal is rejected by its space, H^0, before any values are read
+    with pytest.raises(groups.GroupConstructionError, match="arity must be >= 1"):
+        fx.marginalize(u, ())
 
 
 # ---------------------------------------------------------------------------
@@ -899,6 +908,13 @@ def test_low_weight_matches_full_transform(a5, a5_irr):
     assert set(low) == {t for t in full if sum(a != 0 for a in t) == 1}
     for t, mat in low.items():
         assert np.max(np.abs(mat - full[t])) < 1e-10
+
+
+def test_low_weight_rejects_k_outside_1_to_m(a5, a5_irr):
+    u = fx.uniform(ProductGroup(a5, 2))
+    for k in (0, 3):
+        with pytest.raises(ValueError, match=r"k must lie in \[1, 2\]"):
+            fx.max_low_weight_norm(u, k, a5_irr)
 
 
 def test_low_weight_of_uniform_vanishes(a5, a5_irr):
@@ -953,7 +969,7 @@ def test_base_group_is_its_first_power(request, group):
     assert np.array_equal(fx.marginalize(p, (0,)).values, fx.marginalize(p1, (0,)).values)
     assert eps_k_uniform(p, 1) == eps_k_uniform(p1, 1)
     assert fx.max_low_weight_norm(p, 1, s) == fx.max_low_weight_norm(p1, 1, s)
-    assert rep_bound_check_all(p, s) == rep_bound_check_all(p1, s)
+    assert rep_bound_check(p, s) == rep_bound_check(p1, s)
     (r, cert), (r1, cert1) = repair(p, 1, s), repair(p1, 1, s)
     assert np.array_equal(r.values, r1.values) and cert == cert1
     d = quasirandomness_degree(s)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,8 @@ def test_parse_group_spec():
     assert groups.parse_group_spec("a5") == groups.alt5()
     with pytest.raises(GroupConstructionError):
         groups.parse_group_spec("dihedral:8")
+    with pytest.raises(GroupConstructionError, match="bad group parameter"):
+        groups.parse_group_spec("cyclic:x")
 
 
 def test_verify_group_passes_on_builtins(sl2_5, a5, c12):
@@ -190,3 +194,17 @@ def test_dense_budget_rejected(a5):
     with pytest.raises(GroupConstructionError, match="dense"):
         groups.check_dense_budget(ProductGroup(a5, 5))
     groups.check_dense_budget(ProductGroup(a5, 4))  # supported maximum
+
+
+@pytest.mark.parametrize("spec", [groups.cyclic(10_001), groups.sl2(23)])
+def test_over_cap_group_rejected_before_its_table_is_built(spec):
+    # the order follows from the spec (sl2:23 has 12,144 elements), so the
+    # n x n table and its temporaries, 0.6-0.8 GB here, are never allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupConstructionError, match="above supported base-group maximum"):
+            build_group(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

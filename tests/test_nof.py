@@ -169,6 +169,10 @@ def test_budget_errors(a5, sl2_5):
         nof.exact_s(a5, 3)       # dense-state budget, 60^8 states
     with pytest.raises(nof.BudgetError, match="sample_s"):
         nof.exact_s(sl2_5, 2)    # dense-state budget
+    with pytest.raises(ValueError, match="parties must be >= 1"):
+        nof.exact_s(a5, 0)
+    with pytest.raises(ValueError, match="parties >= 2"):
+        nof.verify_s_uniformity(a5, 1)
 
 
 def test_advantage_curve_monotone(sl2_2, irreps_cache):
@@ -217,7 +221,7 @@ def test_advantage_curve_in_coefficients_matches_dist_loop(sl2_3, irreps_cache):
     for t, rec in enumerate(log.records, start=1):
         if t > 1:
             current = fx.convolve_fourier(current, box, s)
-        want = boost._measure(current, t, "fresh-copy", (), True, 0.0)
+        want = boost._measure(current, t, "fresh-copy", None, True, 0.0)
         for field in ("l2_sq", "linf_rel", "tv_dist"):
             assert abs(getattr(rec, field) - getattr(want, field)) <= 1e-12, (t, field)
 

@@ -14,10 +14,10 @@ from groupmix.uniformity import (
     eps_k_uniform_counts,
     eps_uniform,
     is_k_uniform_fourier,
-    rep_bound_check,
-    rep_bound_check_all,
     report_to_text,
 )
+
+from bounds import rep_bound_check
 
 SEED = 2024
 
@@ -152,7 +152,7 @@ def test_fourier_and_marginal_agree_on_subgroup_uniform(c3, c3_irr):
 
 def test_rep_bound_on_uniform(a5, irreps_cache):
     s = irreps_cache(a5)
-    lhs, rhs = rep_bound_check(fx.uniform(a5), s.irreps[1])
+    lhs, rhs, _ = rep_bound_check(fx.uniform(a5), s)
     assert lhs <= 1e-28 and rhs == 0.0
 
 
@@ -161,9 +161,8 @@ def test_rep_bound_on_mixtures(a5, irreps_cache):
     for t in (1e-1, 1e-4):
         v = (1 - t) * np.full(60, 1 / 60) + t * np.eye(60)[0]
         p = fx.make_dist(a5, v)
-        for r in s.irreps[1:]:
-            lhs, rhs = rep_bound_check(p, r)
-            assert lhs <= rhs + 1e-15
+        lhs, rhs, key = rep_bound_check(p, s)
+        assert lhs <= rhs + 1e-15 and key != (0,)
 
 
 def test_rep_bound_random_perturbations(sl2_5, irreps_cache):
@@ -175,14 +174,8 @@ def test_rep_bound_random_perturbations(sl2_5, irreps_cache):
         noise /= noise.sum()
         t = rng.uniform(0, 1e-2)
         p = fx.make_dist(sl2_5, (1 - t) / n + t * noise)
-        lhs, rhs, _ = rep_bound_check_all(p, s)
+        lhs, rhs, _ = rep_bound_check(p, s)
         assert lhs <= rhs + 1e-15
-
-
-def test_rep_bound_rejects_trivial(a5, irreps_cache):
-    s = irreps_cache(a5)
-    with pytest.raises(ValueError, match="non-trivial"):
-        rep_bound_check(fx.uniform(a5), s.irreps[0])
 
 
 def test_rep_bound_all_on_product(a5, irreps_cache):
@@ -191,7 +184,7 @@ def test_rep_bound_all_on_product(a5, irreps_cache):
     rng = np.random.default_rng(SEED)
     v = rng.random(pg.size)
     p = fx.make_dist(pg, v / v.sum())
-    lhs, rhs, key = rep_bound_check_all(p, s)
+    lhs, rhs, key = rep_bound_check(p, s)
     assert lhs <= rhs + 1e-15
     assert isinstance(key, tuple)
 
