@@ -274,8 +274,10 @@ def cmd_experiment_nof(args) -> int:
 def cmd_experiment_repair(args) -> int:
     cfg, g, s = _setup(args)
     p0 = _box_input(cfg, g)
-    de = fx.point_mass(p0.space, 0)
-    p = fx.make_dist(p0.space, (1 - cfg.delta) * p0.values + cfg.delta * de.values)
+    v = p0.values * (1 - cfg.delta)
+    v[0] += cfg.delta            # index 0 is the identity tuple
+    p = fx.make_dist(p0.space, v)
+    del p0
     q, cert = run_repair(p, cfg.k, s, mode=cfg.repair_mode)
     check = verify_repair(p, q, cfg.k, s)
     marg_eps = eps_k_uniform(q, cfg.k).eps

@@ -499,14 +499,14 @@ def marginalize(p: Dist, coords) -> Dist:
 
 
 def _low_weight_transforms(p: Dist, k: int, s: IrrepSet):
-    """Yield (subset, coefficients) for every subset S of 1..k coordinates.
+    """Yield (top, subset, coefficients) for every subset S of 1..k coordinates.
 
     A coefficient supported on S equals n^(|S|-m) times the matching
     coefficient of the marginal onto S, so only |H|^|S|-sized transforms are
     needed.  Zeroing the trivial slot (index 0) of every axis leaves exactly
     the weight-|S| coefficients on S, in a dense (n,)*|S| tensor.  Only the
     weight-k marginals sum the full tensor; each smaller one is summed from
-    the first weight-k marginal that contains it.
+    the first weight-k marginal that contains it, whose coordinates are `top`.
     """
     _check_base(s, p.space)
     m = p.space.arity
@@ -526,12 +526,12 @@ def _low_weight_transforms(p: Dist, k: int, s: IrrepSet):
             coeffs *= float(n) ** (w - m)
             for axis in range(w):
                 coeffs[(slice(None),) * axis + (0,)] = 0.0
-            yield subset, coeffs
+            yield sup, subset, coeffs
 
 
 def max_low_weight_norm(p: Dist, k: int, s: IrrepSet) -> float:
     """Largest Frobenius norm of a weight-1..k coefficient block of p."""
     return max(
         float(np.sqrt(_block_norms_sq(coeffs, s).max()))
-        for _, coeffs in _low_weight_transforms(p, k, s)
+        for _, _, coeffs in _low_weight_transforms(p, k, s)
     )

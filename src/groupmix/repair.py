@@ -24,6 +24,7 @@ import numpy as np
 from groupmix.fourier import (
     BoundViolation,
     Dist,
+    SpaceMismatchError,
     _axis_passes,
     _block_norms_sq,
     _low_weight_transforms,
@@ -31,6 +32,7 @@ from groupmix.fourier import (
     make_dist,
     max_low_weight_norm,
 )
+from groupmix.groups import same_space
 from groupmix.irreps import IrrepSet
 
 _IMAG_TOL = 1e-12
@@ -46,19 +48,26 @@ class RepairInfeasibleError(ValueError):
 def _low_data(p: Dist, k: int, s: IrrepSet):
     """(ell in the synthesis dtype, max low-weight coefficient norm).
 
-    ell sums the inverse transforms of every subset's weight-|S| slice, each
-    broadcast from its subset's axes to all m.
+    ell sums the inverse transforms of every subset's weight-|S| slice on the
+    axes of its top k-subset, then broadcasts those C(m,k) sums to all m axes.
     """
     m = p.space.arity
     n = p.space.base.order
     synth = _stacked(s)[1]
-    acc = np.zeros((n,) * m, dtype=synth.dtype)
+    sums = {}
     worst = 0.0
-    for subset, coeffs in _low_weight_transforms(p, k, s):
+    for top, subset, coeffs in _low_weight_transforms(p, k, s):
         worst = max(worst, float(np.sqrt(_block_norms_sq(coeffs, s).max())))
         lifted = _axis_passes(coeffs.reshape(-1), synth, len(subset))
-        acc += lifted.reshape([n if m - 1 - j in subset else 1 for j in range(m)])
-    return acc.reshape(-1), worst
+        acc = sums.setdefault(top, np.zeros((n,) * k, dtype=synth.dtype))
+        # axis j of a tensor holds its last-but-j coordinate
+        acc += lifted.reshape([n if c in subset else 1 for c in reversed(top)])
+    if k == m:
+        return sums[top].reshape(-1), worst     # the one top subset: already full size
+    ell = np.zeros((n,) * m, dtype=synth.dtype)
+    for top, acc in sums.items():
+        ell += acc.reshape([n if c in top else 1 for c in reversed(range(m))])
+    return ell.reshape(-1), worst
 
 
 def low_part(p: Dist, k: int, s: IrrepSet) -> np.ndarray:
@@ -151,21 +160,22 @@ def repair(p: Dist, k: int, s: IrrepSet, mode: str = "adaptive") -> tuple[Dist, 
     n = p.space.base.order
     g_size = float(p.size)
 
-    ell_c, max_norm = _low_data(p, k, s)
-    ell = _realify(ell_c, p.size)
-    del ell_c
+    # one buffer holds ell, then p' = p - ell, then q
+    buf, max_norm = _low_data(p, k, s)
+    buf = _realify(buf, p.size)
     eps_in = g_size * max_norm
-    p_prime = p.values - ell
+    np.subtract(p.values, buf, out=buf)
 
     # dips within the ingestion clamp are already treated as zero, so only
     # genuinely negative entries force mixing; this keeps beta exactly 0 on
     # exactly-k-uniform inputs where ell is pure rounding noise
-    neg = p_prime < -1e-16
+    neg = buf < -1e-16
     if np.any(neg):
-        ratios = -p_prime[neg] / (1.0 / g_size - p_prime[neg])
+        ratios = -buf[neg] / (1.0 / g_size - buf[neg])
         beta_adaptive = float(np.max(ratios))
     else:
         beta_adaptive = 0.0
+    del neg
     beta_paper = _paper_beta(m, n, k, eps_in)
     beta = beta_paper if mode == "paper-formula" else beta_adaptive
     if beta >= 1.0:
@@ -175,9 +185,10 @@ def repair(p: Dist, k: int, s: IrrepSet, mode: str = "adaptive") -> tuple[Dist, 
             eps_in,
         )
 
-    q_vals = (1.0 - beta) * p_prime + beta / g_size
-    q = make_dist(p.space, q_vals)
-    cert = _certify(p, q, q_vals, k, s, eps_in, mode, beta, beta_adaptive)
+    buf *= 1.0 - beta
+    buf += beta / g_size
+    q = make_dist(p.space, buf)
+    cert = _certify(p, q, buf, k, s, eps_in, mode, beta, beta_adaptive)
     if mode == "paper-formula" and not cert.l1_within_bound:
         raise BoundViolation(f"repair distance {cert.l1_distance} above bound {cert.bound}")
     return q, cert
@@ -185,6 +196,8 @@ def repair(p: Dist, k: int, s: IrrepSet, mode: str = "adaptive") -> tuple[Dist, 
 
 def verify_repair(p: Dist, q: Dist, k: int, s: IrrepSet) -> RepairCertificate:
     """Recompute every certificate field from (p, q, k) for an arbitrary q."""
+    if not same_space(p.space, q.space):
+        raise SpaceMismatchError("repair check across different spaces")
     eps_in = float(p.size) * max_low_weight_norm(p, k, s)
     return _certify(p, q, q.values, k, s, eps_in, "verify", None, None)
 

@@ -397,7 +397,7 @@ def low_weight_blocks(p, k: int, s) -> dict:
     from groupmix.fourier import _low_weight_transforms
 
     out = {}
-    for subset, coeffs in _low_weight_transforms(p, k, s):
+    for _, subset, coeffs in _low_weight_transforms(p, k, s):
         for tau in itertools.product(range(1, len(s)), repeat=len(subset)):
             full = dict(zip(subset, tau))
             out[tuple(full.get(i, 0) for i in range(p.space.arity))] = coefficient_block(

@@ -357,6 +357,7 @@ def test_outputs_parse_back_to_printed_floats(capsys, cache, tmp_path):
         if key != "mode" and val not in ("True", "False")
     }
     assert len(numbers) == len(report) - 5  # mode and four verdicts
+    assert {"verify_residual", "marginal_eps_k"} <= numbers.keys()
     printed = _summary(out)
     for key, name in (("beta", "beta"), ("eps_in", "eps_in"), ("l1", "l1_distance"),
                       ("bound", "bound"), ("residual", "k_uniform_residual")):

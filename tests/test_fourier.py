@@ -262,8 +262,11 @@ def test_low_weight_transforms_match_full_tensor_marginals(case, c3, c3_irr, sl2
     p = fx.make_dist(pg, v / v.sum())
     got = list(fx._low_weight_transforms(p, k, s))
     subsets = [c for w in range(1, k + 1) for c in itertools.combinations(range(m), w)]
-    assert [subset for subset, _ in got] == subsets
-    for subset, coeffs in got:
+    assert [subset for _, subset, _ in got] == subsets
+    # each comes with the first weight-k subset that holds it
+    tops = list(itertools.combinations(range(m), k))
+    assert [top for top, _, _ in got] == [next(t for t in tops if set(c) <= set(t)) for c in subsets]
+    for _, subset, coeffs in got:
         w = len(subset)
         expected = fx._forward(fx._marginal_values(p.values, pg, subset), s, w)
         expected *= float(g.order) ** (w - m)
