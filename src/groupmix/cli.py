@@ -85,10 +85,10 @@ class RunConfig:
         checks = [
             ("m", self.m >= 1, "must be >= 1"),
             ("k", 1 <= self.k <= self.m, f"must lie in [1, m={self.m}]"),
-            ("parties", self.parties >= 1, "must be >= 1"),
+            ("parties", self.parties >= 2, "must be >= 2"),
             ("tol", 1e-12 <= self.tol <= 1e-6, "must lie in [1e-12, 1e-6]"),
             ("max_steps", self.max_steps >= 0, "must be >= 0"),
-            ("delta", self.delta >= 0, "must be >= 0"),
+            ("delta", 0 <= self.delta <= 1, "must lie in [0, 1]"),
             (
                 "target_eps",
                 self.target_eps is None or self.target_eps > 0,

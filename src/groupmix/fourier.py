@@ -499,39 +499,35 @@ def marginalize(p: Dist, coords) -> Dist:
 
 
 def _low_weight_transforms(p: Dist, k: int, s: IrrepSet):
-    """Yield (top, subset, coefficients) for every subset S of 1..k coordinates.
+    """Yield (top, coefficients) for every k-subset `top` of the coordinates, in
+    `itertools.combinations` order.
 
-    A coefficient supported on S equals n^(|S|-m) times the matching
-    coefficient of the marginal onto S, so only |H|^|S|-sized transforms are
-    needed.  Zeroing the trivial slot (index 0) of every axis leaves exactly
-    the weight-|S| coefficients on S, in a dense (n,)*|S| tensor.  Only the
-    weight-k marginals sum the full tensor; each smaller one is summed from
-    the first weight-k marginal that contains it, whose coordinates are `top`.
+    A coefficient supported on S equals n^(k-m) times the matching coefficient
+    of the marginal onto any k-subset holding S, so one |H|^k-sized transform
+    per top holds every weight-1..k coefficient.  Each is kept only in the
+    first top that holds its support: the all-trivial entry is zeroed, and for
+    every earlier top t the sub-block with slot 0 (the trivial irrep) on the
+    coordinates of top outside t.
     """
     _check_base(s, p.space)
     m = p.space.arity
     if not 1 <= k <= m:
         raise ValueError(f"k must lie in [1, {m}], got {k}")
     n = p.space.base.order
-    top = {
-        sup: _marginal_values(p.values, p.space, sup)
-        for sup in itertools.combinations(range(m), k)
-    }
-    sub_space = ProductGroup(p.space.base, k)
-    for w in range(1, k + 1):
-        for subset in itertools.combinations(range(m), w):
-            sup = next(t for t in top if set(subset) <= set(t))
-            marg = _marginal_values(top[sup], sub_space, tuple(map(sup.index, subset)))
-            coeffs = _forward(marg, s, w)
-            coeffs *= float(n) ** (w - m)
-            for axis in range(w):
-                coeffs[(slice(None),) * axis + (0,)] = 0.0
-            yield sup, subset, coeffs
+    tops = list(itertools.combinations(range(m), k))
+    for i, top in enumerate(tops):
+        coeffs = _forward(_marginal_values(p.values, p.space, top), s, k)
+        coeffs *= float(n) ** (k - m)
+        coeffs[(0,) * k] = 0.0
+        for t in tops[:i]:
+            # axis j of the tensor holds coordinate top[k-1-j]
+            coeffs[tuple(slice(None) if c in t else 0 for c in reversed(top))] = 0.0
+        yield top, coeffs
 
 
 def max_low_weight_norm(p: Dist, k: int, s: IrrepSet) -> float:
     """Largest Frobenius norm of a weight-1..k coefficient block of p."""
     return max(
         float(np.sqrt(_block_norms_sq(coeffs, s).max()))
-        for _, _, coeffs in _low_weight_transforms(p, k, s)
+        for _, coeffs in _low_weight_transforms(p, k, s)
     )

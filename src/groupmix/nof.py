@@ -61,7 +61,7 @@ def _check_budgets(h: GroupTable, parties: int):
     if h.order**m > MAX_DENSE_STATES:
         raise BudgetError(
             f"dense counts over H^{m} need {h.order**m} states, above the supported "
-            f"{MAX_DENSE_STATES}; use sample_s instead"
+            f"{MAX_DENSE_STATES}"
         )
 
 

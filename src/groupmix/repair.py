@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from groupmix.fourier import (
+    NEG_CLAMP,
     BoundViolation,
     Dist,
     SpaceMismatchError,
@@ -46,49 +47,43 @@ class RepairInfeasibleError(ValueError):
 
 
 def _low_data(p: Dist, k: int, s: IrrepSet):
-    """(ell in the synthesis dtype, max low-weight coefficient norm).
+    """(ell, max low-weight coefficient norm), ell real and full size.
 
-    ell sums the inverse transforms of every subset's weight-|S| slice on the
-    axes of its top k-subset, then broadcasts those C(m,k) sums to all m axes.
+    ell sums one |H|^k inverse per top k-subset, broadcast to all m axes.  A
+    top's mask depends only on which coordinates are trivial, a pattern that
+    conjugation keeps, so each inverse is real up to rounding.
     """
     m = p.space.arity
     n = p.space.base.order
     synth = _stacked(s)[1]
-    sums = {}
+    ell = np.zeros((n,) * m) if k < m else None
     worst = 0.0
-    for top, subset, coeffs in _low_weight_transforms(p, k, s):
+    for top, coeffs in _low_weight_transforms(p, k, s):
         worst = max(worst, float(np.sqrt(_block_norms_sq(coeffs, s).max())))
-        lifted = _axis_passes(coeffs.reshape(-1), synth, len(subset))
-        acc = sums.setdefault(top, np.zeros((n,) * k, dtype=synth.dtype))
-        # axis j of a tensor holds its last-but-j coordinate
-        acc += lifted.reshape([n if c in subset else 1 for c in reversed(top)])
-    if k == m:
-        return sums[top].reshape(-1), worst     # the one top subset: already full size
-    ell = np.zeros((n,) * m, dtype=synth.dtype)
-    for top, acc in sums.items():
-        ell += acc.reshape([n if c in top else 1 for c in reversed(range(m))])
-    return ell.reshape(-1), worst
+        lifted = _axis_passes(coeffs.reshape(-1), synth, k)
+        if np.iscomplexobj(lifted):
+            worst_imag = float(np.max(np.abs(lifted.imag)))
+            if worst_imag > _IMAG_TOL:
+                raise ValueError(
+                    f"low-degree part has imaginary residual {worst_imag} > {_IMAG_TOL}; "
+                    "coefficients do not pair into a real function"
+                )
+            lifted = lifted.real
+        if ell is None:
+            ell = np.ascontiguousarray(lifted)    # k = m: the one top is the whole tensor
+        else:
+            # axis j of a tensor holds its last-but-j coordinate
+            ell += lifted.reshape([n if c in top else 1 for c in reversed(range(m))])
+    ell = ell.reshape(-1)
+    total = float(ell.sum())
+    if abs(total) > _SUM_TOL:
+        raise ValueError(f"low-degree part sums to {total}, expected 0")
+    return ell, worst
 
 
 def low_part(p: Dist, k: int, s: IrrepSet) -> np.ndarray:
-    """The low-degree part of p: real, zero-sum, built from subset marginals."""
-    ell, _ = _low_data(p, k, s)
-    return _realify(ell, p.size)
-
-
-def _realify(ell: np.ndarray, size: int) -> np.ndarray:
-    if np.iscomplexobj(ell):
-        worst_imag = float(np.max(np.abs(ell.imag))) if ell.size else 0.0
-        if worst_imag > _IMAG_TOL:
-            raise ValueError(
-                f"low-degree part has imaginary residual {worst_imag} > {_IMAG_TOL}; "
-                "coefficients do not pair into a real function"
-            )
-    out = np.ascontiguousarray(ell.real)
-    total = float(out.sum())
-    if abs(total) > _SUM_TOL:
-        raise ValueError(f"low-degree part sums to {total}, expected 0")
-    return out
+    """The low-degree part of p: real, zero-sum, one |H|^k inverse per top k-subset."""
+    return _low_data(p, k, s)[0]
 
 
 @dataclass(frozen=True)
@@ -162,20 +157,15 @@ def repair(p: Dist, k: int, s: IrrepSet, mode: str = "adaptive") -> tuple[Dist, 
 
     # one buffer holds ell, then p' = p - ell, then q
     buf, max_norm = _low_data(p, k, s)
-    buf = _realify(buf, p.size)
     eps_in = g_size * max_norm
     np.subtract(p.values, buf, out=buf)
 
-    # dips within the ingestion clamp are already treated as zero, so only
-    # genuinely negative entries force mixing; this keeps beta exactly 0 on
+    # -x / (1/|G| - x) falls as x rises, so the least entry sets beta.  Dips
+    # within the ingestion clamp are already treated as zero, so only a
+    # genuinely negative one forces mixing; this keeps beta exactly 0 on
     # exactly-k-uniform inputs where ell is pure rounding noise
-    neg = buf < -1e-16
-    if np.any(neg):
-        ratios = -buf[neg] / (1.0 / g_size - buf[neg])
-        beta_adaptive = float(np.max(ratios))
-    else:
-        beta_adaptive = 0.0
-    del neg
+    low = float(buf.min())
+    beta_adaptive = -low / (1.0 / g_size - low) if low < -1e-16 else 0.0
     beta_paper = _paper_beta(m, n, k, eps_in)
     beta = beta_paper if mode == "paper-formula" else beta_adaptive
     if beta >= 1.0:
@@ -187,8 +177,12 @@ def repair(p: Dist, k: int, s: IrrepSet, mode: str = "adaptive") -> tuple[Dist, 
 
     buf *= 1.0 - beta
     buf += beta / g_size
+    # the certificate reports q before the ingestion clamp, which runs in place
+    q_min, q_sum = float(buf.min()), float(buf.sum())
+    if NEG_CLAMP <= q_min < 0.0:
+        np.maximum(buf, 0.0, out=buf)
     q = make_dist(p.space, buf)
-    cert = _certify(p, q, buf, k, s, eps_in, mode, beta, beta_adaptive)
+    cert = _certify(p, q, (q_min, q_sum), k, s, eps_in, mode, beta, beta_adaptive)
     if mode == "paper-formula" and not cert.l1_within_bound:
         raise BoundViolation(f"repair distance {cert.l1_distance} above bound {cert.bound}")
     return q, cert
@@ -199,11 +193,12 @@ def verify_repair(p: Dist, q: Dist, k: int, s: IrrepSet) -> RepairCertificate:
     if not same_space(p.space, q.space):
         raise SpaceMismatchError("repair check across different spaces")
     eps_in = float(p.size) * max_low_weight_norm(p, k, s)
-    return _certify(p, q, q.values, k, s, eps_in, "verify", None, None)
+    q_stats = float(q.values.min()), float(q.values.sum())
+    return _certify(p, q, q_stats, k, s, eps_in, "verify", None, None)
 
 
-def _certify(p, q, q_vals, k, s, eps_in, mode, beta, beta_adaptive) -> RepairCertificate:
-    """The certificate of q against p; q_vals is q before the ingestion clamp."""
+def _certify(p, q, q_stats, k, s, eps_in, mode, beta, beta_adaptive) -> RepairCertificate:
+    """The certificate of q against p; q_stats is (min, sum) of q before the ingestion clamp."""
     beta_paper = _paper_beta(p.space.arity, p.space.base.order, k, eps_in)
     diff = np.subtract(p.values, q.values)       # the one full-size temporary
     l1_distance = float(np.abs(diff, out=diff).sum())
@@ -218,7 +213,7 @@ def _certify(p, q, q_vals, k, s, eps_in, mode, beta, beta_adaptive) -> RepairCer
         k_uniform_residual=max_low_weight_norm(q, k, s),
         beta_paper=beta_paper,
         beta_adaptive=beta_adaptive,
-        q_min=float(q_vals.min()),
-        q_sum=float(q_vals.sum()),
+        q_min=q_stats[0],
+        q_sum=q_stats[1],
         space_size=p.size,
     )

@@ -392,17 +392,18 @@ def irrep_blocks(fd) -> list:
 
 
 def low_weight_blocks(p, k: int, s) -> dict:
-    """Every weight-1..k block of p, keyed by m-tuple, read out of the
-    subset-marginal tensors of groupmix's low-weight transforms."""
+    """Every weight-1..k block of p, keyed by m-tuple, read out of the top
+    k-subset tensors of groupmix's low-weight transforms: each block from the
+    first top that holds its support, where it is kept."""
     from groupmix.fourier import _low_weight_transforms
 
     out = {}
-    for _, subset, coeffs in _low_weight_transforms(p, k, s):
-        for tau in itertools.product(range(1, len(s)), repeat=len(subset)):
-            full = dict(zip(subset, tau))
-            out[tuple(full.get(i, 0) for i in range(p.space.arity))] = coefficient_block(
-                coeffs, s.dims, tau
-            )
+    for top, coeffs in _low_weight_transforms(p, k, s):
+        for tau in itertools.product(range(len(s)), repeat=k):
+            full = dict(zip(top, tau))
+            t = tuple(full.get(i, 0) for i in range(p.space.arity))
+            if any(t) and t not in out:
+                out[t] = coefficient_block(coeffs, s.dims, tau)
     return out
 
 

@@ -318,6 +318,25 @@ def test_fail_fast_validation_names_field(capsys, cache):
     assert code == 1 and "--m" in err  # arity must be a power of two
 
 
+def test_repair_delta_must_be_a_weight(capsys, cache, tmp_path):
+    # above 1 the perturbed input has negative entries, and make_dist rejected it
+    # without naming the flag; 1 itself is the identity point mass and repairs
+    argv = ["experiment", "repair", "--group", "sl2:2", "--m", "4", "--k", "3",
+            "--cache-dir", cache, "--out", str(tmp_path / "cert.txt")]
+    for delta in ("2", "-0.5", "nan"):
+        code, _, err = run_cli(argv + ["--delta", delta], capsys)
+        assert code == 1 and "invalid --delta: must lie in [0, 1]" in err
+    code, out, _ = run_cli(argv + ["--delta", "1"], capsys)
+    assert code == 0 and "pass=true" in out
+
+
+def test_nof_needs_two_parties(capsys, cache):
+    code, _, err = run_cli(
+        ["experiment", "nof", "--group", "sl2:2", "--parties", "1", "--cache-dir", cache], capsys
+    )
+    assert code == 1 and "invalid --parties: must be >= 2" in err
+
+
 def test_missing_group_rejected(capsys, cache):
     code, _, err = run_cli(["irreps", "--cache-dir", cache], capsys)
     assert code == 1

@@ -253,26 +253,29 @@ def test_real_irreps_give_real_transform_a5_sq(a5, a5_irr, sl2_3):
 
 @pytest.mark.parametrize("case", ["c3^4 k=2", "c3^4 k=4", "sl2_3^3 k=2"])
 def test_low_weight_transforms_match_full_tensor_marginals(case, c3, c3_irr, sl2_3):
-    # smaller marginals come from weight-k ones; each must equal the
-    # marginal summed from the full tensor
+    # one tensor per top k-subset, read against the full transform: where a top
+    # keeps an entry it equals the full tensor's entry with slot 0 off top, and
+    # every weight-1..k entry is kept in exactly one top, no other entry in any
     g, s = (c3, c3_irr) if case.startswith("c3") else (sl2_3, get_irreps(sl2_3, seed=SEED))
     m, k = int(case[case.index("^") + 1]), int(case[-1])
     pg = ProductGroup(g, m)
     v = np.random.default_rng(SEED).random(pg.size) + 1e-3
     p = fx.make_dist(pg, v / v.sum())
+    full = fx.product_fourier_forward(p.values, pg, s).dense
     got = list(fx._low_weight_transforms(p, k, s))
-    subsets = [c for w in range(1, k + 1) for c in itertools.combinations(range(m), w)]
-    assert [subset for _, subset, _ in got] == subsets
-    # each comes with the first weight-k subset that holds it
-    tops = list(itertools.combinations(range(m), k))
-    assert [top for top, _, _ in got] == [next(t for t in tops if set(c) <= set(t)) for c in subsets]
-    for _, subset, coeffs in got:
-        w = len(subset)
-        expected = fx._forward(fx._marginal_values(p.values, pg, subset), s, w)
-        expected *= float(g.order) ** (w - m)
-        for axis in range(w):
-            expected[(slice(None),) * axis + (0,)] = 0.0
-        assert np.max(np.abs(coeffs - expected)) <= 1e-12
+    assert [top for top, _ in got] == list(itertools.combinations(range(m), k))
+    kept = np.zeros(full.shape, dtype=int)
+    for top, coeffs in got:
+        # axis j holds coordinate m-1-j, so the sub-tensor's axes run down top as coeffs' do
+        at = tuple(slice(None) if c in top else 0 for c in reversed(range(m)))
+        live = coeffs != 0     # a random p has no coefficient that is exactly 0
+        assert np.max(np.abs(coeffs - full[at])[live], initial=0.0) <= 1e-12
+        kept[at] += live
+    # slot 0 of every axis is the trivial irrep, so an entry's weight is the
+    # number of axes where its slot is not 0
+    nontrivial = (np.arange(s.order) != 0).astype(int)
+    weight = sum(np.expand_dims(nontrivial, [a for a in range(m) if a != j]) for j in range(m))
+    assert np.array_equal(kept, ((weight >= 1) & (weight <= k)).astype(int))
 
 
 def test_product_function_factorizes(c3, c3_irr, a5, a5_irr):
