@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from groupmix.fourier import BoundViolation, Dist, convolve, dist_fourier, dist_from_fourier, resolve_engine
+from groupmix.fourier import (BoundViolation, Dist, _pruned_forward, convolve, dist_from_fourier,
+                              resolve_engine)
 from groupmix.irreps import IrrepSet
 from groupmix.uniformity import eps_k_uniform
 
@@ -130,16 +131,17 @@ def flatten_bound_check(p: Dist, k: int, d: int, s: IrrepSet | None = None) -> F
 # pipeline
 
 
-def _measure(p: Dist, step: int, mode: str, k: int | None, track_tv: bool, secs: float) -> StepRecord:
-    """One step's record from one deviation buffer: l2, then |dev| in place
-    for linf (= eps_uniform) and tv; eps_k only when k is given."""
-    dev = p.values - 1.0 / p.size
+def _measure(p: Dist, step: int, mode: str, k: int | None, track_tv: bool, secs: float,
+             out: np.ndarray | None = None) -> StepRecord:
+    """One step's record from one deviation buffer, `out` if given (which may hold p's values:
+    p is then spent): l2, then |dev| in place for linf (= eps_uniform) and tv; eps_k first."""
+    eps_k = None if k is None else eps_k_uniform(p, k).eps
+    dev = np.subtract(p.values, 1.0 / p.size, out=out)
     l2 = float(dev @ dev)
     np.abs(dev, out=dev)
     linf = p.size * float(np.max(dev))
     tv = 0.5 * float(np.sum(dev)) if track_tv else None
     del dev
-    eps_k = None if k is None else eps_k_uniform(p, k).eps
     return StepRecord(step, mode, l2, linf, eps_k, tv, secs, linf < numerical_floor(p.size))
 
 
@@ -165,7 +167,7 @@ def boost_pipeline(
     while log.records[-1].linf_rel > target_eps and len(log.records) <= max_steps:
         t0 = time.perf_counter()
         if in_fourier and factor is p:
-            iterate = factor = dist_fourier(p, s)
+            iterate = factor = _pruned_forward(p, s)[0]
         del current  # measured already; an inverse below needs the room
         iterate = convolve(iterate, iterate if mode == "self-square" else factor, s)
         current = dist_from_fourier(iterate, p.space) if in_fourier else iterate

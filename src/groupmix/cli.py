@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from groupmix import boost, fourier as fx, nof
-from groupmix.groups import GroupConstructionError, ProductGroup, build_group, parse_group_spec
+from groupmix.groups import ProductGroup, build_group, parse_group_spec
 from groupmix.repair import repair as run_repair, verify_repair
 from groupmix.irreps import (
     DEFAULT_TOL,
@@ -369,15 +369,8 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        GroupConstructionError,
-        IrrepCacheError,
-        IrrepComputationError,
-        ValueError,
-        AssertionError,
-        OSError,
-    ) as exc:
+    # ConfigError, GroupConstructionError and BoundViolation are among these
+    except (ValueError, AssertionError, OSError, IrrepCacheError, IrrepComputationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

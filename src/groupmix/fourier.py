@@ -39,6 +39,7 @@ NEG_CLAMP = -1e-15
 _REAL_TOL = 1e-9
 _DIRECT_ENGINE_MAX = 10_000       # above this many states convolve() uses fourier
 _DIRECT_REST_MAX = 4096           # direct product engine builds an R x R index table
+_STACK_SHARE = 6                  # a chunked synthesis stack holds about 1/6 of the entries
 
 
 class SpaceMismatchError(ValueError):
@@ -370,29 +371,42 @@ def _live_passes(flat: np.ndarray, syn: np.ndarray, s: IrrepSet, m: int, live: n
     For each live tuple and each slot r of its coordinate-0 irrep, the d^2 x n rows of syn
     of axes 0..m-2 are applied, in `_axis_passes`' order, to the block's slab at r; the result
     is one row of a (width, n^(m-1)) stack, and one GEMM with the syn rows of those slots
-    gives every value.  The stack fills the front of bufs[0] and the values bufs[1], which
-    may be flat itself: the stack is complete before it is written.  A slab temporary has
-    at most n^(m-2) d^2 entries.
+    gives every value.  Given bufs, the values go to bufs[1], which may be flat itself, and the
+    stack to the front of bufs[0], in one chunk: it is complete before the values are written.
+    Otherwise both are fresh, and the stack is built for one chunk of axis-0 rows at a time,
+    about 1/_STACK_SHARE of flat's entries: a slab's axis-0 pass runs whole (fewer rows would
+    change bits), the later passes and the GEMM run on the chunk's rows.
     """
     n, offs, sq = s.order, _slot_offsets(s), np.square(s.dims)
-    bufs = bufs or [np.empty(flat.size, dtype=np.result_type(flat, syn)) for _ in range(2)]
-    syn = syn.astype(bufs[0].dtype, copy=False)
+    syn = syn.astype(np.result_type(flat, syn), copy=False)
     dense = flat.reshape((n,) * m)
     slabs = [(t, r) for t in live for r in range(offs[t[-1]], offs[t[-1]] + sq[t[-1]])]
-    stack = bufs[0][: len(slabs) * n ** (m - 1)].reshape(len(slabs), n ** (m - 1))
-    for row, (t, r) in zip(stack, slabs):
-        sl = [slice(offs[a], offs[a] + sq[a]) for a in t[:-1]]
-        src = dense[tuple(sl) + (r,)]
-        for k in range(m - 2):
-            src = np.matmul(syn[sl[k]].T, src.reshape(n**k, sq[t[k]], -1))
-        np.matmul(src.reshape(n ** (m - 2), -1), syn[sl[-1]], out=row.reshape(n ** (m - 2), n))
-    np.matmul(stack.T, syn[[r for _, r in slabs]], out=bufs[1].reshape(-1, n))
-    return bufs[1]
+    # at least two rows a chunk: BLAS takes a one-row product as a GEMV, which rounds otherwise
+    chunks = 1 if bufs else max(1, min(n // 2, -(-_STACK_SHARE * len(slabs) // n)))
+    edges = [n * i // chunks for i in range(chunks + 1)]
+    rest = n ** (m - 2)
+    scratch, vals = bufs or (np.empty(len(slabs) * -(-n // chunks) * rest, dtype=syn.dtype),
+                             np.empty(flat.size, dtype=syn.dtype))
+    gemm = syn[[r for _, r in slabs]]
+    for lo, hi in zip(edges, edges[1:]):
+        stack = scratch[: len(slabs) * (hi - lo) * rest].reshape(len(slabs), (hi - lo) * rest)
+        for row, (t, r) in zip(stack, slabs):
+            sl = [slice(offs[a], offs[a] + sq[a]) for a in t[:-1]]
+            src = dense[tuple(sl) + (r,)]
+            if m == 2:    # the axis-0 pass is the only one
+                row[...] = np.matmul(src.reshape(1, -1), syn[sl[0]])[0, lo:hi]
+                continue
+            src = np.matmul(syn[sl[0]].T, src.reshape(1, sq[t[0]], -1))[0, lo:hi]
+            for k in range(1, m - 2):
+                src = np.matmul(syn[sl[k]].T, src.reshape((hi - lo) * n ** (k - 1), sq[t[k]], -1))
+            np.matmul(src.reshape(-1, sq[t[-2]]), syn[sl[-1]], out=row.reshape(-1, n))
+        np.matmul(stack.T, gemm, out=vals.reshape(n, -1)[lo:hi].reshape(-1, n))
+    return vals
 
 
-def _synthesize(space: Space, flat: np.ndarray, s: IrrepSet, m: int, bufs=None,
-                norms: np.ndarray | None = None) -> Dist:
-    """The Dist with coefficients `flat`: synthesis, imaginary residual, make_dist.
+def _synthesize(flat: np.ndarray, s: IrrepSet, m: int, bufs=None,
+                norms: np.ndarray | None = None) -> np.ndarray:
+    """The real values with coefficients `flat`, writable: synthesis and imaginary residual.
 
     Given flat's squared block norms, a block is live iff its norm is not 0, so a NaN block
     stays live and fails make_dist.  When m >= 2 and the live tuples' coordinate-0 irreps
@@ -411,38 +425,49 @@ def _synthesize(space: Space, flat: np.ndarray, s: IrrepSet, m: int, bufs=None,
         if worst_imag > _REAL_TOL:
             raise ValueError(f"synthesized values have imaginary residual {worst_imag}")
         vals = np.ascontiguousarray(vals.real)
-    return make_dist(space, vals)
+    return vals
 
 
 def dist_from_fourier(fd: FourierData, space: Space) -> Dist:
     """The distribution on `space` whose coefficients are fd (one inverse transform, from the
     live blocks alone where `_synthesize` finds few enough)."""
     _check_base(fd.irreps, space)
-    return _synthesize(space, fd.dense.reshape(-1), fd.irreps, fd.arity, norms=fd.block_norms_sq)
+    return make_dist(space, _synthesize(fd.dense.reshape(-1), fd.irreps, fd.arity,
+                                        norms=fd.block_norms_sq))
+
+
+def _pruned_forward(p: Dist, s: IrrepSet) -> tuple[FourierData, np.ndarray, np.ndarray]:
+    """p's coefficients for p * p, block norms set, the flat buffer they fill and a spare one.
+
+    The forward drops the prefix groups whose products the floor would zero (`_axis_passes`),
+    against eps/|G|^2 (sum p)^2 less 1e-6: at most the floor `_block_products` takes from the
+    trivial coefficient sum p/|G|.  A dropped block's norm reads 0, so no product reads it."""
+    m = p.space.arity
+    ana = _stacked(s)[0]
+    bufs = [np.empty(p.size, dtype=ana.dtype) for _ in range(2)]
+    floor = np.finfo(np.float64).eps * float(p.values.sum()) ** 2 / p.size**2 * (1 - 1e-6)
+    cp, norms = _axis_passes(p.values, ana, m, bufs, s, floor)
+    fd = FourierData(s, m, cp.reshape((s.order,) * m))
+    vars(fd)["block_norms_sq"] = norms     # the cached_property's slot
+    return fd, cp, bufs[1] if cp is bufs[0] else bufs[0]
 
 
 def convolve_fourier(p: Dist, q: Dist, s: IrrepSet) -> Dist:
     """Convolution through coefficient products: (p*q)^ = |G| p_hat q_hat.
 
     Two operands go through `dist_fourier`, `convolve` on the two FourierData and
-    `dist_from_fourier`.  For p * p the forward transform drops the prefix groups whose products
-    the floor would zero (`_axis_passes`), against eps/|G|^2 (sum p)^2 less 1e-6: at most the
-    floor `_block_products` takes from the trivial coefficient sum p/|G|."""
+    `dist_from_fourier`.  p * p takes `_pruned_forward`; its product fills the spare buffer,
+    the values overwrite the product, and the stack the spent coefficients."""
     if not same_space(p.space, q.space):
         raise SpaceMismatchError("convolution across different spaces")
     _check_base(s, p.space)
     if q is not p and q.values is not p.values:
         return dist_from_fourier(convolve(dist_fourier(p, s), dist_fourier(q, s)), p.space)
-    m = p.space.arity
-    ana = _stacked(s)[0]
-    bufs = [np.empty(p.size, dtype=ana.dtype) for _ in range(2)]
-    floor = np.finfo(np.float64).eps * float(p.values.sum()) ** 2 / p.size**2 * (1 - 1e-6)
-    cp, norms = _axis_passes(p.values, ana, m, bufs, s, floor)
-    free = bufs[1] if cp is bufs[0] else bufs[0]
-    dp = cp.reshape((s.order,) * m)
+    fd, cp, free = _pruned_forward(p, s)
+    dp, norms = fd.dense, fd.block_norms_sq
     free.fill(0)
     nout = _block_products(dp, dp, norms, norms, s, free.reshape(dp.shape))
-    return _synthesize(p.space, free, s, m, [cp, free], nout)
+    return make_dist(p.space, _synthesize(free, s, fd.arity, [cp, free], nout))
 
 
 def resolve_engine(size: int, s: IrrepSet | None = None) -> str:

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from groupmix.boost import ExperimentLog, _measure
-from groupmix.fourier import (BoundViolation, Dist, convolve, dist_fourier, dist_from_fourier,
+from groupmix.fourier import (BoundViolation, Dist, _pruned_forward, _synthesize, convolve,
                               make_dist, resolve_engine)
 from groupmix.groups import MAX_DENSE_STATES, GroupTable, ProductGroup
 from groupmix.irreps import IrrepSet
@@ -186,9 +186,10 @@ def advantage_curve(
 ) -> ExperimentLog:
     """Distance metrics of the t-fold convolution s_dist * ... * s_dist, t = 1..t_max.
 
-    On the fourier engine s_dist is transformed once: a step is one coefficient product
-    and one inverse for the one-pass `_measure`.  tv_dist is the statistical distance to
-    uniform; a rise in t raises BoundViolation.  Stops once eps_uniform reaches target_eps.
+    On the fourier engine s_dist is transformed once (`_pruned_forward`): a step is one
+    coefficient product and one inverse, measured in place in the values' buffer, so it holds
+    s_dist, its coefficients, the product and the values.  tv_dist is the statistical distance
+    to uniform; a rise in t raises BoundViolation.  Stops once eps_uniform reaches target_eps.
     seconds times a step t >= 2 from before the product to after the inverse; t = 1 is 0.
     """
     log = ExperimentLog()
@@ -196,14 +197,18 @@ def advantage_curve(
     current = factor = s_dist
     for t in range(1, t_max + 1):
         t0 = time.perf_counter()
+        point, buf = current, None
         if t > 1:
             if in_fourier and factor is s_dist:
-                current = factor = dist_fourier(s_dist, s_irreps)
-            current = convolve(current, factor, s_irreps)
-        point = dist_from_fourier(current, s_dist.space) if in_fourier and t > 1 else current
+                current = factor = _pruned_forward(s_dist, s_irreps)[0]
+            point = current = convolve(current, factor, s_irreps)
+        if in_fourier and t > 1:
+            buf = _synthesize(current.dense.reshape(-1), s_irreps, current.arity, None,
+                              current.block_norms_sq)
+            point = make_dist(s_dist.space, buf.view())    # read-only: buf takes the deviation
         secs = time.perf_counter() - t0 if t > 1 else 0.0
-        rec = _measure(point, t, "fresh-copy", None, True, secs)
-        del point  # the next product needs the room
+        rec = _measure(point, t, "fresh-copy", None, True, secs, buf)
+        del point, buf  # the next product needs the room
         if log.records:
             prev = log.records[-1].tv_dist
             if not rec.tv_dist <= prev + 1e-12:

@@ -60,7 +60,8 @@ def _low_data(p: Dist, k: int, s: IrrepSet):
     worst = 0.0
     for top, coeffs in _low_weight_transforms(p, k, s):
         worst = max(worst, float(np.sqrt(_block_norms_sq(coeffs, s).max())))
-        lifted = _axis_passes(coeffs.reshape(-1), synth, k)
+        flat = coeffs.reshape(-1)    # spent: the inverse's first buffer
+        lifted = _axis_passes(flat, synth, k, [flat, np.empty_like(flat)])
         if np.iscomplexobj(lifted):
             worst_imag = float(np.max(np.abs(lifted.imag)))
             if worst_imag > _IMAG_TOL:

@@ -446,7 +446,7 @@ def convolve_all_tuples(p, q, s, live_synthesis=False):
     dq = dp if q is p else fx._forward(q.values, s, m)
     block_products_all_tuples(dp, dq, s, dp)
     norms = fx._block_norms_sq(dp, s) if live_synthesis else None
-    return fx._synthesize(p.space, dp.reshape(-1), s, m, norms=norms)
+    return fx.make_dist(p.space, fx._synthesize(dp.reshape(-1), s, m, norms=norms))
 
 
 def synthesize_dense(flat, s, m):

@@ -666,7 +666,9 @@ def test_nan_block_stays_live(a5, a5_irr, monkeypatch, tuple_):
 @pytest.mark.parametrize("group, budget", [("a5", 2.125), ("sl2_3", 4.125)])
 def test_live_synthesis_peak_memory(request, monkeypatch, group, budget):
     """Traced peak of dist_from_fourier on the box's square, in real arrays of |G| doubles:
-    the stack and the values, both complex on SL(2,3); the stack goes before the real copy."""
+    the values and one chunk of the stack, both complex on SL(2,3); the chunk goes before the
+    real copy.  These budgets held a whole stack (2.010 and 4.048); with chunks of about 1/6
+    it measures 1.171 and 3.004, which `test_advantage_curve_peak_memory` bounds."""
     g = request.getfixturevalue(group)
     s = get_irreps(g, seed=SEED)
     space = ProductGroup(g, 4)
@@ -682,6 +684,51 @@ def test_live_synthesis_peak_memory(request, monkeypatch, group, budget):
         tracemalloc.stop()
     assert not calls
     assert peak / (space.size * 8) <= budget
+
+
+def _coordinate0_sorted(live: np.ndarray) -> np.ndarray:
+    return live[np.argsort(live[:, -1], kind="stable")]
+
+
+@pytest.mark.parametrize("case", ["a5^4 box", "sl2_3^4 box", "a5^2 p, q", "a5^3 p, q"])
+def test_chunked_stack_matches_one_chunk(request, monkeypatch, case):
+    """`_live_passes` builds its stack one chunk of axis-0 rows at a time; every chunking gives
+    the bits of one chunk (_STACK_SHARE 1).  The box's t-fold products, t = 2..4, run the real
+    (A5) and complex (SL(2,3)) paths with a middle pass; the random two-operand products on H^2
+    and H^3 have none, and take one random live tuple per coordinate-0 irrep, so that the stack
+    fits one chunk.  Shares 6, 7 and n give chunks of n/6 rows, uneven ones and two rows each."""
+    group, m = case.split("^")[0], int(case.split("^")[1][0])
+    g = request.getfixturevalue(group)
+    s = get_irreps(g, seed=SEED)
+    if "box" in case:
+        s_hat = x = fx.dist_fourier(nof.box_to_dist(nof.exact_s(g, 2)), s)
+        products = []
+        for _ in range(2, 5):
+            x = fx.convolve(x, s_hat)
+            products.append((x, _coordinate0_sorted(np.argwhere(x.block_norms_sq != 0))))
+    else:
+        x = fx.convolve(*(fx.dist_fourier(d, s) for d in _random_pair(ProductGroup(g, m))))
+        rng = np.random.default_rng(SEED)
+        live = [list(rng.integers(len(s), size=m - 1)) + [a] for a in range(len(s))]
+        products = [(x, np.array(live))]
+    syn = fx._stacked(s)[1]
+    for x, live in products:
+        assert np.square(s.dims)[live[:, -1]].sum() == g.order
+        flat = x.dense.reshape(-1)
+        monkeypatch.setattr(fx, "_STACK_SHARE", 1)
+        want = fx._live_passes(flat, syn, s, m, live)
+        for share in (6, 7, g.order):
+            monkeypatch.setattr(fx, "_STACK_SHARE", share)
+            assert np.array_equal(fx._live_passes(flat, syn, s, m, live), want), share
+
+
+def test_self_square_synthesis_keeps_one_chunk(monkeypatch, a5_box):
+    # the values overwrite the product they are synthesized from, so the stack is built whole
+    # before they are written: a chunk bound of one axis-0 row changes no bit
+    s, box = a5_box
+    want = fx.convolve_fourier(box, box, s).values
+    monkeypatch.setattr(fx, "_STACK_SHARE", box.space.base.order)
+    assert np.array_equal(fx.convolve_fourier(box, box, s).values, want)
 
 
 # ---------------------------------------------------------------------------
