@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,11 @@ _REAL_TOL = 1e-9
 _DIRECT_ENGINE_MAX = 10_000       # above this many states convolve() uses fourier
 _DIRECT_REST_MAX = 4096           # direct product engine builds an R x R index table
 _STACK_SHARE = 6                  # a chunked synthesis stack holds about 1/6 of the entries
+_WORKERS = len(os.sched_getaffinity(0))    # threads of the job pool
+_POOL_MIN = 1 << 20               # jobs on a tensor with fewer entries run one after another
+_GEMM_MIN = 1 << 21               # least multiply-adds of a GEMM piece: BLAS rounds small ones apart
+_GEMM_ALIGN = 64                  # GEMM pieces start at multiples of this many rows or columns
+_pool = None                      # ((pid, workers), executor), made on first use
 
 
 class SpaceMismatchError(ValueError):
@@ -104,6 +110,54 @@ def point_mass(space: Space, index: int = 0) -> Dist:
 
 
 # ---------------------------------------------------------------------------
+# job pool
+#
+# Work is cut into independent jobs whose results do not depend on how it is cut: matmuls of a
+# batch, the groups of a pruned pass, synthesis rows, norm rows and marginals.  A GEMM is cut
+# only into pieces that start at a multiple of _GEMM_ALIGN rows (or columns) and hold at least
+# _GEMM_MIN multiply-adds, so BLAS runs each piece with the kernels of the whole.  So every
+# output is the same bits at any worker count; numpy and BLAS release the GIL in the jobs.
+
+
+def _run(jobs: list, size: int) -> list:
+    """The results of `jobs`, callables on a tensor of `size` entries, in order.  They run on
+    the pool when it has more than one worker and the tensor at least _POOL_MIN entries, else
+    one after another.  Every job ends before the first error is raised.  A job must not call
+    `_run`: waiting on the pool from inside it can leave no worker free."""
+    global _pool
+    if len(jobs) < 2 or _pieces(size) < 2:
+        return [job() for job in jobs]
+    if _pool is None or _pool[0] != (os.getpid(), _WORKERS):
+        from concurrent.futures import ThreadPoolExecutor    # not imported by serial runs
+
+        _pool = (os.getpid(), _WORKERS), ThreadPoolExecutor(_WORKERS)
+    futures = [_pool[1].submit(job) for job in jobs]
+    for f in futures:
+        f.exception()    # waits for the job
+    return [f.result() for f in futures]
+
+
+def _pieces(size: int) -> int:
+    """The pieces work on a tensor of `size` entries is cut into: one per worker on the pool."""
+    return _WORKERS if size >= _POOL_MIN else 1
+
+
+def _spans(count: int, size: int, least: int = 1, align: int = 1) -> list[tuple[int, int]]:
+    """range(count) cut into `_pieces(size)` contiguous pieces, or fewer: each starts at a
+    multiple of `align` and holds at least `least` multiples of it."""
+    units = count // align
+    pieces = max(1, min(_pieces(size), units // least))
+    edges = [units * i // pieces * align for i in range(pieces)] + [count]
+    return list(zip(edges, edges[1:]))
+
+
+def _gemm_spans(rows: int, inner: int, cols: int, size: int) -> list[tuple[int, int]]:
+    """`_spans` of the rows of a (rows, inner) @ (inner, cols) GEMM (or its columns, transposed)."""
+    least = -(-_GEMM_MIN // max(1, _GEMM_ALIGN * inner * cols))
+    return _spans(rows, size, least, _GEMM_ALIGN)
+
+
+# ---------------------------------------------------------------------------
 # dense transform core
 #
 # One axis of a coefficient tensor lists the n = sum d^2 entries of all base
@@ -156,22 +210,35 @@ def _axis_passes(t: np.ndarray, mat: np.ndarray, m: int, bufs: list[np.ndarray] 
         dst = bufs[1] if src is bufs[0] else bufs[0]
         b, a = n**k, n ** (m - 1 - k)
         if keep.all() and a == 1:
-            np.matmul(src.reshape(b, n), mat, out=dst.reshape(b, n))
+            sv, dv = src.reshape(b, n), dst.reshape(b, n)
+            _run([functools.partial(np.matmul, sv[lo:hi], mat, out=dv[lo:hi])
+                  for lo, hi in _gemm_spans(b, n, n, t.size)], t.size)
         elif keep.all():
-            np.matmul(mat.T, src.reshape(b, n, a), out=dst.reshape(b, n, a))
+            # the batch split, or the columns of the one GEMM of pass 0
+            sv, dv = src.reshape(b, n, a), dst.reshape(b, n, a)
+            cut = ([np.s_[lo:hi] for lo, hi in _spans(b, t.size)] if b > 1 else
+                   [np.s_[..., lo:hi] for lo, hi in _gemm_spans(a, n, n, t.size)])
+            _run([functools.partial(np.matmul, mat.T, sv[c], out=dv[c]) for c in cut], t.size)
         elif a > 1:
+            # each group's batch split: the pool balances groups of unlike sizes
             sv, dv = src.reshape((n,) * k + (n, a)), dst.reshape((n,) * k + (n, a))
-            for g in np.argwhere(keep):
-                sl = tuple(slots[i] for i in g)
-                np.matmul(mat.T, sv[sl], out=dv[sl])
+            groups = [tuple(slots[i] for i in g) for g in np.argwhere(keep)]
+            views = [(sv[sl], dv[sl]) for sl in groups]
+            _run([functools.partial(np.matmul, mat.T, x[lo:hi], out=y[lo:hi])
+                  for x, y in views for lo, hi in _spans(len(x), t.size)], t.size)
         else:
             rows = np.flatnonzero(keep[np.ix_(*[irrep_of_slot] * k)])
+            sv, dv = src.reshape(b, n), dst.reshape(b, n)
+            live, prod = dv[: rows.size], sv[: rows.size]
+            spans = _gemm_spans(rows.size, n, n, t.size)
             # mode="raise" would buffer the whole gather; rows are in range
-            live = np.take(src.reshape(b, n), rows, axis=0, out=dst[: rows.size * n].reshape(-1, n),
-                           mode="clip")
+            _run([functools.partial(np.take, sv, rows[lo:hi], axis=0, out=live[lo:hi], mode="clip")
+                  for lo, hi in spans], t.size)
             # src is spent: its front takes the product, scattered into place
-            np.matmul(live, mat, out=src[: rows.size * n].reshape(-1, n))
-            dst.reshape(b, n)[rows] = src[: rows.size * n].reshape(-1, n)
+            _run([functools.partial(np.matmul, live[lo:hi], mat, out=prod[lo:hi])
+                  for lo, hi in spans], t.size)
+            _run([functools.partial(dv.__setitem__, rows[lo:hi], prod[lo:hi]) for lo, hi in spans],
+                 t.size)
         src = dst
         if floor is not None:
             keep, norms = _kept_groups(src, cuts, slots, keep, m, floor)
@@ -218,9 +285,10 @@ def _slot_offsets(s: IrrepSet) -> np.ndarray:
     return np.cumsum((0,) + tuple(d * d for d in s.dims[:-1]))
 
 
-def _block_view(dense: np.ndarray, t: tuple[int, ...], s: IrrepSet) -> np.ndarray:
-    """Tuple t's block as a view with axes (r_{m-1}, ..., r_0, c_{m-1}, ..., c_0)."""
-    offs, dims, m = _slot_offsets(s), s.dims, len(t)
+def _block_view(dense: np.ndarray, t: tuple[int, ...], offs, dims) -> np.ndarray:
+    """Tuple t's block as a view with axes (r_{m-1}, ..., r_0, c_{m-1}, ..., c_0), given the
+    slot offsets and dims of the irreps."""
+    m = len(t)
     view = dense[tuple(slice(offs[a], offs[a] + dims[a] ** 2) for a in t[::-1])]
     view = view.reshape([dims[a] for a in t[::-1] for _ in (0, 1)])
     return view.transpose(list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2)))
@@ -229,14 +297,22 @@ def _block_view(dense: np.ndarray, t: tuple[int, ...], s: IrrepSet) -> np.ndarra
 def _segment_norms_sq(x: np.ndarray, cuts: list) -> np.ndarray:
     """Sums of |x|^2 over every product of segments, cuts[j] the reduceat starts on axis j.
 
-    x is walked one axis-0 row at a time: each row is squared and summed with reduceat, fastest
-    axis first, and axis 0 is summed last, so no temporary is larger than a row."""
+    x is walked one axis-0 row at a time: each row is squared into a row buffer and summed with
+    reduceat, fastest axis first, and axis 0 is summed last, so no temporary is larger than a
+    row.  The caller allocates each job's buffer, so no pool thread keeps row-sized memory."""
     part = np.empty(x.shape[:1] + tuple(len(c) for c in cuts[1:]))
-    for i in range(len(x)):
-        sq = np.square(np.abs(x[i : i + 1]) if np.iscomplexobj(x) else x[i : i + 1])
-        for axis in range(x.ndim - 1, 0, -1):
-            sq = np.add.reduceat(sq, cuts[axis], axis=axis)
-        part[i] = sq[0]
+    spans = _spans(len(x), x.size)
+
+    def rows(lo, hi, buf):
+        for i in range(lo, hi):
+            sq = np.square(np.abs(x[i : i + 1], out=buf) if np.iscomplexobj(x) else x[i : i + 1],
+                           out=buf)
+            for axis in range(x.ndim - 1, 0, -1):
+                sq = np.add.reduceat(sq, cuts[axis], axis=axis)
+            part[i] = sq[0]
+
+    _run([functools.partial(rows, lo, hi, np.empty((1,) + x.shape[1:])) for lo, hi in spans],
+         x.size)
     return np.add.reduceat(part, cuts[0], axis=0)
 
 
@@ -350,14 +426,15 @@ def _block_products(dx: np.ndarray, dy: np.ndarray, nx: np.ndarray, ny: np.ndarr
     floor = np.finfo(np.float64).eps * abs(dx.flat[0] * dy.flat[0])
     dead = dx.size * np.sqrt(nx) * np.sqrt(ny) * (1 + 1e-9) <= floor    # NaN stays live
     nout = np.zeros_like(nx)
+    offs, dims = _slot_offsets(s), s.dims
     for idx in np.argwhere(~dead):
         t = tuple(idx[::-1])
-        view = _block_view(dx, t, s)
-        a = view.reshape(-1, int(np.prod([s.dims[r] for r in t])))
-        prod = a @ (a if dy is dx else _block_view(dy, t, s).reshape(a.shape))
+        view = _block_view(dx, t, offs, dims)
+        a = view.reshape(-1, int(np.prod([dims[r] for r in t])))
+        prod = a @ (a if dy is dx else _block_view(dy, t, offs, dims).reshape(a.shape))
         norm = np.linalg.norm(prod) * dx.size
         prod *= 0.0 if norm <= floor else float(dx.size)
-        _block_view(out, t, s)[...] = prod.reshape(view.shape)
+        _block_view(out, t, offs, dims)[...] = prod.reshape(view.shape)
         nout[tuple(idx)] = 0.0 if norm <= floor else norm * norm
         del a, prod
     return nout
@@ -388,9 +465,9 @@ def _live_passes(flat: np.ndarray, syn: np.ndarray, s: IrrepSet, m: int, live: n
     scratch, vals = bufs or (np.empty(len(slabs) * -(-n // chunks) * rest, dtype=syn.dtype),
                              np.empty(flat.size, dtype=syn.dtype))
     gemm = syn[[r for _, r in slabs]]
-    for lo, hi in zip(edges, edges[1:]):
-        stack = scratch[: len(slabs) * (hi - lo) * rest].reshape(len(slabs), (hi - lo) * rest)
-        for row, (t, r) in zip(stack, slabs):
+
+    def fill(rows, lo, hi):
+        for row, (t, r) in rows:
             sl = [slice(offs[a], offs[a] + sq[a]) for a in t[:-1]]
             src = dense[tuple(sl) + (r,)]
             if m == 2:    # the axis-0 pass is the only one
@@ -400,7 +477,16 @@ def _live_passes(flat: np.ndarray, syn: np.ndarray, s: IrrepSet, m: int, live: n
             for k in range(1, m - 2):
                 src = np.matmul(syn[sl[k]].T, src.reshape((hi - lo) * n ** (k - 1), sq[t[k]], -1))
             np.matmul(src.reshape(-1, sq[t[-2]]), syn[sl[-1]], out=row.reshape(-1, n))
-        np.matmul(stack.T, gemm, out=vals.reshape(n, -1)[lo:hi].reshape(-1, n))
+
+    pieces = _pieces(flat.size)
+    for lo, hi in zip(edges, edges[1:]):
+        stack = scratch[: len(slabs) * (hi - lo) * rest].reshape(len(slabs), (hi - lo) * rest)
+        rows = list(zip(stack, slabs))
+        # every pieces-th slab to a job: slabs ascend in size with their coordinate-0 irrep
+        _run([functools.partial(fill, rows[j::pieces], lo, hi) for j in range(pieces)], flat.size)
+        out, st = vals.reshape(n, -1)[lo:hi].reshape(-1, n), stack.T
+        _run([functools.partial(np.matmul, st[a:b], gemm, out=out[a:b])
+              for a, b in _gemm_spans(len(st), len(slabs), n, flat.size)], flat.size)
     return vals
 
 

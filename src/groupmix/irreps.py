@@ -19,6 +19,7 @@ Everything is deterministic given (group, tol, seed).
 
 from __future__ import annotations
 
+import functools
 import os
 import zipfile
 from dataclasses import dataclass
@@ -63,7 +64,7 @@ class IrrepSet:
     irreps: tuple[Irrep, ...]
     tol: float
 
-    @property
+    @functools.cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(r.dim for r in self.irreps)
 

@@ -10,13 +10,14 @@ spaces make sampling unnecessary.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from groupmix.fourier import Dist, marginalize, max_low_weight_norm
+from groupmix.fourier import Dist, _run, marginalize, max_low_weight_norm
 from groupmix.irreps import IrrepSet
 
 FOURIER_UNIFORMITY_TOL = 1e-10
@@ -30,15 +31,18 @@ class UniformityReport:
 
 
 def eps_uniform(p: Dist) -> float:
-    """Exact max of |p(x)*|S| - 1| over the space."""
-    return float(np.max(np.abs(p.values * p.size - 1.0)))
+    """Exact max of |p(x)*|S| - 1| over the space, read off the least and largest p(x): the
+    rounded p(x)*|S| - 1 is monotone in p(x), so no full-size temporary is needed."""
+    return max(abs(float(p.values.min()) * p.size - 1.0), abs(float(p.values.max()) * p.size - 1.0))
 
 
-def _worst_subset(m: int, k: int, dev, full_table: bool) -> UniformityReport:
-    """The largest dev(subset) over the k-subsets of range(m), at the first subset reaching it."""
+def _worst_subset(m: int, k: int, dev, full_table: bool, size: int) -> UniformityReport:
+    """The largest dev(subset) over the k-subsets of range(m), at the first subset reaching it;
+    one job each on a space of `size` states."""
     if not 1 <= k <= m:
         raise ValueError(f"k must lie in [1, {m}], got {k}")
-    table = {subset: dev(subset) for subset in itertools.combinations(range(m), k)}
+    subsets = list(itertools.combinations(range(m), k))
+    table = dict(zip(subsets, _run([functools.partial(dev, c) for c in subsets], size)))
     arg = max(table, key=table.__getitem__)
     return UniformityReport(table[arg], arg, table if full_table else None)
 
@@ -46,7 +50,7 @@ def _worst_subset(m: int, k: int, dev, full_table: bool) -> UniformityReport:
 def eps_k_uniform(p: Dist, k: int, full_table: bool = False) -> UniformityReport:
     """Worst eps_uniform over all k-coordinate marginals."""
     return _worst_subset(p.space.arity, k, lambda subset: eps_uniform(marginalize(p, subset)),
-                         full_table)
+                         full_table, p.size)
 
 
 def eps_k_uniform_counts(counts: np.ndarray, n: int, m: int, k: int, full_table: bool = False):
@@ -66,7 +70,7 @@ def eps_k_uniform_counts(counts: np.ndarray, n: int, m: int, k: int, full_table:
         return max(abs(Fraction(int(marg.max()) * cells, total) - 1),
                    abs(Fraction(int(marg.min()) * cells, total) - 1))
 
-    return _worst_subset(m, k, dev, full_table)
+    return _worst_subset(m, k, dev, full_table, counts.size)
 
 
 def is_k_uniform_fourier(

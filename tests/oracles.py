@@ -416,17 +416,18 @@ def block_products_all_tuples(dx, dy, s, out):
     """groupmix's coefficient product visiting every tuple: out's block at t becomes
     |G| x(t) y(t), zero x blocks are skipped, and a product block of norm at most
     eps/|G| times |G| x[0] y[0] becomes 0.  out is dx or zeros."""
-    from groupmix.fourier import _block_view
+    from groupmix.fourier import _block_view, _slot_offsets
 
     floor = np.finfo(np.float64).eps * abs(dx.flat[0] * dy.flat[0])
+    offs = _slot_offsets(s)
     for t in itertools.product(range(len(s)), repeat=dx.ndim):
-        view = _block_view(dx, t, s)
+        view = _block_view(dx, t, offs, s.dims)
         a = view.reshape(-1, int(np.prod([s.dims[r] for r in t])))
         if not a.any():
             continue
-        prod = a @ (a if dy is dx else _block_view(dy, t, s).reshape(a.shape))
+        prod = a @ (a if dy is dx else _block_view(dy, t, offs, s.dims).reshape(a.shape))
         prod *= 0.0 if np.linalg.norm(prod) * dx.size <= floor else float(dx.size)
-        _block_view(out, t, s)[...] = prod.reshape(view.shape)
+        _block_view(out, t, offs, s.dims)[...] = prod.reshape(view.shape)
 
 
 def convolve_all_tuples(p, q, s, live_synthesis=False):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import tracemalloc
 
@@ -10,7 +12,7 @@ from groupmix import fourier as fx
 from groupmix import groups, nof
 from groupmix.boost import flatten_bound_check
 from groupmix.groups import ProductGroup
-from groupmix.irreps import get_irreps, quasirandomness_degree
+from groupmix.irreps import IrrepSet, get_irreps, quasirandomness_degree
 from groupmix.repair import repair
 from groupmix.uniformity import eps_k_uniform
 
@@ -509,13 +511,40 @@ def test_box_product_multiplies_only_live_tuples(sl2_3_box, monkeypatch):
     seen = set()
     block_view = fx._block_view
 
-    def counting_view(dense, t, irreps):
+    def counting_view(dense, t, *layout):
         seen.add(tuple(int(a) for a in t))
-        return block_view(dense, t, irreps)
+        return block_view(dense, t, *layout)
 
     monkeypatch.setattr(fx, "_block_view", counting_view)
     fx.convolve(s_hat, s_hat, s)
     assert seen == conjugate_tuples(s)
+
+
+def test_block_products_read_the_slot_layout_once_per_call(c12, monkeypatch):
+    # C12^2 multiplies 144 blocks of 1 x 1: the slot offsets are computed once per product
+    # and the irrep dims once per irrep set, not once per block
+    counts = {"dims": 0, "offsets": 0}
+    dims, slot_offsets = IrrepSet.dims.func, fx._slot_offsets
+
+    def counting_dims(irreps):
+        counts["dims"] += 1
+        return dims(irreps)
+
+    def counting_offsets(irreps):
+        counts["offsets"] += 1
+        return slot_offsets(irreps)
+
+    cached = functools.cached_property(counting_dims)
+    cached.__set_name__(IrrepSet, "dims")
+    monkeypatch.setattr(IrrepSet, "dims", cached)
+    monkeypatch.setattr(fx, "_slot_offsets", counting_offsets)
+    s = dataclasses.replace(get_irreps(c12, seed=SEED))    # a fresh set, no dims cached
+    fp, fq = (fx.dist_fourier(d, s) for d in _random_pair(ProductGroup(c12, 2)))
+    fp.block_norms_sq, fq.block_norms_sq    # cached before the count starts
+    counts["offsets"] = 0
+    x = fx.convolve(fp, fq)
+    assert np.count_nonzero(x.block_norms_sq) == 144
+    assert counts == {"dims": 1, "offsets": 1}
 
 
 def conjugate_tuples(s) -> set:
@@ -640,7 +669,7 @@ def test_nan_block_stays_live(a5, a5_irr, monkeypatch, tuple_):
     pg = ProductGroup(a5, 2)
     clean = _trivial_only(a5, a5_irr, 2)
     dense = clean.dense.copy()
-    fx._block_view(dense, tuple_, a5_irr)[(0,) * 4] = np.nan
+    fx._block_view(dense, tuple_, fx._slot_offsets(a5_irr), a5_irr.dims)[(0,) * 4] = np.nan
     bad = fx.FourierData(a5_irr, 2, dense)
     calls = _count_axis_passes(monkeypatch)
     with pytest.raises(ValueError, match="nan"):
@@ -652,7 +681,7 @@ def test_nan_block_stays_live(a5, a5_irr, monkeypatch, tuple_):
 
     def nan_products(dx, dy, nx, ny, s, out):
         norms = block_products(dx, dy, nx, ny, s, out)
-        fx._block_view(out, tuple_, s)[(0,) * 4] = np.nan
+        fx._block_view(out, tuple_, fx._slot_offsets(s), s.dims)[(0,) * 4] = np.nan
         norms[tuple_[::-1]] = np.nan
         return norms
 
@@ -821,13 +850,14 @@ def test_pruning_floor_above_the_product_floor_raises(monkeypatch, sl2_3_box):
 
 
 def _forward_matmuls(monkeypatch) -> list:
-    """The operand shapes of every np.matmul inside an `_axis_passes` call given a floor."""
+    """The operand shapes and the output of every np.matmul inside an `_axis_passes` call
+    given a floor, in the order of the calls (on the pool, the order of a pass's calls)."""
     shapes, pruning = [], [False]
     matmul, axis_passes = np.matmul, fx._axis_passes
 
     def recording_matmul(a, b, **kwargs):
         if pruning[0]:
-            shapes.append((a.shape, b.shape))
+            shapes.append((a.shape, b.shape, kwargs.get("out")))
         return matmul(a, b, **kwargs)
 
     def recording_passes(*args, **kwargs):
@@ -847,15 +877,52 @@ def test_pruned_last_pass_transforms_only_kept_rows(monkeypatch, a5_box):
     s, box = a5_box
     shapes = _forward_matmuls(monkeypatch)
     fx.convolve_fourier(box, box, s)
-    (rows, n), _ = shapes[-1]
+    (rows, n), _, _ = shapes[-1]
     assert n == 60 and rows <= sum(d**6 for d in s.dims) == 21_180
 
 
 def test_unpruned_passes_are_one_matmul_each(monkeypatch, a5, a5_irr):
+    monkeypatch.setattr(fx, "_WORKERS", 1)
     p, _ = _random_pair(ProductGroup(a5, 3))
     shapes = _forward_matmuls(monkeypatch)
     fx.convolve_fourier(p, p, a5_irr)
-    assert shapes == [((60, 60), (1, 60, 3600)), ((60, 60), (60, 60, 60)), ((3600, 60), (60, 60))]
+    assert [(a, b) for a, b, _ in shapes] == [
+        ((60, 60), (1, 60, 3600)), ((60, 60), (60, 60, 60)), ((3600, 60), (60, 60))]
+
+
+def _root(a: np.ndarray) -> np.ndarray:
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("pool_min", [0, 1 << 20])
+def test_split_passes_tile_the_tensor_once(monkeypatch, a5, a5_irr, pool_min):
+    """On two workers each dense pass is two matmuls whose outputs cover the pass's buffer
+    exactly once: pass 0 splits its GEMM's columns, pass 1 its batch, pass 2 its GEMM's rows.
+    A5^3 has 216,000 entries, under _POOL_MIN: at the real threshold each pass stays whole."""
+    monkeypatch.setattr(fx, "_WORKERS", 2)
+    monkeypatch.setattr(fx, "_POOL_MIN", pool_min)
+    monkeypatch.setattr(fx, "_pool", None)
+    p, _ = _random_pair(ProductGroup(a5, 3))
+    calls = _forward_matmuls(monkeypatch)
+    try:
+        fx.convolve_fourier(p, p, a5_irr)
+    finally:
+        if fx._pool is not None:
+            fx._pool[1].shutdown()
+    passes = [[out for _, _, out in group]
+              for _, group in itertools.groupby(calls, key=lambda c: id(_root(c[2])))]
+    assert [len(outs) for outs in passes] == [2 if pool_min == 0 else 1] * 3
+    for outs in passes:
+        buf = _root(outs[0])
+        cover = np.zeros(buf.size, dtype=np.int64)
+        for out in outs:
+            offset = (out.ctypes.data - buf.ctypes.data) // out.itemsize
+            view = np.lib.stride_tricks.as_strided(
+                cover[offset:], out.shape, [st // out.itemsize * 8 for st in out.strides])
+            view += 1
+        assert buf.size == 60**3 and np.all(cover == 1)
 
 
 @pytest.mark.parametrize("group, operands, budget", [
