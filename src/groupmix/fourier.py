@@ -41,8 +41,7 @@ _REAL_TOL = 1e-9
 _DIRECT_ENGINE_MAX = 10_000       # above this many states convolve() uses fourier
 _DIRECT_REST_MAX = 4096           # direct product engine builds an R x R index table
 _STACK_SHARE = 6                  # a chunked synthesis stack holds about 1/6 of the entries
-_WORKERS = len(os.sched_getaffinity(0))    # threads of the job pool
-_POOL_MIN = 1 << 20               # jobs on a tensor with fewer entries run one after another
+_POOL_MIN = 1 << 18               # jobs on a tensor with fewer entries run one after another
 _GEMM_MIN = 1 << 21               # least multiply-adds of a GEMM piece: BLAS rounds small ones apart
 _GEMM_ALIGN = 64                  # GEMM pieces start at multiples of this many rows or columns
 _pool = None                      # ((pid, workers), executor), made on first use
@@ -117,6 +116,25 @@ def point_mass(space: Space, index: int = 0) -> Dist:
 # only into pieces that start at a multiple of _GEMM_ALIGN rows (or columns) and hold at least
 # _GEMM_MIN multiply-adds, so BLAS runs each piece with the kernels of the whole.  So every
 # output is the same bits at any worker count; numpy and BLAS release the GIL in the jobs.
+
+
+def _pool_workers(cpus: int, env) -> int:
+    """Threads of the job pool on `cpus` usable CPUs: the CPUs over the threads of one BLAS call,
+    read as OpenBLAS reads them at load (OPENBLAS_NUM_THREADS, else GOTO_NUM_THREADS, else
+    OMP_NUM_THREADS, else one per CPU).  So the pool runs only where BLAS is pinned below the
+    CPU count: an unpinned BLAS already runs each GEMM on every CPU, and pooling its calls is
+    slower."""
+    blas = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = env.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = min(int(value), cpus)
+            break
+    return max(1, cpus // blas)
+
+
+_WORKERS = _pool_workers(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                         else os.cpu_count() or 1, os.environ)
 
 
 def _run(jobs: list, size: int) -> list:

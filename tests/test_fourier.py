@@ -873,12 +873,22 @@ def _forward_matmuls(monkeypatch) -> list:
 
 
 def test_pruned_last_pass_transforms_only_kept_rows(monkeypatch, a5_box):
-    # the rows of the kept (a, a_bar, a_bar), 9.8% of the 216,000
+    # the rows of the kept (a, a_bar, a_bar), 9.8% of the 216,000, summed over the last pass's
+    # GEMM pieces (its trailing matrix-by-matrix calls; earlier passes multiply stacks)
     s, box = a5_box
     shapes = _forward_matmuls(monkeypatch)
-    fx.convolve_fourier(box, box, s)
-    (rows, n), _, _ = shapes[-1]
-    assert n == 60 and rows <= sum(d**6 for d in s.dims) == 21_180
+    for workers in (1, 2):
+        monkeypatch.setattr(fx, "_WORKERS", workers)
+        monkeypatch.setattr(fx, "_pool", None)
+        shapes.clear()
+        try:
+            fx.convolve_fourier(box, box, s)
+        finally:
+            if fx._pool is not None:
+                fx._pool[1].shutdown()
+        last = list(itertools.takewhile(lambda c: len(c[0]) == len(c[1]) == 2, shapes[::-1]))
+        assert len(last) == workers and all(b == (60, 60) for _, b, _ in last)
+        assert sum(a[0] for a, _, _ in last) <= sum(d**6 for d in s.dims) == 21_180
 
 
 def test_unpruned_passes_are_one_matmul_each(monkeypatch, a5, a5_irr):
@@ -896,7 +906,7 @@ def _root(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@pytest.mark.parametrize("pool_min", [0, 1 << 20])
+@pytest.mark.parametrize("pool_min", [0, fx._POOL_MIN])
 def test_split_passes_tile_the_tensor_once(monkeypatch, a5, a5_irr, pool_min):
     """On two workers each dense pass is two matmuls whose outputs cover the pass's buffer
     exactly once: pass 0 splits its GEMM's columns, pass 1 its batch, pass 2 its GEMM's rows.

@@ -27,8 +27,10 @@ SEED = 2024
 @pytest.fixture
 def pool(monkeypatch):
     """workers(w) runs every job after it on a pool of w workers (w = 1: one after another),
-    whatever the size of the tensor; the pools made are shut down."""
+    whatever the size of the tensor; the pools made are shut down, and the pool made before
+    comes back untouched."""
     monkeypatch.setattr(fx, "_POOL_MIN", 0)
+    monkeypatch.setattr(fx, "_pool", None)
 
     def workers(w):
         if fx._pool is not None:
@@ -80,8 +82,8 @@ def _live_synthesis(g, s, m):
     return fx._live_passes(x.dense.reshape(-1), fx._stacked(s)[1], s, m, live).tobytes()
 
 
-# the tensors under _POOL_MIN have GEMMs too small to split at all, which a looser rule would
-# cut into pieces that BLAS rounds apart
+# A5^2's GEMMs are too small to split under _GEMM_MIN: a looser rule would cut them into
+# pieces that BLAS rounds apart
 CASES = {
     "a5^4 box * box": ("a5", _box_square),
     "sl2_3^4 box * box": ("sl2_3", _box_square),
@@ -222,3 +224,33 @@ def test_import_and_serial_runs_load_no_pool_module():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.stdout.strip() == "False", result.stderr
+
+
+@pytest.mark.parametrize("env, workers", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({"OMP_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "3"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "one"}, 1),
+])
+def test_pool_takes_the_cpus_blas_leaves(env, workers):
+    # on 4 CPUs, BLAS threads read as OpenBLAS reads them: unpinned it takes every CPU
+    assert fx._pool_workers(4, env) == workers
+
+
+def test_worker_count_without_sched_getaffinity():
+    # macOS and Windows have no os.sched_getaffinity: the pool counts every CPU there
+    code = ("import os; del os.sched_getaffinity; from groupmix import fourier as fx; "
+            "print(fx._WORKERS == (os.cpu_count() or 1))")
+    src = os.path.dirname(os.path.dirname(groupmix.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.stdout.strip() == "True", result.stderr
