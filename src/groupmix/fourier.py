@@ -112,10 +112,10 @@ def point_mass(space: Space, index: int = 0) -> Dist:
 # job pool
 #
 # Work is cut into independent jobs whose results do not depend on how it is cut: matmuls of a
-# batch, the groups of a pruned pass, synthesis rows, norm rows and marginals.  A GEMM is cut
-# only into pieces that start at a multiple of _GEMM_ALIGN rows (or columns) and hold at least
-# _GEMM_MIN multiply-adds, so BLAS runs each piece with the kernels of the whole.  So every
-# output is the same bits at any worker count; numpy and BLAS release the GIL in the jobs.
+# batch, the groups of a pruned pass, synthesis rows and norm rows.  A GEMM is cut only into
+# pieces that start at a multiple of _GEMM_ALIGN rows (or columns) and hold at least _GEMM_MIN
+# multiply-adds, so BLAS runs each piece with the kernels of the whole.  So every output is
+# the same bits at any worker count; numpy and BLAS release the GIL in the jobs.
 
 
 def _pool_workers(cpus: int, env) -> int:

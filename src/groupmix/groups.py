@@ -10,9 +10,13 @@ with coordinate 0 least significant.  A base group is read as H^1: its
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,47 +31,78 @@ class GroupConstructionError(ValueError):
 
 
 def is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q < 4:
-        return True
-    if q % 2 == 0:
-        return False
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 2
-    return True
+    return q >= 2 and all(q % f for f in range(2, math.isqrt(q) + 1))
+
+
+class _Family(NamedTuple):
+    """A base-group family, its rules functions of the spec's parameter p.  elements(p) holds
+    one digit row per element, in table order with the identity first; compose(p, x, y) gives
+    the digit columns of x*y for the row x and every y, given as the digit columns of all
+    elements; invert(p, y) gives the digit columns of every y^-1."""
+
+    name: str                        # str(spec), followed by ":p" when parametric
+    parametric: bool
+    valid: Callable[[int], bool]
+    error: str                       # the text for an invalid p, "{}" standing for p
+    order: Callable[[int], int]
+    elements: Callable[[int], np.ndarray]
+    compose: Callable
+    invert: Callable
+
+
+def _sl2_matrices(q: int) -> np.ndarray:
+    """Rows (a, b, c, d) of det-1 [[a, b], [c, d]] mod q, lexicographic, identity swapped first."""
+    e = np.indices((q,) * 4).reshape(4, -1).T
+    e = e[(e[:, 0] * e[:, 3] - e[:, 1] * e[:, 2]) % q == 1]
+    i = int(np.flatnonzero((e == (1, 0, 0, 1)).all(axis=1))[0])
+    e[[0, i]] = e[[i, 0]]
+    return e
+
+
+def _even_permutations(n: int) -> np.ndarray:
+    """Rows of images of the even permutations of range(n), lexicographic."""
+    p = np.array(list(itertools.permutations(range(n))))
+    inversions = sum(p[:, i] > p[:, j] for i, j in itertools.combinations(range(n), 2))
+    return p[inversions % 2 == 0]
+
+
+_FAMILIES = {
+    "cyclic": _Family(
+        "cyclic", True, lambda n: n >= 1, "cyclic order must be >= 1, got {}",
+        order=lambda n: n, elements=lambda n: np.arange(n)[:, None],
+        compose=lambda n, x, y: [(x[0] + y[0]) % n], invert=lambda n, y: [-y[0] % n]),
+    "sl2": _Family(
+        "sl2", True, is_prime, "sl2 requires a prime field size, q must be prime: got q={}",
+        order=lambda q: q * (q * q - 1), elements=_sl2_matrices,
+        compose=lambda q, x, y: [(x[0] * y[0] + x[1] * y[2]) % q, (x[0] * y[1] + x[1] * y[3]) % q,
+                                 (x[2] * y[0] + x[3] * y[2]) % q, (x[2] * y[1] + x[3] * y[3]) % q],
+        # the inverse of [[a, b], [c, d]] with det 1 is [[d, -b], [-c, a]]
+        invert=lambda q, y: [y[3], -y[1] % q, -y[2] % q, y[0]]),
+    "alt5": _Family(
+        "a5", False, lambda p: p == 0, "alt5 takes no parameter, got {}",
+        order=lambda p: 60, elements=lambda p: _even_permutations(5),
+        compose=lambda p, x, y: np.take(x, y),          # (x o y)(i) = x[y[i]]
+        invert=lambda p, y: np.argsort(y, axis=0)),
+}
 
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """One of cyclic(n), sl2(q) with q prime, or alt5."""
+    """A base group: a family (a key of _FAMILIES) and its parameter."""
 
     kind: str
     param: int = 0
 
     def __post_init__(self):
-        if self.kind == "cyclic":
-            if self.param < 1:
-                raise GroupConstructionError(f"cyclic order must be >= 1, got {self.param}")
-        elif self.kind == "sl2":
-            if not is_prime(self.param):
-                raise GroupConstructionError(
-                    f"sl2 requires a prime field size, q must be prime: got q={self.param}"
-                )
-        elif self.kind == "alt5":
-            pass
-        else:
+        if self.kind not in _FAMILIES:
             raise GroupConstructionError(f"unknown group kind {self.kind!r}")
+        family = _FAMILIES[self.kind]
+        if not family.valid(self.param):
+            raise GroupConstructionError(family.error.format(self.param))
 
     def __str__(self):
-        if self.kind == "cyclic":
-            return f"cyclic:{self.param}"
-        if self.kind == "sl2":
-            return f"sl2:{self.param}"
-        return "a5"
+        family = _FAMILIES[self.kind]
+        return f"{family.name}:{self.param}" if family.parametric else family.name
 
 
 def cyclic(n: int) -> GroupSpec:
@@ -83,20 +118,20 @@ def alt5() -> GroupSpec:
 
 
 def parse_group_spec(text: str) -> GroupSpec:
-    """Parse "cyclic:12" | "sl2:5" | "a5" (also accepts "alt5")."""
+    """Parse "cyclic:12" | "sl2:5" | "a5" (also accepts "alt5"): a family without a
+    parameter by its name or kind, one with a parameter as "kind:p"."""
     t = text.strip().lower()
-    if t in ("a5", "alt5"):
-        return alt5()
+    for kind, family in _FAMILIES.items():
+        if not family.parametric and t in (family.name, kind):
+            return GroupSpec(kind)
     if ":" in t:
         kind, _, arg = t.partition(":")
         try:
             val = int(arg)
         except ValueError:
             raise GroupConstructionError(f"bad group parameter in {text!r}") from None
-        if kind == "cyclic":
-            return cyclic(val)
-        if kind == "sl2":
-            return sl2(val)
+        if kind in _FAMILIES and _FAMILIES[kind].parametric:
+            return GroupSpec(kind, val)
     raise GroupConstructionError(f"cannot parse group spec {text!r}")
 
 
@@ -188,87 +223,32 @@ def check_dense_budget(space: Space):
 
 
 def build_group(spec: GroupSpec) -> GroupTable:
-    """Build the multiplication/inverse table for a GroupSpec.
+    """The multiplication/inverse table of a GroupSpec, from its family's rules.
 
-    Element order is canonical: cyclic by residue; sl2 lexicographic by
-    (a, b, c, d) with the identity swapped to index 0; alt5 lexicographic
-    by permutation image (the identity is already first).  The order follows
-    from the spec, so an over-cap group is rejected before its table is built.
+    Element order is the family's row order: cyclic by residue; sl2 lexicographic by
+    (a, b, c, d) with the identity swapped to index 0; alt5 lexicographic by permutation
+    image (the identity is already first).  The order follows from the spec, so an over-cap
+    group is rejected before its table is built.  A digit row read in base r, r above every
+    digit, is the code that looks up its element.
     """
-    q = spec.param
-    order = {"cyclic": q, "sl2": q * (q * q - 1)}.get(spec.kind, 60)
+    family, p = _FAMILIES[spec.kind], spec.param
+    order = family.order(p)
     if order > MAX_BASE_ORDER:
         raise GroupConstructionError(
             f"group order {order} above supported base-group maximum {MAX_BASE_ORDER}"
         )
-    if spec.kind == "cyclic":
-        return _build_cyclic(q)
-    if spec.kind == "sl2":
-        return _build_sl2(q)
-    return _build_alt5()
+    cols = np.ascontiguousarray(family.elements(p).T)
+    r = int(cols.max()) + 1
 
+    def code(digits):
+        return functools.reduce(lambda c, d: c * r + d, digits)
 
-def _build_cyclic(n: int) -> GroupTable:
-    idx = np.arange(n, dtype=np.int32)
-    mul = np.add.outer(idx, idx) % n
-    inv = (-idx) % n
-    return GroupTable(cyclic(n), n, mul.astype(np.int32), inv.astype(np.int32))
-
-
-def _sl2_elements(q: int) -> list[tuple[int, int, int, int]]:
-    els = [
-        (a, b, c, d)
-        for a, b, c, d in itertools.product(range(q), repeat=4)
-        if (a * d - b * c) % q == 1
-    ]
-    ident = (1 % q, 0, 0, 1 % q)
-    i0 = els.index(ident)
-    els[0], els[i0] = els[i0], els[0]
-    return els
-
-def _build_sl2(q: int) -> GroupTable:
-    els = _sl2_elements(q)
-    n = len(els)
-    E = np.array(els, dtype=np.int64)            # (n, 4) rows (a, b, c, d)
-    code_of = E[:, 0] * q**3 + E[:, 1] * q**2 + E[:, 2] * q + E[:, 3]
-    idx_of_code = np.full(q**4, -1, dtype=np.int32)
-    idx_of_code[code_of] = np.arange(n, dtype=np.int32)
-
-    a, b, c, d = E[:, 0], E[:, 1], E[:, 2], E[:, 3]
-    mul = np.empty((n, n), dtype=np.int32)
-    for x in range(n):
-        ax, bx, cx, dx = els[x]
-        ra = (ax * a + bx * c) % q
-        rb = (ax * b + bx * d) % q
-        rc = (cx * a + dx * c) % q
-        rd = (cx * b + dx * d) % q
-        mul[x] = idx_of_code[ra * q**3 + rb * q**2 + rc * q + rd]
-    # inverse of [[a,b],[c,d]] with det 1 is [[d,-b],[-c,a]]
-    inv_code = (d % q) * q**3 + ((-b) % q) * q**2 + ((-c) % q) * q + (a % q)
-    inv = idx_of_code[inv_code].astype(np.int32)
-    return GroupTable(sl2(q), n, mul, inv)
-
-
-def _perm_parity(p: tuple[int, ...]) -> int:
-    inversions = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return inversions % 2
-
-
-def _build_alt5() -> GroupTable:
-    perms = [p for p in itertools.permutations(range(5)) if _perm_parity(p) == 0]
-    n = len(perms)
-    P = np.array(perms, dtype=np.int64)          # (n, 5) images, lex sorted
-    codes = sum(P[:, i] * 5 ** (4 - i) for i in range(5))
-    idx_of_code = np.full(5**5, -1, dtype=np.int32)
-    idx_of_code[codes] = np.arange(n, dtype=np.int32)
-
-    mul = np.empty((n, n), dtype=np.int32)
-    for x in range(n):
-        comp = P[x][P]                           # (x∘y)(i) = x[y[i]]
-        mul[x] = idx_of_code[sum(comp[:, i] * 5 ** (4 - i) for i in range(5))]
-    inv_imgs = np.argsort(P, axis=1)
-    inv = idx_of_code[sum(inv_imgs[:, i] * 5 ** (4 - i) for i in range(5))].astype(np.int32)
-    return GroupTable(alt5(), n, mul, inv)
+    index = np.full(r ** len(cols), -1, dtype=np.int32)
+    index[code(cols)] = np.arange(order, dtype=np.int32)
+    mul = np.empty((order, order), dtype=np.int32)
+    for x, row in enumerate(cols.T):
+        mul[x] = index[code(family.compose(p, row, cols))]
+    return GroupTable(spec, order, mul, index[code(family.invert(p, cols))])
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,6 @@ class Irrep:
         self.matrices.setflags(write=False)
         self.character.setflags(write=False)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.dim == 1 and np.allclose(self.character, 1.0, atol=1e-6)
-
 
 @dataclass(frozen=True)
 class IrrepSet:

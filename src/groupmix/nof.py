@@ -24,13 +24,9 @@ import numpy as np
 from groupmix.boost import ExperimentLog, _measure
 from groupmix.fourier import (BoundViolation, Dist, _pruned_forward, _synthesize, convolve,
                               make_dist, resolve_engine)
-from groupmix.groups import MAX_DENSE_STATES, GroupTable, ProductGroup
+from groupmix.groups import GroupTable, ProductGroup, check_dense_budget
 from groupmix.irreps import IrrepSet
 from groupmix.uniformity import eps_k_uniform_counts
-
-
-class BudgetError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -54,17 +50,6 @@ class BoxDist:
         return ProductGroup(self.base, self.arity)
 
 
-def _check_budgets(h: GroupTable, parties: int):
-    if parties < 1:
-        raise ValueError("parties must be >= 1")
-    m = 2**parties
-    if h.order**m > MAX_DENSE_STATES:
-        raise BudgetError(
-            f"dense counts over H^{m} need {h.order**m} states, above the supported "
-            f"{MAX_DENSE_STATES}"
-        )
-
-
 def exact_s(h: GroupTable, parties: int) -> BoxDist:
     """Exact counts by enumerating one tuple per gauge orbit.
 
@@ -73,7 +58,9 @@ def exact_s(h: GroupTable, parties: int) -> BoxDist:
     so each orbit has n^(k-1) tuples and exactly one with u_i^0 = e for i < k-1:
     count those n^(k+1) tuples once each and weight every count by n^(k-1).
     """
-    _check_budgets(h, parties)
+    if parties < 1:
+        raise ValueError("parties must be >= 1")
+    check_dense_budget(ProductGroup(h, 2**parties))
     n = h.order
     k = parties
     m = 2**k

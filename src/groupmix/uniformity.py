@@ -10,14 +10,13 @@ spaces make sampling unnecessary.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from groupmix.fourier import Dist, _run, marginalize, max_low_weight_norm
+from groupmix.fourier import Dist, marginalize, max_low_weight_norm
 from groupmix.irreps import IrrepSet
 
 FOURIER_UNIFORMITY_TOL = 1e-10
@@ -36,13 +35,11 @@ def eps_uniform(p: Dist) -> float:
     return max(abs(float(p.values.min()) * p.size - 1.0), abs(float(p.values.max()) * p.size - 1.0))
 
 
-def _worst_subset(m: int, k: int, dev, full_table: bool, size: int) -> UniformityReport:
-    """The largest dev(subset) over the k-subsets of range(m), at the first subset reaching it;
-    one job each on a space of `size` states."""
+def _worst_subset(m: int, k: int, dev, full_table: bool) -> UniformityReport:
+    """The largest dev(subset) over the k-subsets of range(m), at the first subset reaching it."""
     if not 1 <= k <= m:
         raise ValueError(f"k must lie in [1, {m}], got {k}")
-    subsets = list(itertools.combinations(range(m), k))
-    table = dict(zip(subsets, _run([functools.partial(dev, c) for c in subsets], size)))
+    table = {c: dev(c) for c in itertools.combinations(range(m), k)}
     arg = max(table, key=table.__getitem__)
     return UniformityReport(table[arg], arg, table if full_table else None)
 
@@ -50,7 +47,7 @@ def _worst_subset(m: int, k: int, dev, full_table: bool, size: int) -> Uniformit
 def eps_k_uniform(p: Dist, k: int, full_table: bool = False) -> UniformityReport:
     """Worst eps_uniform over all k-coordinate marginals."""
     return _worst_subset(p.space.arity, k, lambda subset: eps_uniform(marginalize(p, subset)),
-                         full_table, p.size)
+                         full_table)
 
 
 def eps_k_uniform_counts(counts: np.ndarray, n: int, m: int, k: int, full_table: bool = False):
@@ -70,7 +67,7 @@ def eps_k_uniform_counts(counts: np.ndarray, n: int, m: int, k: int, full_table:
         return max(abs(Fraction(int(marg.max()) * cells, total) - 1),
                    abs(Fraction(int(marg.min()) * cells, total) - 1))
 
-    return _worst_subset(m, k, dev, full_table, counts.size)
+    return _worst_subset(m, k, dev, full_table)
 
 
 def is_k_uniform_fourier(

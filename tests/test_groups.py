@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -46,7 +47,7 @@ def test_identity_at_index_zero(sl2_3, sl2_5, a5, c4, c6):
 
 def test_sl2_identity_label(sl2_5):
     # element 0 of SL(2,5) is the identity matrix [[1,0],[0,1]]
-    assert groups._sl2_elements(5)[0] == (1, 0, 0, 1)
+    assert tuple(groups._FAMILIES["sl2"].elements(5)[0]) == (1, 0, 0, 1)
     assert np.array_equal(sl2_5.mul[0], np.arange(sl2_5.order))
     assert sl2_5.inv[0] == 0
 
@@ -61,6 +62,12 @@ def test_nonprime_q_rejected():
 def test_cyclic_requires_positive_order():
     with pytest.raises(GroupConstructionError):
         groups.cyclic(0)
+
+
+def test_alt5_takes_no_parameter():
+    # a parameter would give the same group a second fingerprint and irrep cache
+    with pytest.raises(GroupConstructionError, match="alt5 takes no parameter, got 7"):
+        groups.GroupSpec("alt5", 7)
 
 
 def test_parse_group_spec():
@@ -145,6 +152,39 @@ def test_fingerprint_stable_and_distinct(a5, sl2_3):
     again = build_group(groups.alt5())
     assert again.fingerprint == a5.fingerprint
     assert a5.fingerprint != sl2_3.fingerprint
+
+
+# SHA-256 of mul.tobytes() and inv.tobytes(), and the fingerprint: a change of element order
+# would move every irrep cache key and every CSV
+PINNED_TABLES = {
+    "a5": ("8141c7184b318a79863bde81c1ca1610d15630a20eb23c44ad75ff126395107c",
+           "5b0e46409a1150a0a0705234b9fb287e4b98bf178cf3edbfb267d45c96a088ec",
+           "0e95fbeb2ad944668b202d8137d782fba8ed428a34562fb6aad34898f19fd2c9"),
+    "cyclic:12": ("95e853c042436f11d7eda0d1883c5880debefaefde06702c2d26b1cecdf395bb",
+                  "026a1137950ec2fec0c074bfacacf07057e72a6dab463958d82fae36535ceb81",
+                  "0ad4bf597f2ae5cc34531ff4652535656dac8d314d5ca49de52124b18e3f8740"),
+    "sl2:2": ("888524f5c831695e7652e95f33742bade8fbbc8ecbca308ec955172398d9dc03",
+              "d34e425a9af53dc3036267310bd320203f4f1da1afdd07ad77312f01e3e5846b",
+              "a05542e56da6bd1086daafa7ffa91609b451b63ad230f2230604fb356d2b4650"),
+    "sl2:3": ("22a13c2e322172a6f26331c73580c465fae8ddcd2f106fe2b761a29cb04da0c7",
+              "86f73065e23f8828d757600ec82bb28308d73e7755a0954036aa26f1803e01f1",
+              "e462ad5751257192e5df8d58e67a8894e32df617b2c976bc648180eab2673833"),
+    "sl2:5": ("99247a05e9a858cdc68da3d93af9e94c0afebf8f7055851c4161a5830f961837",
+              "4b36b476c360e1267a531ce6adaa7a108e8e814021f9cbdea3d4b52f72841e11",
+              "f9edfcccb2122e889bbe27cb6b3dcf80c753da291f37e5dbe008bb978bcb1b40"),
+    "sl2:7": ("0ed10ad71a408b7c667b35cbf9b4b19649c5f277e0cd90f776ccc3582720d7a9",
+              "576dc34dc965909cf2414258bd6ea6696bb4ca03efdd6358cc9462c38beb4174",
+              "854391d7f9a2e0020e338712ed6829a7d12d0bacb7c442d26128b705679a2c50"),
+}
+
+
+@pytest.mark.parametrize("text", list(PINNED_TABLES))
+def test_builtin_tables_are_pinned(text):
+    g = build_group(groups.parse_group_spec(text))
+    assert g.mul.dtype == np.int32 and g.inv.dtype == np.int32
+    digests = (hashlib.sha256(g.mul.tobytes()).hexdigest(),
+               hashlib.sha256(g.inv.tobytes()).hexdigest(), g.fingerprint)
+    assert digests == PINNED_TABLES[text]
 
 
 def test_fingerprint_covers_whole_table(c12):

@@ -38,7 +38,6 @@ def test_cyclic4_all_one_dimensional(c4, irreps_cache):
 def test_trivial_rep_first(a5, sl2_5, c12, irreps_cache):
     for g in (a5, sl2_5, c12):
         s = irreps_cache(g)
-        assert s.irreps[0].is_trivial
         assert np.allclose(s.irreps[0].character, 1.0)
 
 

@@ -165,9 +165,9 @@ def test_empirical_marginals_chi_square(sl2_2):
 
 
 def test_budget_errors(a5, sl2_5):
-    with pytest.raises(nof.BudgetError, match="above the supported"):
+    with pytest.raises(groups.GroupConstructionError, match="above the supported"):
         nof.exact_s(a5, 3)       # dense-state budget, 60^8 states
-    with pytest.raises(nof.BudgetError, match="above the supported"):
+    with pytest.raises(groups.GroupConstructionError, match="above the supported"):
         nof.exact_s(sl2_5, 2)    # dense-state budget
     with pytest.raises(ValueError, match="parties must be >= 1"):
         nof.exact_s(a5, 0)

@@ -170,7 +170,7 @@ def test_errors_in_pooled_jobs_reach_the_caller(pool, a5, monkeypatch):
     pool(2)
     s = get_irreps(a5, seed=SEED)
     space = ProductGroup(a5, 3)
-    # a NaN value: each pooled marginal fails make_dist
+    # a NaN value: its marginal fails make_dist in the k-subset scan, which runs serially
     values = _random_dist(space, SEED).values.copy()
     values[7] = np.nan
     with pytest.raises(ValueError, match="nan"):
@@ -210,7 +210,7 @@ def test_inputs_below_the_size_threshold_start_no_thread(monkeypatch, a5):
 
 
 def test_import_and_serial_runs_load_no_pool_module():
-    # the transform engine and a k-subset scan, on tensors under _POOL_MIN
+    # the transform engine on tensors under _POOL_MIN, and a k-subset scan, which runs serially
     code = ("import sys; import groupmix.cli; from groupmix import fourier as fx, groups; "
             "from groupmix.irreps import compute_irreps; "
             "from groupmix.uniformity import eps_k_uniform; "

@@ -1,10 +1,10 @@
-"""Every public function or class in the library is used or documented.
+"""Every public function, class, method or property in the library is used or documented.
 
 Code used only by the tests belongs in the tests: a public top-level name
-in src/groupmix must be referenced from code in src, scripts/ or
-perfbench/, or be named in README.md.  An import, a docstring or a string
-(such as an `__all__` entry) is no reference, and neither is a name's use
-inside its own definition.
+in src/groupmix, or a public member of a class there, must be referenced
+from code in src, scripts/ or perfbench/, or be named in README.md.  An
+import, a docstring or a string (such as an `__all__` entry) is no
+reference, and neither is a name's use inside its own definition.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ def _unused_public_names() -> list[str]:
     code += sorted((ROOT / "perfbench").rglob("*.py"))
     # one entry per top-level statement, so a definition's own body can be left out
     statements = []
+    # (qualname, definition, the top-level statement holding it, the statements beside it there)
     public = []
     for path in code:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -39,13 +40,22 @@ def _unused_public_names() -> list[str]:
             statements.append((stmt, _referenced_names(stmt)))
             defines = isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
             if defines and path.parent == SRC and not stmt.name.startswith("_"):
-                public.append((f"{path.stem}.{stmt.name}", stmt))
+                public.append((f"{path.stem}.{stmt.name}", stmt, stmt, []))
+                members = stmt.body if isinstance(stmt, ast.ClassDef) else []
+                public += [(f"{path.stem}.{stmt.name}.{m.name}", m, stmt, members)
+                           for m in members
+                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
     readme = (ROOT / "README.md").read_text()
+
+    def referenced(defn, holder, beside):
+        if any(defn.name in names for stmt, names in statements if stmt is not holder):
+            return True
+        return any(defn.name in _referenced_names(s) for s in beside if s is not defn)
+
     return [
         qualname
-        for qualname, defn in public
-        if not any(defn.name in names for stmt, names in statements if stmt is not defn)
-        and not re.search(rf"\b{defn.name}\b", readme)
+        for qualname, defn, holder, beside in public
+        if not referenced(defn, holder, beside) and not re.search(rf"\b{defn.name}\b", readme)
     ]
 
 
