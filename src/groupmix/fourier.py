@@ -101,13 +101,6 @@ def uniform(space: Space) -> Dist:
     return make_dist(space, np.full(n, 1.0 / n))
 
 
-def point_mass(space: Space, index: int = 0) -> Dist:
-    n = space.size
-    v = np.zeros(n)
-    v[index] = 1.0
-    return make_dist(space, v)
-
-
 # ---------------------------------------------------------------------------
 # job pool
 #

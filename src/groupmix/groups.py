@@ -210,12 +210,16 @@ def same_space(a: Space, b: Space) -> bool:
 
 
 def check_dense_budget(space: Space):
-    n = space.size
-    if n > MAX_DENSE_STATES:
-        raise GroupConstructionError(
-            f"dense pipeline over {space!r} needs {n} states, above the supported "
-            f"maximum of {MAX_DENSE_STATES} (A5^4-sized working sets)"
-        )
+    n, m = space.base.order, space.arity
+    # for n >= 2, n^m >= 2^m is over the cap from the cap's bit length on, so no large power is
+    # formed; a size past Python's 4300-digit limit on printing an int is named as a power
+    if n == 1 or m < MAX_DENSE_STATES.bit_length() and n**m <= MAX_DENSE_STATES:
+        return
+    states = n**m if m * math.log10(n) < 4000 else f"{n}^{m}"
+    raise GroupConstructionError(
+        f"dense pipeline over {space!r} needs {states} states, above the supported "
+        f"maximum of {MAX_DENSE_STATES} (A5^4-sized working sets)"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -92,44 +92,9 @@ def box_to_dist(b: BoxDist) -> Dist:
     return make_dist(b.space, b.counts / float(b.total))
 
 
-def sample_s_many(h: GroupTable, parties: int, size: int, seed: int) -> np.ndarray:
-    """(size, m) array of draws; fixed seed reproduces identical tuples."""
-    n = h.order
-    k = parties
-    m = 2**k
-    rng = np.random.default_rng(seed)
-    us = rng.integers(0, n, size=(size, 2 * k))
-    out = np.zeros((size, m), dtype=np.int64)
-    for j in range(m):
-        acc = np.zeros(size, dtype=np.int64)
-        for i in range(k):
-            bit = (j >> i) & 1
-            acc = h.mul[acc, us[:, 2 * i + bit]].astype(np.int64)
-        out[:, j] = acc
-    return out
-
-
-def sample_s(h: GroupTable, parties: int, seed: int) -> tuple[int, ...]:
-    """One draw of the box distribution as an m-tuple of element indices."""
-    return tuple(int(v) for v in sample_s_many(h, parties, 1, seed)[0])
-
-
-def cancellation_identity_holds(h: GroupTable, points: np.ndarray) -> np.ndarray:
-    """Check s(00) s(10)^-1 s(11) s(01)^-1 = e on (size, 4) coordinate rows.
-
-    Coordinate order is (s(00), s(10), s(01), s(11)) per the bit indexing,
-    so the chain reads columns 0, 1, 3, 2.
-    """
-    mul, inv = h.mul, h.inv
-    acc = mul[points[:, 0], inv[points[:, 1]]]
-    acc = mul[acc, points[:, 3]]
-    acc = mul[acc, inv[points[:, 2]]]
-    return acc == 0
-
-
 def _identity_cells(h: GroupTable) -> np.ndarray:
-    """Flat indices over H^4 of the n^3 points with x_0 x_1^-1 x_3 x_2^-1 = e, the product
-    `cancellation_identity_holds` tests: each (x_1, x_2, x_3) fixes x_0 = x_2 x_3^-1 x_1."""
+    """Flat indices over H^4 of the n^3 points with x_0 x_1^-1 x_3 x_2^-1 = e, the cancellation
+    identity s(00) s(10)^-1 s(11) s(01)^-1 = e: each (x_1, x_2, x_3) fixes x_0 = x_2 x_3^-1 x_1."""
     n = h.order
     x = np.arange(n, dtype=np.int64)
     x3, x2, x1 = x[:, None, None], x[None, :, None], x[None, None, :]

@@ -3,8 +3,9 @@
 Everything here is deliberately written from first principles (brute-force
 enumeration, the class-algebra character method, direct definition sums) and
 shares no code path with groupmix itself.  The one exception is the last
-section: reference dict forms of groupmix's dense coefficient tensors, which
-read blocks out of those tensors by their documented slot layout.
+section, which reads groupmix types: the point-mass Dist, and reference dict
+forms of groupmix's dense coefficient tensors, which read blocks out of those
+tensors by their documented slot layout.
 """
 
 from __future__ import annotations
@@ -332,6 +333,37 @@ def exact_box_counts_full(mul, parties: int) -> np.ndarray:
     return counts
 
 
+def sample_s_many(h, parties: int, size: int, seed: int) -> np.ndarray:
+    """(size, m) array of box draws over the GroupTable h, each coordinate the product of its
+    parties' u_i^{x_i} by h.mul; fixed seed reproduces identical tuples."""
+    n = h.order
+    k = parties
+    m = 2**k
+    rng = np.random.default_rng(seed)
+    us = rng.integers(0, n, size=(size, 2 * k))
+    out = np.zeros((size, m), dtype=np.int64)
+    for j in range(m):
+        acc = np.zeros(size, dtype=np.int64)
+        for i in range(k):
+            bit = (j >> i) & 1
+            acc = h.mul[acc, us[:, 2 * i + bit]].astype(np.int64)
+        out[:, j] = acc
+    return out
+
+
+def cancellation_identity_holds(h, points: np.ndarray) -> np.ndarray:
+    """Check s(00) s(10)^-1 s(11) s(01)^-1 = e on (size, 4) coordinate rows.
+
+    Coordinate order is (s(00), s(10), s(01), s(11)) per the bit indexing,
+    so the chain reads columns 0, 1, 3, 2.
+    """
+    mul, inv = h.mul, h.inv
+    acc = mul[points[:, 0], inv[points[:, 1]]]
+    acc = mul[acc, points[:, 3]]
+    acc = mul[acc, inv[points[:, 2]]]
+    return acc == 0
+
+
 def exact_marginal_fraction_dev(counts_vec, n: int, m: int, subset) -> Fraction:
     """Exact max relative deviation of a marginal of an integer-count vector."""
     total = int(np.sum(counts_vec))
@@ -348,7 +380,16 @@ def exact_marginal_fraction_dev(counts_vec, n: int, m: int, subset) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# reference coefficient forms: blocks as a dict of matrices
+# groupmix types: the point mass, and coefficient blocks as a dict of matrices
+
+
+def point_mass(space, index: int = 0):
+    """The groupmix Dist over space with all its mass on flat index `index`."""
+    from groupmix import fourier as fx
+
+    v = np.zeros(space.size)
+    v[index] = 1.0
+    return fx.make_dist(space, v)
 
 
 def frobenius_norm_sq(m) -> float:

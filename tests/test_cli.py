@@ -337,6 +337,14 @@ def test_nof_needs_two_parties(capsys, cache):
     assert code == 1 and "invalid --parties: must be >= 2" in err
 
 
+def test_nof_over_the_cap_names_it(capsys, cache):
+    # 60^4096 states: the cap is named, not Python's limit on printing a 7,283-digit int
+    code, _, err = run_cli(
+        ["experiment", "nof", "--group", "a5", "--parties", "12", "--cache-dir", cache], capsys
+    )
+    assert code == 1 and "above the supported maximum of 13500000" in err
+
+
 def test_missing_group_rejected(capsys, cache):
     code, _, err = run_cli(["irreps", "--cache-dir", cache], capsys)
     assert code == 1

@@ -129,7 +129,7 @@ def test_uniform_coefficients(a5, a5_irr):
 
 
 def test_point_mass_coefficients(a5, a5_irr):
-    blocks = oracles.irrep_blocks(fx.product_fourier_forward(fx.point_mass(a5, 0).values, a5, a5_irr))
+    blocks = oracles.irrep_blocks(fx.product_fourier_forward(oracles.point_mass(a5, 0).values, a5, a5_irr))
     for i, r in enumerate(a5_irr.irreps):
         assert np.max(np.abs(blocks[i] - np.eye(r.dim) / 60)) < 1e-15
 
@@ -322,9 +322,9 @@ def test_inconsistent_base_set_rejected(a5, sl2_3):
 def test_delta_convolution(c6):
     s = get_irreps(c6, seed=SEED)
     for a, b in ((2, 5), (1, 1), (0, 4)):
-        da, db = fx.point_mass(c6, a), fx.point_mass(c6, b)
+        da, db = oracles.point_mass(c6, a), oracles.point_mass(c6, b)
         out = fx.convolve_direct(da, db)
-        expected = fx.point_mass(c6, int(c6.mul[a, b]))
+        expected = oracles.point_mass(c6, int(c6.mul[a, b]))
         assert np.array_equal(out.values, expected.values)
 
 
@@ -381,7 +381,7 @@ def test_identity_delta_under_fourier_engine(a5, a5_irr):
     rng = np.random.default_rng(SEED)
     v = rng.random(60)
     p = fx.make_dist(a5, v / v.sum())
-    de = fx.point_mass(a5, 0)
+    de = oracles.point_mass(a5, 0)
     out = fx.convolve_fourier(de, p, a5_irr)
     assert np.max(np.abs(out.values - p.values)) < 1e-12
 
@@ -994,7 +994,7 @@ def test_marginal_of_uniform_is_uniform(a5):
 def test_marginal_of_point_mass(a5):
     pg = ProductGroup(a5, 2)
     idx = groups.tuple_to_flat(pg, (7, 11))
-    d = fx.point_mass(pg, idx)
+    d = oracles.point_mass(pg, idx)
     m0 = fx.marginalize(d, (0,))
     m1 = fx.marginalize(d, (1,))
     assert m0.values[7] == 1.0 and m1.values[11] == 1.0

@@ -234,6 +234,10 @@ def test_dense_budget_rejected(a5):
     with pytest.raises(GroupConstructionError, match="dense"):
         groups.check_dense_budget(ProductGroup(a5, 5))
     groups.check_dense_budget(ProductGroup(a5, 4))  # supported maximum
+    # 60^4096 has 7,283 digits, more than Python prints of an int
+    with pytest.raises(GroupConstructionError, match="maximum of 13500000"):
+        groups.check_dense_budget(ProductGroup(a5, 4096))
+    groups.check_dense_budget(ProductGroup(build_group(groups.cyclic(1)), 2**24))
 
 
 @pytest.mark.parametrize("spec", [groups.cyclic(10_001), groups.sl2(23)])

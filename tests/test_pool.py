@@ -215,7 +215,8 @@ def test_import_and_serial_runs_load_no_pool_module():
             "from groupmix.irreps import compute_irreps; "
             "from groupmix.uniformity import eps_k_uniform; "
             "g = groups.build_group(groups.cyclic(5)); pg = groups.ProductGroup(g, 3); "
-            "p = fx.convolve_fourier(fx.point_mass(pg), fx.uniform(pg), compute_irreps(g)); "
+            "p = fx.convolve_fourier(fx.make_dist(pg, [1.0] + [0.0] * (pg.size - 1)), fx.uniform(pg), "
+            "compute_irreps(g)); "
             "fx.convolve_fourier(p, p, compute_irreps(g)); eps_k_uniform(p, 2); "
             "print('concurrent.futures' in sys.modules)")
     src = os.path.dirname(os.path.dirname(groupmix.__file__))

@@ -73,7 +73,7 @@ def test_point_mass_convolution_is_group_product(n, data):
     g = small_group(n)
     a = data.draw(st.integers(0, n - 1))
     b = data.draw(st.integers(0, n - 1))
-    out = fx.convolve_direct(fx.point_mass(g, a), fx.point_mass(g, b))
+    out = fx.convolve_direct(oracles.point_mass(g, a), oracles.point_mass(g, b))
     assert out.values[g.mul[a, b]] == 1.0
 
 

@@ -253,7 +253,7 @@ def test_residuals_match_block_dict_on_perturbed_a5_box(a5):
     # blocks, on the input `groupmix experiment repair --group a5` builds
     s = get_irreps(a5, seed=SEED)
     p0 = nof.box_to_dist(nof.exact_s(a5, 2))
-    p = fx.make_dist(p0.space, (1 - 1e-9) * p0.values + 1e-9 * fx.point_mass(p0.space, 0).values)
+    p = fx.make_dist(p0.space, (1 - 1e-9) * p0.values + 1e-9 * oracles.point_mass(p0.space, 0).values)
     del p0
     q, cert = repair(p, 3, s)
     check = verify_repair(p, q, 3, s)

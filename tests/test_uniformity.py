@@ -17,6 +17,7 @@ from groupmix.uniformity import (
     report_to_text,
 )
 
+import oracles
 from bounds import rep_bound_check
 
 SEED = 2024
@@ -38,7 +39,7 @@ def test_eps_uniform_of_uniform(a5):
 
 def test_eps_uniform_of_point_mass(a5, c6):
     for g in (a5, c6):
-        assert abs(eps_uniform(fx.point_mass(g, 0)) - (g.order - 1)) < 1e-12
+        assert abs(eps_uniform(oracles.point_mass(g, 0)) - (g.order - 1)) < 1e-12
 
 
 def test_eps_uniform_of_mixture(a5):
@@ -100,7 +101,7 @@ def test_eps_k_monotone_in_k(a5):
 
 def test_eps_k_report_fields(a5):
     pg = ProductGroup(a5, 2)
-    d = fx.point_mass(pg, groups.tuple_to_flat(pg, (3, 0)))
+    d = oracles.point_mass(pg, groups.tuple_to_flat(pg, (3, 0)))
     rep = eps_k_uniform(d, 1, full_table=True)
     assert rep.worst_subset in ((0,), (1,))
     assert set(rep.per_subset) == {(0,), (1,)}
