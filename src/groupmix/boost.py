@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from groupmix.fourier import (BoundViolation, Dist, _pruned_forward, convolve, dist_from_fourier,
-                              resolve_engine)
+from groupmix.fourier import BoundViolation, Dist, _pruned_forward, convolve, dist_from_fourier
 from groupmix.irreps import IrrepSet
 from groupmix.uniformity import eps_k_uniform
 
@@ -100,10 +99,9 @@ class FlattenRecord:
     rhs: float
     ratio: float | None
     holds: bool
-    eps_k_in: float
 
 
-def flatten_bound_check(p: Dist, k: int, d: int, s: IrrepSet | None = None) -> FlattenRecord:
+def flatten_bound_check(p: Dist, k: int, d: int, s: IrrepSet) -> FlattenRecord:
     """Self-convolution flattening bound for an (|H|^-k, k)-uniform input.
 
     lhs = |p*p - u|_2^2, rhs = |p - u|_2^2 * 2 * |H|^(m-k) * d^-(k+1).
@@ -124,7 +122,7 @@ def flatten_bound_check(p: Dist, k: int, d: int, s: IrrepSet | None = None) -> F
     if not holds:
         raise BoundViolation(f"flattening bound violated: {lhs} > {rhs}")
     ratio = lhs / base if base > 0 else None
-    return FlattenRecord(lhs, rhs, ratio, holds, eps_in)
+    return FlattenRecord(lhs, rhs, ratio, holds)
 
 
 # ---------------------------------------------------------------------------
@@ -150,27 +148,27 @@ def boost_pipeline(
     mode: str,
     max_steps: int,
     target_eps: float,
-    s: IrrepSet | None = None,
+    s: IrrepSet,
     k: int | None = None,
 ) -> tuple[Dist, ExperimentLog]:
-    """Iterated convolution until eps_uniform reaches target_eps.
+    """Iterated convolution until eps_uniform reaches target_eps; s is the base group's irreps.
 
-    self-square convolves the current iterate with itself (2^t copies after
-    t steps); fresh-copy convolves with the original each step (t+1 copies).
+    self-square convolves the current iterate with itself (2^t copies after t steps);
+    fresh-copy convolves with the original each step (t+1 copies), transformed once.
     """
     if mode not in ("self-square", "fresh-copy"):
         raise ValueError(f"unknown pipeline mode {mode!r}")
-    in_fourier = mode == "fresh-copy" and resolve_engine(p.size, s) == "fourier"
+    fresh = mode == "fresh-copy"
     log = ExperimentLog()
     current = iterate = factor = p
     log.add(_measure(current, 0, mode, k, False, 0.0))
     while log.records[-1].linf_rel > target_eps and len(log.records) <= max_steps:
         t0 = time.perf_counter()
-        if in_fourier and factor is p:
+        if fresh and factor is p:
             iterate = factor = _pruned_forward(p, s)[0]
         del current  # measured already; an inverse below needs the room
-        iterate = convolve(iterate, iterate if mode == "self-square" else factor, s)
-        current = dist_from_fourier(iterate, p.space) if in_fourier else iterate
+        iterate = convolve(iterate, factor if fresh else iterate, s)
+        current = dist_from_fourier(iterate, p.space) if fresh else iterate
         secs = time.perf_counter() - t0
         log.add(_measure(current, len(log.records), mode, k, False, secs))
     return current, log

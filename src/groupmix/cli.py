@@ -210,10 +210,9 @@ def cmd_verify(args) -> int:
 
 
 def _box_input(cfg: RunConfig, g):
-    m = cfg.m
-    parties = m.bit_length() - 1
-    if 2**parties != m:
-        raise ConfigError(f"invalid --m: box-distribution experiments need m = 2^parties, got {m}")
+    parties = cfg.m.bit_length() - 1
+    if cfg.m < 2 or 2**parties != cfg.m:
+        raise ConfigError(f"invalid --m: box experiments need m = 2^parties >= 2, got {cfg.m}")
     return nof.box_to_dist(nof.exact_s(g, parties))
 
 

@@ -38,8 +38,7 @@ from groupmix.irreps import IrrepSet
 DIST_SUM_TOL = 1e-9
 NEG_CLAMP = -1e-15
 _REAL_TOL = 1e-9
-_DIRECT_ENGINE_MAX = 10_000       # above this many states convolve() uses fourier
-_DIRECT_REST_MAX = 4096           # direct product engine builds an R x R index table
+_DIRECT_REST_MAX = 4096           # convolve_direct builds an R x R index table
 _STACK_SHARE = 6                  # a chunked synthesis stack holds about 1/6 of the entries
 _POOL_MIN = 1 << 18               # jobs on a tensor with fewer entries run one after another
 _GEMM_MIN = 1 << 21               # least multiply-adds of a GEMM piece: BLAS rounds small ones apart
@@ -296,15 +295,6 @@ def _slot_offsets(s: IrrepSet) -> np.ndarray:
     return np.cumsum((0,) + tuple(d * d for d in s.dims[:-1]))
 
 
-def _block_view(dense: np.ndarray, t: tuple[int, ...], offs, dims) -> np.ndarray:
-    """Tuple t's block as a view with axes (r_{m-1}, ..., r_0, c_{m-1}, ..., c_0), given the
-    slot offsets and dims of the irreps."""
-    m = len(t)
-    view = dense[tuple(slice(offs[a], offs[a] + dims[a] ** 2) for a in t[::-1])]
-    view = view.reshape([dims[a] for a in t[::-1] for _ in (0, 1)])
-    return view.transpose(list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2)))
-
-
 def _segment_norms_sq(x: np.ndarray, cuts: list) -> np.ndarray:
     """Sums of |x|^2 over every product of segments, cuts[j] the reduceat starts on axis j.
 
@@ -381,11 +371,12 @@ def dist_fourier(p: Dist, s: IrrepSet) -> FourierData:
 
 
 # ---------------------------------------------------------------------------
-# convolution engines
+# convolution
 
 
 def convolve_direct(p: Dist, q: Dist) -> Dist:
-    """Definitionally exact sum p*q(x) = sum_y p(y) q(y^{-1} x)."""
+    """Definitionally exact sum p*q(x) = sum_y p(y) q(y^{-1} x): the reference that `convolve`
+    is checked against, on spaces small enough for its index table."""
     if not same_space(p.space, q.space):
         raise SpaceMismatchError("convolution across different spaces")
     return make_dist(p.space, _convolve_direct_product(p.space, p.values, q.values))
@@ -425,6 +416,22 @@ def _convolve_direct_product(pg: Space, pv, qv) -> np.ndarray:
     return out.ravel(order="F")
 
 
+def _class_blocks(tuples: np.ndarray, offs: np.ndarray, dims: np.ndarray, *dense: np.ndarray):
+    """([V, ...], key): V[key][i] is the block of tuples[i], norm-array indices of one dimension
+    class in C order, in the matching tensor, axes (r_{m-1}, ..., r_0, c_{m-1}, ..., c_0).  The
+    blocks share shape and strides: V is one view of them if their flat offsets step evenly
+    (numpy copies it faster than it gathers a fancy index), else of a block at every offset."""
+    d = dims[tuples[0]]
+    step = np.array([dense[0].shape[0] ** j for j in range(len(d) - 1, -1, -1)])    # per axis
+    at = offs[tuples] @ step
+    gaps = np.diff(at)
+    even = bool(np.all(gaps == gaps[:1]))
+    rows, key = (len(at), slice(None)) if even else (at[-1] + 1, at)
+    strides = (gaps[0] if even and len(gaps) else 1, *(d * step), *step)
+    return [np.ndarray((rows,) + tuple(d) * 2, x.dtype, x.reshape(-1), at[0] * x.itemsize if even
+                       else 0, [x.itemsize * k for k in strides]) for x in dense], key
+
+
 def _block_products(dx: np.ndarray, dy: np.ndarray, nx: np.ndarray, ny: np.ndarray, s: IrrepSet,
                     out: np.ndarray) -> np.ndarray:
     """Set out's block at every tuple t to |G| x(t) y(t) and return out's squared block norms; out
@@ -433,21 +440,27 @@ def _block_products(dx: np.ndarray, dy: np.ndarray, nx: np.ndarray, ny: np.ndarr
     no value by over eps times the mean (|d tr(c rho)| <= d^2 |c|_F, sum d^2 = |G|), and carried on
     they would decay into subnormals, on which BLAS is ~20x slower.  As |x(t) y(t)|_F <= |x(t)|_F
     |y(t)|_F, nx and ny tell which products it zeroes (1 + 1e-9 covers rounding; entries below
-    1e-162 square to 0): only the others are multiplied."""
+    1e-162 square to 0): only the others are multiplied, one batched matmul per dimension class,
+    with squared norms from (1, K) @ (K, 1) products per real part, as np.linalg.norm's dots."""
     floor = np.finfo(np.float64).eps * abs(dx.flat[0] * dy.flat[0])
     dead = dx.size * np.sqrt(nx) * np.sqrt(ny) * (1 + 1e-9) <= floor    # NaN stays live
     nout = np.zeros_like(nx)
-    offs, dims = _slot_offsets(s), s.dims
-    for idx in np.argwhere(~dead):
-        t = tuple(idx[::-1])
-        view = _block_view(dx, t, offs, dims)
-        a = view.reshape(-1, int(np.prod([dims[r] for r in t])))
-        prod = a @ (a if dy is dx else _block_view(dy, t, offs, dims).reshape(a.shape))
-        norm = np.linalg.norm(prod) * dx.size
-        prod *= 0.0 if norm <= floor else float(dx.size)
-        _block_view(out, t, offs, dims)[...] = prod.reshape(view.shape)
-        nout[tuple(idx)] = 0.0 if norm <= floor else norm * norm
-        del a, prod
+    offs, dims = _slot_offsets(s), np.array(s.dims)
+    live = np.argwhere(~dead)
+    shape = (dims[live] - 1) @ np.array([int(dims.max()) ** j for j in range(dx.ndim)])
+    order = np.argsort(shape * len(live) + np.arange(len(live)))    # by dims, each class in C order
+    live, shape = live[order], shape[order]
+    for tuples in np.split(live, np.flatnonzero(np.diff(shape)) + 1) if live.size else []:
+        (vx, vy, vout), key = _class_blocks(tuples, offs, dims, dx, dy, out)
+        a = vx[key].reshape(len(tuples), *[int(np.prod(dims[tuples[0]]))] * 2)
+        prod = np.matmul(a, a if dy is dx else vy[key].reshape(a.shape))
+        rows = prod.reshape(len(prod), 1, -1)
+        rows = (rows.real, rows.imag) if prod.dtype.kind == "c" else (rows,)
+        norm = np.sqrt(sum(np.matmul(r, r.transpose(0, 2, 1)) for r in rows)).reshape(-1) * dx.size
+        prod *= np.where(norm <= floor, 0.0, float(dx.size))[:, None, None]
+        vout[key] = prod.reshape((len(prod),) + vout.shape[1:])
+        nout[tuple(tuples.T)] = np.where(norm <= floor, 0.0, norm * norm)
+        del a, prod, rows
     return nout
 
 
@@ -558,6 +571,8 @@ def convolve_fourier(p: Dist, q: Dist, s: IrrepSet) -> Dist:
     if not same_space(p.space, q.space):
         raise SpaceMismatchError("convolution across different spaces")
     _check_base(s, p.space)
+    if p.size == 1:    # a trivial base group: m axes of length 1 would pass NumPy's 32-dim limit
+        return make_dist(p.space, p.values * q.values)
     if q is not p and q.values is not p.values:
         return dist_from_fourier(convolve(dist_fourier(p, s), dist_fourier(q, s)), p.space)
     fd, cp, free = _pruned_forward(p, s)
@@ -567,19 +582,10 @@ def convolve_fourier(p: Dist, q: Dist, s: IrrepSet) -> Dist:
     return make_dist(p.space, _synthesize(free, s, fd.arity, [cp, free], nout))
 
 
-def resolve_engine(size: int, s: IrrepSet | None = None) -> str:
-    """The engine `convolve` uses on `size` states: direct up to 10^4, fourier above."""
-    if size <= _DIRECT_ENGINE_MAX:
-        return "direct"
-    if s is None:
-        raise ValueError("fourier engine needs the base group's irreps")
-    return "fourier"
-
-
 def convolve(p: Dist | FourierData, q: Dist | FourierData,
              s: IrrepSet | None = None) -> Dist | FourierData:
-    """p * q for two Dists, on the engine `resolve_engine` picks.  For two FourierData
-    it is the FourierData |G| p_hat q_hat, with no transform (s is not read)."""
+    """p * q: `convolve_fourier` with s, the base group's irreps, on two Dists; on two FourierData
+    the FourierData |G| p_hat q_hat, with no transform (s is not read)."""
     if isinstance(p, FourierData) is not isinstance(q, FourierData):
         raise TypeError("convolve needs two Dists or two FourierData, not one of each")
     if isinstance(p, FourierData):
@@ -591,8 +597,8 @@ def convolve(p: Dist | FourierData, q: Dist | FourierData,
         fd = FourierData(p.irreps, p.arity, out)
         vars(fd)["block_norms_sq"] = norms     # the cached_property's slot
         return fd
-    if resolve_engine(p.size, s) == "direct":
-        return convolve_direct(p, q)
+    if s is None:
+        raise ValueError("convolving two Dists needs the base group's irreps")
     return convolve_fourier(p, q, s)
 
 

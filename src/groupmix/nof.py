@@ -23,7 +23,7 @@ import numpy as np
 
 from groupmix.boost import ExperimentLog, _measure
 from groupmix.fourier import (BoundViolation, Dist, _pruned_forward, _synthesize, convolve,
-                              make_dist, resolve_engine)
+                              make_dist)
 from groupmix.groups import GroupTable, ProductGroup, check_dense_budget
 from groupmix.irreps import IrrepSet
 from groupmix.uniformity import eps_k_uniform_counts
@@ -133,30 +133,26 @@ def verify_s_uniformity(h: GroupTable, parties: int) -> BoxUniformityReport:
 def advantage_curve(
     s_dist: Dist,
     t_max: int,
-    s_irreps: IrrepSet | None = None,
+    s_irreps: IrrepSet,
     target_eps: float | None = None,
 ) -> ExperimentLog:
     """Distance metrics of the t-fold convolution s_dist * ... * s_dist, t = 1..t_max.
 
-    On the fourier engine s_dist is transformed once (`_pruned_forward`): a step is one
+    s_dist is transformed once with the base irreps (`_pruned_forward`): a step is one
     coefficient product and one inverse, measured in place in the values' buffer, so it holds
     s_dist, its coefficients, the product and the values.  tv_dist is the statistical distance
     to uniform; a rise in t raises BoundViolation.  Stops once eps_uniform reaches target_eps.
     seconds times a step t >= 2 from before the product to after the inverse; t = 1 is 0.
     """
     log = ExperimentLog()
-    in_fourier = resolve_engine(s_dist.size, s_irreps) == "fourier"
-    current = factor = s_dist
     for t in range(1, t_max + 1):
         t0 = time.perf_counter()
-        point, buf = current, None
+        point, buf = s_dist, None
+        if t == 2:
+            x = factor = _pruned_forward(s_dist, s_irreps)[0]
         if t > 1:
-            if in_fourier and factor is s_dist:
-                current = factor = _pruned_forward(s_dist, s_irreps)[0]
-            point = current = convolve(current, factor, s_irreps)
-        if in_fourier and t > 1:
-            buf = _synthesize(current.dense.reshape(-1), s_irreps, current.arity, None,
-                              current.block_norms_sq)
+            x = convolve(x, factor, s_irreps)
+            buf = _synthesize(x.dense.reshape(-1), s_irreps, x.arity, None, x.block_norms_sq)
             point = make_dist(s_dist.space, buf.view())    # read-only: buf takes the deviation
         secs = time.perf_counter() - t0 if t > 1 else 0.0
         rec = _measure(point, t, "fresh-copy", None, True, secs, buf)

@@ -30,7 +30,7 @@ class SquareBoostRecord:
     holds: bool
 
 
-def square_boost_check(p: Dist, q: Dist, k: int, s: IrrepSet | None = None) -> SquareBoostRecord:
+def square_boost_check(p: Dist, q: Dist, k: int, s: IrrepSet) -> SquareBoostRecord:
     """eps_k of a convolution is at most the product of the inputs' eps_k."""
     eps_p = eps_k_uniform(p, k).eps
     eps_q = eps_k_uniform(q, k).eps
@@ -49,7 +49,7 @@ class L2LinfRecord:
     holds: bool
 
 
-def l2_to_linf_check(p: Dist, s: IrrepSet | None = None) -> L2LinfRecord:
+def l2_to_linf_check(p: Dist, s: IrrepSet) -> L2LinfRecord:
     """|p*p - u|_inf <= |p - u|_2^2 (Cauchy-Schwarz on the convolution sum)."""
     conv = convolve(p, p, s)
     dev = conv.values - 1.0 / p.size

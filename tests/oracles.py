@@ -453,11 +453,20 @@ def max_block_norm(blocks: dict) -> float:
     return max((float(np.sqrt(frobenius_norm_sq(b))) for b in blocks.values()), default=0.0)
 
 
+def _block_view(dense, t, offs, dims) -> np.ndarray:
+    """Tuple t's block of a dense coefficient tensor as a writable view with axes
+    (r_{m-1}, ..., r_0, c_{m-1}, ..., c_0), given the irreps' slot offsets and dims."""
+    m = len(t)
+    view = dense[tuple(slice(offs[a], offs[a] + dims[a] ** 2) for a in t[::-1])]
+    view = view.reshape([dims[a] for a in t[::-1] for _ in (0, 1)])
+    return view.transpose(list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2)))
+
+
 def block_products_all_tuples(dx, dy, s, out):
-    """groupmix's coefficient product visiting every tuple: out's block at t becomes
-    |G| x(t) y(t), zero x blocks are skipped, and a product block of norm at most
-    eps/|G| times |G| x[0] y[0] becomes 0.  out is dx or zeros."""
-    from groupmix.fourier import _block_view, _slot_offsets
+    """groupmix's coefficient product visiting every tuple, one block at a time: out's
+    block at t becomes |G| x(t) y(t), zero x blocks are skipped, and a product block of
+    norm at most eps/|G| times |G| x[0] y[0] becomes 0.  out is dx or zeros."""
+    from groupmix.fourier import _slot_offsets
 
     floor = np.finfo(np.float64).eps * abs(dx.flat[0] * dy.flat[0])
     offs = _slot_offsets(s)

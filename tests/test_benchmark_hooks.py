@@ -42,7 +42,15 @@ def _resolve(name: str):
 def test_workload_mark_and_steps_name_groupmix_functions(monkeypatch):
     run = _load(monkeypatch, "run")
     names = {name for w in run.WORKLOADS.values() for name in (w.mark, *w.steps)}
-    assert {"nof.verify_s_uniformity", "nof.convolve", "cli.run_repair"} <= names
+    assert {
+        "boost.boost_pipeline",
+        "boost.convolve",
+        "nof.verify_s_uniformity",
+        "nof.convolve",
+        "cli.run_repair",
+        "cli.verify_repair",
+        "cli.get_irreps",
+    } <= names
     missing = sorted(name for name in names if not inspect.isfunction(_resolve(name)))
     assert not missing, f"perfbench workloads name missing groupmix functions: {missing}"
 

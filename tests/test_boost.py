@@ -185,33 +185,34 @@ def test_square_boost_random_pairs(c5, irreps_cache):
         assert rec.holds
 
 
-def test_square_boost_space_mismatch(a5, c5):
+def test_square_boost_space_mismatch(a5, c5, irreps_cache):
     with pytest.raises(fx.SpaceMismatchError):
-        square_boost_check(fx.uniform(ProductGroup(a5, 2)), fx.uniform(ProductGroup(c5, 2)), 1)
+        square_boost_check(fx.uniform(ProductGroup(a5, 2)), fx.uniform(ProductGroup(c5, 2)), 1,
+                           irreps_cache(a5))
 
 
 # ---------------------------------------------------------------------------
 # L2 -> Linf
 
 
-def test_l2_linf_on_uniform(a5):
-    rec = l2_to_linf_check(fx.uniform(a5))
+def test_l2_linf_on_uniform(a5, irreps_cache):
+    rec = l2_to_linf_check(fx.uniform(a5), irreps_cache(a5))
     assert rec.linf <= rec.l2sq + 1e-15
 
 
-def test_l2_linf_equality_at_point_mass(a5, c6):
+def test_l2_linf_equality_at_point_mass(a5, c6, irreps_cache):
     for g in (a5, c6):
-        rec = l2_to_linf_check(oracles.point_mass(g, 0))
+        rec = l2_to_linf_check(oracles.point_mass(g, 0), irreps_cache(g))
         assert abs(rec.linf - (1 - 1 / g.order)) < 1e-12
         assert rec.holds
 
 
-def test_l2_linf_random(sl2_5):
+def test_l2_linf_random(sl2_5, irreps_cache):
     rng = np.random.default_rng(SEED)
     for _ in range(30):
         v = rng.random(sl2_5.order)
         p = fx.make_dist(sl2_5, v / v.sum())
-        assert l2_to_linf_check(p).holds
+        assert l2_to_linf_check(p, irreps_cache(sl2_5)).holds
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +260,15 @@ def test_pipeline_convolves_through_module_name(sl2_3, irreps_cache, monkeypatch
         return real(*args, **kwargs)
 
     monkeypatch.setattr(boost, "convolve", counted)
-    # sl2_3^2 runs the direct engine, sl2_3^3 the fourier one
-    for m, engine in ((2, "direct"), (3, "fourier")):
+    # a small and a large space: sl2_3^2 (576 states) and sl2_3^3 (13,824)
+    for m in (2, 3):
         pg = ProductGroup(sl2_3, m)
-        assert fx.resolve_engine(pg.size, irreps_cache(sl2_3)) == engine
         v = np.random.default_rng(SEED).random(pg.size)
         p = fx.make_dist(pg, v / v.sum())
         calls.clear()
         _, log = boost_pipeline(p, mode, 3, 0.0, irreps_cache(sl2_3))
         assert len(log.records) == 4
-        assert len(calls) == len(log.records) - 1, engine
+        assert len(calls) == len(log.records) - 1, m
 
 
 def test_pipeline_fresh_copy_in_coefficients_matches_dist_loop(sl2_3, irreps_cache):
@@ -289,9 +289,9 @@ def test_pipeline_fresh_copy_in_coefficients_matches_dist_loop(sl2_3, irreps_cac
     assert np.max(np.abs(final.values - current.values)) <= 1e-12
 
 
-def test_pipeline_rejects_unknown_mode(a5):
+def test_pipeline_rejects_unknown_mode(a5, irreps_cache):
     with pytest.raises(ValueError, match="mode"):
-        boost_pipeline(fx.uniform(ProductGroup(a5, 2)), "triple", 1, 0.1)
+        boost_pipeline(fx.uniform(ProductGroup(a5, 2)), "triple", 1, 0.1, irreps_cache(a5))
 
 
 def test_pipeline_l2_monotone_in_contracting_regime(a5, irreps_cache):

@@ -318,6 +318,16 @@ def test_fail_fast_validation_names_field(capsys, cache):
     assert code == 1 and "--m" in err  # arity must be a power of two
 
 
+@pytest.mark.parametrize("experiment", ["flatten", "boost", "repair"])
+def test_box_experiments_reject_one_coordinate(capsys, cache, experiment):
+    # m = 1 is 2^0, a box of no parties: the error names --m, not a parties flag these lack
+    code, _, err = run_cli(
+        ["experiment", experiment, "--group", "sl2:2", "--m", "1", "--k", "1", "--cache-dir", cache],
+        capsys,
+    )
+    assert code == 1 and "invalid --m: box experiments need m = 2^parties >= 2, got 1" in err
+
+
 def test_repair_delta_must_be_a_weight(capsys, cache, tmp_path):
     # above 1 the perturbed input has negative entries, and make_dist rejected it
     # without naming the flag; 1 itself is the identity point mass and repairs

@@ -408,18 +408,24 @@ def test_base_group_and_first_power_are_one_space(a5, a5_irr):
             conv(p, fx.uniform(ProductGroup(a5, 2)))
 
 
-def test_engine_dispatch_threshold(a5, a5_irr, sl2_3):
-    pg3 = ProductGroup(a5, 3)
-    assert pg3.size > 10_000
-    p = fx.uniform(pg3)
-    with pytest.raises(ValueError, match="irreps"):
-        fx.convolve(p, p)  # fourier default above threshold needs irreps
-    small = fx.uniform(ProductGroup(a5, 2))
-    out = fx.convolve(small, small)  # direct default below threshold
-    assert np.max(np.abs(out.values - small.values)) < 1e-12
+def test_convolve_on_dists_needs_irreps(c4, a5, sl2_3):
+    # convolve takes convolve_fourier at every size: on 16 states as on A5^3
+    for pg in (ProductGroup(c4, 2), ProductGroup(a5, 3)):
+        p = fx.uniform(pg)
+        with pytest.raises(ValueError, match="irreps"):
+            fx.convolve(p, p)
     big = fx.uniform(ProductGroup(sl2_3, 4))
     with pytest.raises(ValueError, match="13824x13824 index table; use convolve_fourier"):
         fx.convolve_direct(big, big)
+
+
+def test_convolve_on_one_state_at_any_arity(irreps_cache):
+    # a power of the trivial group is one state at every arity, also past the 32 axes NumPy's
+    # iterators take, so convolve_fourier answers it without a transform
+    g = groups.build_group(groups.cyclic(1))
+    for m in (1, 33, 64):
+        u = fx.uniform(ProductGroup(g, m))
+        assert fx.convolve(u, u, irreps_cache(g)).values.tolist() == [1.0]
 
 
 def _random_pair(pg, seed=SEED):
@@ -489,10 +495,9 @@ def test_products_match_all_tuples_oracle_on_box(sl2_3_box):
         assert np.allclose(x.block_norms_sq, norms, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("group", ["a5", "sl2_3"])
+@pytest.mark.parametrize("group", ["a5", "sl2_3", "c12"])
 def test_products_match_all_tuples_oracle_on_random_pairs(request, group):
-    # a5^2 runs the real path, sl2_3^2 the complex one; both are below the
-    # size at which convolve picks the fourier engine, so Dists call it directly
+    # a5^2 runs the real path, sl2_3^2 and c12^2 (one class of 144 tuples) the complex one
     g = request.getfixturevalue(group)
     s = get_irreps(g, seed=SEED)
     p, q = _random_pair(ProductGroup(g, 2))
@@ -503,21 +508,50 @@ def test_products_match_all_tuples_oracle_on_random_pairs(request, group):
     for a, b in ((fp, fq), (fp, fp)):
         got, want = fx.convolve(a, b, s), oracles.convolve_all_tuples(a, b, s)
         assert np.array_equal(got.dense, want.dense)
+    # an operand in Fortran order is read in C order, as every block view reads it
+    fortran = fx.FourierData(s, 2, np.asfortranarray(fp.dense))
+    assert np.array_equal(fx.convolve(fortran, fq).dense, fx.convolve(fp, fq).dense)
 
 
 def test_box_product_multiplies_only_live_tuples(sl2_3_box, monkeypatch):
     s, box = sl2_3_box
     s_hat = fx.dist_fourier(box, s)
     seen = set()
-    block_view = fx._block_view
+    class_blocks = fx._class_blocks
 
-    def counting_view(dense, t, *layout):
-        seen.add(tuple(int(a) for a in t))
-        return block_view(dense, t, *layout)
+    def counting_blocks(tuples, *layout):
+        # norm-array indices: axis j holds coordinate m-1-j
+        seen.update(tuple(int(a) for a in t[::-1]) for t in tuples)
+        return class_blocks(tuples, *layout)
 
-    monkeypatch.setattr(fx, "_block_view", counting_view)
+    monkeypatch.setattr(fx, "_class_blocks", counting_blocks)
     fx.convolve(s_hat, s_hat, s)
     assert seen == conjugate_tuples(s)
+
+
+@pytest.mark.parametrize("group, arity, classes", [("c12", 4, 1), ("a5", 2, 16)])
+def test_block_products_multiply_once_per_dimension_class(request, monkeypatch, group, arity,
+                                                          classes):
+    # a product makes one batched matmul per class of tuples with equal dims, then one per real
+    # part for the batched norms, however many tuples a class holds: C12^4's 20,736 tuples of
+    # 1 x 1 complex blocks are one class, A5^2's 25 real blocks sixteen
+    g = request.getfixturevalue(group)
+    s = get_irreps(g, seed=SEED)
+    fp, fq = (fx.dist_fourier(d, s) for d in _random_pair(ProductGroup(g, arity)))
+    fp.block_norms_sq, fq.block_norms_sq    # cached before the count starts
+    calls, matmul = [], np.matmul
+
+    def recording(a, b, **kwargs):
+        calls.append((a.shape, b.shape))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    x = fx.convolve(fp, fq)
+    parts = 2 if np.iscomplexobj(x.dense) else 1
+    products = calls[:: 1 + parts]
+    assert len(calls) == classes * (1 + parts)
+    assert all(a == b and a[1] == a[2] for a, b in products)
+    assert sum(a[0] for a, _ in products) == np.count_nonzero(x.block_norms_sq) == len(s) ** arity
 
 
 def test_block_products_read_the_slot_layout_once_per_call(c12, monkeypatch):
@@ -669,7 +703,9 @@ def test_nan_block_stays_live(a5, a5_irr, monkeypatch, tuple_):
     pg = ProductGroup(a5, 2)
     clean = _trivial_only(a5, a5_irr, 2)
     dense = clean.dense.copy()
-    fx._block_view(dense, tuple_, fx._slot_offsets(a5_irr), a5_irr.dims)[(0,) * 4] = np.nan
+    corner = tuple(fx._slot_offsets(a5_irr)[list(tuple_[::-1])])    # the block's (0, 0) entry
+    dense[corner] = np.nan
+    assert np.isnan(oracles.coefficient_block(dense, a5_irr.dims, tuple_)[0, 0])
     bad = fx.FourierData(a5_irr, 2, dense)
     calls = _count_axis_passes(monkeypatch)
     with pytest.raises(ValueError, match="nan"):
@@ -681,7 +717,7 @@ def test_nan_block_stays_live(a5, a5_irr, monkeypatch, tuple_):
 
     def nan_products(dx, dy, nx, ny, s, out):
         norms = block_products(dx, dy, nx, ny, s, out)
-        fx._block_view(out, tuple_, fx._slot_offsets(s), s.dims)[(0,) * 4] = np.nan
+        out[corner] = np.nan
         norms[tuple_[::-1]] = np.nan
         return norms
 
@@ -807,8 +843,8 @@ def test_pruned_self_products_match_all_tuples_oracle(request, monkeypatch, a5_b
 
 @pytest.mark.parametrize("group", ["a5", "sl2_3"])
 def test_two_operand_products_match_all_tuples_oracle(request, monkeypatch, group):
-    # A5^3 real, SL(2,3)^3 complex, both over the direct engine's cap; two operands are not
-    # pruned, one random operand prunes nothing
+    # A5^3 real, SL(2,3)^3 complex; two operands are not pruned, one random operand prunes
+    # nothing
     g = request.getfixturevalue(group)
     s = get_irreps(g, seed=SEED)
     p, q = _random_pair(ProductGroup(g, 3))

@@ -190,8 +190,8 @@ def test_advantage_curve_monotone(sl2_2, irreps_cache):
 
 def test_advantage_curve_convolves_through_module_name(sl2_2, sl2_3, irreps_cache, monkeypatch):
     """perfbench times nof steps by patching `nof.convolve`; a loop that
-    bypassed that name would silently turn step_s into run_s.  The sl2_2^4 box
-    runs the direct engine, the sl2_3^4 box the fourier one."""
+    bypassed that name would silently turn step_s into run_s.  On a small and
+    a large space: the sl2_2^4 box (1,296 states) and the sl2_3^4 box."""
     calls = []
     real = nof.convolve
 
@@ -201,13 +201,12 @@ def test_advantage_curve_convolves_through_module_name(sl2_2, sl2_3, irreps_cach
 
     monkeypatch.setattr(nof, "convolve", counted)
     t_max = 5
-    for g, engine in ((sl2_2, "direct"), (sl2_3, "fourier")):
+    for g in (sl2_2, sl2_3):
         box = nof.box_to_dist(nof.exact_s(g, 2))
-        assert fx.resolve_engine(box.size, irreps_cache(g)) == engine
         calls.clear()
         log = nof.advantage_curve(box, t_max, irreps_cache(g))
         assert [r.step for r in log.records] == list(range(1, t_max + 1))
-        assert len(calls) == t_max - 1, engine
+        assert len(calls) == t_max - 1, g.order
 
 
 def test_advantage_curve_in_coefficients_matches_dist_loop(sl2_3, irreps_cache):
