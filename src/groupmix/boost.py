@@ -19,16 +19,8 @@ from groupmix.fourier import BoundViolation, Dist, _pruned_forward, convolve, di
 from groupmix.irreps import IrrepSet
 from groupmix.uniformity import eps_k_uniform
 
-_MACHINE_EPS = float(np.finfo(np.float64).eps)
-
-
 class PreconditionError(ValueError):
     pass
-
-
-def numerical_floor(size: int) -> float:
-    """Relative deviations below this are indistinguishable from rounding."""
-    return 10.0 * _MACHINE_EPS * size
 
 
 def l2_sq_dist_to_uniform(p: Dist) -> float:
@@ -50,7 +42,6 @@ class StepRecord:
     eps_k: float | None = None
     tv_dist: float | None = None
     seconds: float = 0.0
-    at_floor: bool = False
 
 
 @dataclass
@@ -98,7 +89,6 @@ class FlattenRecord:
     lhs: float
     rhs: float
     ratio: float | None
-    holds: bool
 
 
 def flatten_bound_check(p: Dist, k: int, d: int, s: IrrepSet) -> FlattenRecord:
@@ -118,11 +108,10 @@ def flatten_bound_check(p: Dist, k: int, d: int, s: IrrepSet) -> FlattenRecord:
     conv = convolve(p, p, s)
     lhs = l2_sq_dist_to_uniform(conv)
     rhs = base * 2.0 * float(n) ** (m - k) * float(d) ** (-(k + 1))
-    holds = lhs <= rhs + 1e-12
-    if not holds:
+    if not lhs <= rhs + 1e-12:
         raise BoundViolation(f"flattening bound violated: {lhs} > {rhs}")
     ratio = lhs / base if base > 0 else None
-    return FlattenRecord(lhs, rhs, ratio, holds)
+    return FlattenRecord(lhs, rhs, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +129,7 @@ def _measure(p: Dist, step: int, mode: str, k: int | None, track_tv: bool, secs:
     linf = p.size * float(np.max(dev))
     tv = 0.5 * float(np.sum(dev)) if track_tv else None
     del dev
-    return StepRecord(step, mode, l2, linf, eps_k, tv, secs, linf < numerical_floor(p.size))
+    return StepRecord(step, mode, l2, linf, eps_k, tv, secs)
 
 
 def boost_pipeline(

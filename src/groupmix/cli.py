@@ -222,17 +222,14 @@ def cmd_experiment_flatten(args) -> int:
     d = quasirandomness_degree(s)
     record = boost.flatten_bound_check(p, cfg.k, d, s)
     ratio = "" if record.ratio is None else _fmt(record.ratio)
-    summary = (
-        f"lhs={_fmt(record.lhs)} rhs={_fmt(record.rhs)} ratio={ratio} "
-        f"hold={'true' if record.holds else 'false'}"
-    )
+    # a failed bound raised BoundViolation: main reports it and exits 1
+    summary = f"lhs={_fmt(record.lhs)} rhs={_fmt(record.rhs)} ratio={ratio} hold=true"
     if cfg.out:
-        subset_report = eps_k_uniform(p, cfg.k, full_table=True)
         with open(cfg.out, "w") as fh:
             fh.write(summary + "\n")
-            fh.write(report_to_text(subset_report) + "\n")
+            fh.write(report_to_text(eps_k_uniform(p, cfg.k)) + "\n")
     print(summary)
-    return 0 if record.holds else 1
+    return 0
 
 
 def cmd_experiment_boost(args) -> int:

@@ -514,17 +514,25 @@ def _live_passes(flat: np.ndarray, syn: np.ndarray, s: IrrepSet, m: int, live: n
     return vals
 
 
-def _synthesize(flat: np.ndarray, s: IrrepSet, m: int, bufs=None,
-                norms: np.ndarray | None = None) -> np.ndarray:
+def _synthesize(flat: np.ndarray, s: IrrepSet, m: int, norms: np.ndarray,
+                bufs=None) -> np.ndarray:
     """The real values with coefficients `flat`, writable: synthesis and imaginary residual.
 
     Given flat's squared block norms, a block is live iff its norm is not 0, so a NaN block
     stays live and fails make_dist.  When m >= 2 and the live tuples' coordinate-0 irreps
     have d^2 summing to at most n, `_live_passes` synthesizes from the live blocks alone: its
     stack then fits in one buffer and its final GEMM costs at most one of the m dense passes.
-    Otherwise `_axis_passes` runs."""
+    Otherwise `_axis_passes` runs.
+
+    The values are those of a product of distributions, so a value below 0 is rounding of one
+    >= 0.  To first order, two m-pass forwards, the block products and this synthesis round a
+    value by at most (3 m n + D^(3/2)) eps/2 times the product's mass |G| flat[0], D the largest
+    irrep dimension of H^m; doubled for complex arithmetic, that is `dip`.  When the least
+    value is within it every negative value is set to 0; a deeper one is left to make_dist."""
+    dip = np.finfo(np.float64).eps * (3 * m * s.order + max(s.dims) ** (1.5 * m)) * flat.size
+    dip *= abs(flat[0])
     syn = _stacked(s)[1]
-    live = np.argwhere(norms != 0) if norms is not None and m >= 2 else None
+    live = np.argwhere(norms != 0) if m >= 2 else None
     if live is not None and np.square(s.dims)[live[:, -1]].sum() <= s.order:
         # ascending coordinate-0 slots: the final GEMM sums them in _axis_passes' order
         vals = _live_passes(flat, syn, s, m, live[np.argsort(live[:, -1], kind="stable")], bufs)
@@ -535,6 +543,8 @@ def _synthesize(flat: np.ndarray, s: IrrepSet, m: int, bufs=None,
         if worst_imag > _REAL_TOL:
             raise ValueError(f"synthesized values have imaginary residual {worst_imag}")
         vals = np.ascontiguousarray(vals.real)
+    if -dip <= float(vals.min()) < 0.0:
+        np.copyto(vals, 0.0, where=vals < 0.0)
     return vals
 
 
@@ -543,7 +553,7 @@ def dist_from_fourier(fd: FourierData, space: Space) -> Dist:
     live blocks alone where `_synthesize` finds few enough)."""
     _check_base(fd.irreps, space)
     return make_dist(space, _synthesize(fd.dense.reshape(-1), fd.irreps, fd.arity,
-                                        norms=fd.block_norms_sq))
+                                        fd.block_norms_sq))
 
 
 def _pruned_forward(p: Dist, s: IrrepSet) -> tuple[FourierData, np.ndarray, np.ndarray]:
@@ -579,7 +589,7 @@ def convolve_fourier(p: Dist, q: Dist, s: IrrepSet) -> Dist:
     dp, norms = fd.dense, fd.block_norms_sq
     free.fill(0)
     nout = _block_products(dp, dp, norms, norms, s, free.reshape(dp.shape))
-    return make_dist(p.space, _synthesize(free, s, fd.arity, [cp, free], nout))
+    return make_dist(p.space, _synthesize(free, s, fd.arity, nout, [cp, free]))
 
 
 def convolve(p: Dist | FourierData, q: Dist | FourierData,

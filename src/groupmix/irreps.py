@@ -358,14 +358,12 @@ class SchurReport:
         return self.max_residual <= self.tol
 
 
-def verify_schur(s: IrrepSet, tol: float | None = None) -> SchurReport:
+def verify_schur(s: IrrepSet) -> SchurReport:
     """Orthogonality residual of matrix entries across the whole set.
 
     E_x rho(x)_{k,h} conj(psi(x)_{i,j}) must vanish except on the diagonal
-    case rho == psi, k == i, h == j, where it equals 1/d_rho.
+    case rho == psi, k == i, h == j, where it equals 1/d_rho.  It passes within max(s.tol, 1e-8).
     """
-    if tol is None:
-        tol = max(s.tol, 1e-8)
     n = s.order
     worst = 0.0
     for a, ra in enumerate(s.irreps):
@@ -376,7 +374,7 @@ def verify_schur(s: IrrepSet, tol: float | None = None) -> SchurReport:
                 expected = np.einsum("ki,hj->khij", np.eye(d), np.eye(d)) / d
                 got = got - expected
             worst = np.maximum(worst, np.max(np.abs(got)))    # NaN propagates
-    return SchurReport(float(worst), tol)
+    return SchurReport(float(worst), max(s.tol, 1e-8))
 
 
 # ---------------------------------------------------------------------------

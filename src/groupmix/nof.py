@@ -152,7 +152,7 @@ def advantage_curve(
             x = factor = _pruned_forward(s_dist, s_irreps)[0]
         if t > 1:
             x = convolve(x, factor, s_irreps)
-            buf = _synthesize(x.dense.reshape(-1), s_irreps, x.arity, None, x.block_norms_sq)
+            buf = _synthesize(x.dense.reshape(-1), s_irreps, x.arity, x.block_norms_sq)
             point = make_dist(s_dist.space, buf.view())    # read-only: buf takes the deviation
         secs = time.perf_counter() - t0 if t > 1 else 0.0
         rec = _measure(point, t, "fresh-copy", None, True, secs, buf)

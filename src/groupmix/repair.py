@@ -38,6 +38,7 @@ from groupmix.irreps import IrrepSet
 
 _IMAG_TOL = 1e-12
 _SUM_TOL = 1e-10
+_L1_SLICE = 1 << 16               # the certificate sums |p - q| over slices of this many entries
 
 
 class RepairInfeasibleError(ValueError):
@@ -201,9 +202,12 @@ def verify_repair(p: Dist, q: Dist, k: int, s: IrrepSet) -> RepairCertificate:
 def _certify(p, q, q_stats, k, s, eps_in, mode, beta, beta_adaptive) -> RepairCertificate:
     """The certificate of q against p; q_stats is (min, sum) of q before the ingestion clamp."""
     beta_paper = _paper_beta(p.space.arity, p.space.base.order, k, eps_in)
-    diff = np.subtract(p.values, q.values)       # the one full-size temporary
-    l1_distance = float(np.abs(diff, out=diff).sum())
-    del diff
+    l1_distance = 0.0
+    diff = np.empty(min(p.size, _L1_SLICE))
+    for lo in range(0, p.size, _L1_SLICE):
+        a, b = p.values[lo:lo + _L1_SLICE], q.values[lo:lo + _L1_SLICE]
+        d = np.subtract(a, b, out=diff[:len(a)])
+        l1_distance += float(np.abs(d, out=d).sum())
     return RepairCertificate(
         k=k,
         eps_in=eps_in,

@@ -26,7 +26,7 @@ FOURIER_UNIFORMITY_TOL = 1e-10
 class UniformityReport:
     eps: float
     worst_subset: tuple[int, ...]
-    per_subset: dict | None = None
+    per_subset: dict
 
 
 def eps_uniform(p: Dist) -> float:
@@ -35,22 +35,21 @@ def eps_uniform(p: Dist) -> float:
     return max(abs(float(p.values.min()) * p.size - 1.0), abs(float(p.values.max()) * p.size - 1.0))
 
 
-def _worst_subset(m: int, k: int, dev, full_table: bool) -> UniformityReport:
+def _worst_subset(m: int, k: int, dev) -> UniformityReport:
     """The largest dev(subset) over the k-subsets of range(m), at the first subset reaching it."""
     if not 1 <= k <= m:
         raise ValueError(f"k must lie in [1, {m}], got {k}")
     table = {c: dev(c) for c in itertools.combinations(range(m), k)}
     arg = max(table, key=table.__getitem__)
-    return UniformityReport(table[arg], arg, table if full_table else None)
+    return UniformityReport(table[arg], arg, table)
 
 
-def eps_k_uniform(p: Dist, k: int, full_table: bool = False) -> UniformityReport:
+def eps_k_uniform(p: Dist, k: int) -> UniformityReport:
     """Worst eps_uniform over all k-coordinate marginals."""
-    return _worst_subset(p.space.arity, k, lambda subset: eps_uniform(marginalize(p, subset)),
-                         full_table)
+    return _worst_subset(p.space.arity, k, lambda subset: eps_uniform(marginalize(p, subset)))
 
 
-def eps_k_uniform_counts(counts: np.ndarray, n: int, m: int, k: int, full_table: bool = False):
+def eps_k_uniform_counts(counts: np.ndarray, n: int, m: int, k: int) -> UniformityReport:
     """Exact-rational eps_k for an integer-count vector over H^m.
 
     Used where the distribution is a normalized counting measure, so exact
@@ -67,7 +66,7 @@ def eps_k_uniform_counts(counts: np.ndarray, n: int, m: int, k: int, full_table:
         return max(abs(Fraction(int(marg.max()) * cells, total) - 1),
                    abs(Fraction(int(marg.min()) * cells, total) - 1))
 
-    return _worst_subset(m, k, dev, full_table)
+    return _worst_subset(m, k, dev)
 
 
 def is_k_uniform_fourier(
@@ -86,8 +85,7 @@ def is_k_uniform_fourier(
 def report_to_text(report: UniformityReport) -> str:
     """Tabular (subset, eps) serialization for the CLI."""
     lines = ["subset\teps"]
-    if report.per_subset:
-        for subset, e in sorted(report.per_subset.items()):
-            lines.append(f"{','.join(map(str, subset))}\t{float(e)!r}")
+    for subset, e in sorted(report.per_subset.items()):
+        lines.append(f"{','.join(map(str, subset))}\t{float(e)!r}")
     lines.append(f"worst:{','.join(map(str, report.worst_subset))}\t{float(report.eps)!r}")
     return "\n".join(lines)

@@ -7,6 +7,9 @@ inequality fails, and returns the numbers it compared:
 - `l2_to_linf_check`: |p * p - u|_inf <= |p - u|_2^2;
 - `rep_bound_check`: |p_hat(rho)|_2^2 <= d_rho eps^2 / |G|^2 for every
   non-trivial irrep rho of H^m (H read as H^1), eps = eps_uniform(p).
+
+`numerical_floor` is the relative deviation below which a decrease is not
+required of a pipeline step: it is indistinguishable from rounding.
 """
 
 from __future__ import annotations
@@ -20,6 +23,11 @@ from groupmix.boost import l2_sq_dist_to_uniform
 from groupmix.fourier import BoundViolation, Dist, convolve, dist_fourier
 from groupmix.irreps import IrrepSet
 from groupmix.uniformity import eps_k_uniform, eps_uniform
+
+
+def numerical_floor(size: int) -> float:
+    """10 eps |G|: relative deviations below this are indistinguishable from rounding."""
+    return 10.0 * float(np.finfo(np.float64).eps) * size
 
 
 @dataclass(frozen=True)

@@ -485,7 +485,8 @@ def convolve_all_tuples(p, q, s, live_synthesis=False):
     Dists (the Dist, through groupmix's dense forward and inverse transforms), with the
     coefficient product of `block_products_all_tuples`.  With live_synthesis the Dist
     is synthesized by `_synthesize`'s rule from the blocks the loop kept, as
-    `convolve_fourier` synthesizes its product."""
+    `convolve_fourier` synthesizes its product; without it every block counts as live, which
+    takes `_synthesize`'s dense path wherever the base group has more than one irrep."""
     from groupmix import fourier as fx
 
     if isinstance(p, fx.FourierData):
@@ -496,8 +497,8 @@ def convolve_all_tuples(p, q, s, live_synthesis=False):
     dp = fx._forward(p.values, s, m)
     dq = dp if q is p else fx._forward(q.values, s, m)
     block_products_all_tuples(dp, dq, s, dp)
-    norms = fx._block_norms_sq(dp, s) if live_synthesis else None
-    return fx.make_dist(p.space, fx._synthesize(dp.reshape(-1), s, m, norms=norms))
+    norms = fx._block_norms_sq(dp, s) if live_synthesis else np.ones((len(s),) * m)
+    return fx.make_dist(p.space, fx._synthesize(dp.reshape(-1), s, m, norms))
 
 
 def synthesize_dense(flat, s, m):

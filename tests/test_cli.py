@@ -124,6 +124,24 @@ def test_experiment_flatten_summary(capsys, cache, tmp_path):
     assert "hold=true" in open(out_path).read()
 
 
+def test_experiment_flatten_violation_exits_1(monkeypatch, capsys, cache, tmp_path):
+    # a wrong quasirandomness degree shrinks the rhs far below the lhs (9.6e-4 on SL(2,2)^4 at
+    # k = 3), past the 1e-12 slack: the bound's BoundViolation reaches main, which names it on
+    # stderr and exits 1, with no summary and no --out file
+    from groupmix import cli
+
+    monkeypatch.setattr(cli, "quasirandomness_degree", lambda s: 10**6)
+    out_path = tmp_path / "flatten.txt"
+    code, out, err = run_cli(
+        ["experiment", "flatten", "--group", "sl2:2", "--m", "4", "--k", "3",
+         "--cache-dir", cache, "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("error: flattening bound violated: 0.00096")
+    assert out == "" and not out_path.exists()
+
+
 def test_irreps_warms_the_cache_experiments_read(capsys, cache, tmp_path):
     irreps_argv = ["irreps", "--group", "sl2:3", "--seed", "5", "--cache-dir", cache]
     assert run_cli(irreps_argv, capsys)[0] == 0

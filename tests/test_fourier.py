@@ -10,7 +10,7 @@ import pytest
 
 from groupmix import fourier as fx
 from groupmix import groups, nof
-from groupmix.boost import flatten_bound_check
+from groupmix.boost import boost_pipeline, flatten_bound_check
 from groupmix.groups import ProductGroup
 from groupmix.irreps import IrrepSet, get_irreps, quasirandomness_degree
 from groupmix.repair import repair
@@ -426,6 +426,35 @@ def test_convolve_on_one_state_at_any_arity(irreps_cache):
     for m in (1, 33, 64):
         u = fx.uniform(ProductGroup(g, m))
         assert fx.convolve(u, u, irreps_cache(g)).values.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_point_mass_squares_to_itself(sl2_3, m):
+    # SL(2,3)'s synthesis rounds the exact zeros of e * e to about -5 eps, below make_dist's
+    # -1e-15 for a caller's values (with the CLI's seed-0 irreps); the convolution absorbs its
+    # own rounding
+    s = get_irreps(sl2_3, seed=0)
+    e = oracles.point_mass(sl2_3 if m == 1 else ProductGroup(sl2_3, m))
+    got = fx.convolve(e, e, s)
+    assert got.values.min() >= 0.0 and np.allclose(got.values, e.values, rtol=0, atol=1e-14)
+    if m <= 2:
+        direct = fx.convolve_direct(e, e)
+        assert np.array_equal(direct.values, e.values)
+        assert np.allclose(got.values, direct.values, rtol=0, atol=1e-14)
+    # rounding grows with the steps: the second square is within 1.2e-14 on SL(2,3)^4
+    final, log = boost_pipeline(e, "self-square", 2, 0.0, s)
+    assert len(log.records) == 3 and np.allclose(final.values, e.values, rtol=0, atol=1e-13)
+
+
+def test_negative_values_beyond_rounding_still_fail(sl2_3):
+    s = get_irreps(sl2_3, seed=SEED)
+    with pytest.raises(ValueError, match="negative probability -2e-15"):
+        fx.make_dist(sl2_3, np.r_[1.0 + 2e-15, -2e-15, np.zeros(sl2_3.order - 2)])
+    # a caller's coefficients of a function that dips to -1e-9 are refused on synthesis
+    v = np.full(sl2_3.order, 1.0 / sl2_3.order)
+    v[1], v[2] = -1e-9, v[2] + v[1] + 1e-9
+    with pytest.raises(ValueError, match="negative probability"):
+        fx.dist_from_fourier(fx.dist_fourier(fx.Dist(sl2_3, v), s), sl2_3)
 
 
 def _random_pair(pg, seed=SEED):

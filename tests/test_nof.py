@@ -76,7 +76,7 @@ def test_single_coordinate_marginals_exactly_uniform(a5):
 def test_exact_three_subset_marginals(sl2_3, a5):
     for g in (sl2_3, a5):
         b = nof.exact_s(g, 2)
-        rep = eps_k_uniform_counts(b.counts, g.order, 4, 3, full_table=True)
+        rep = eps_k_uniform_counts(b.counts, g.order, 4, 3)
         assert rep.eps == Fraction(0)
         assert all(v == Fraction(0) for v in rep.per_subset.values())
 

@@ -136,7 +136,7 @@ def test_more_workers_than_cores_switching_often(pool, a5):
 
     def run():
         return (fx.convolve_fourier(box, box, s).values.tobytes(),
-                eps_k_uniform(box, 3, full_table=True).per_subset)
+                eps_k_uniform(box, 3).per_subset)
 
     pool(1)
     want = run()

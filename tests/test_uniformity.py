@@ -82,11 +82,12 @@ def test_eps_k_reports_the_first_worst_subset():
     # every pair of a point mass on H^3 deviates alike: the scan keeps the first
     counts = np.zeros(27, dtype=np.int64)
     counts[0] = 1
-    rep = eps_k_uniform_counts(counts, 3, 3, 2, full_table=True)
+    rep = eps_k_uniform_counts(counts, 3, 3, 2)
     assert rep.worst_subset == (0, 1) and rep.eps == Fraction(8)
     assert set(rep.per_subset.values()) == {Fraction(8)}
     rep = eps_k_uniform_counts(counts, 3, 3, 3)
-    assert rep.worst_subset == (0, 1, 2) and rep.eps == Fraction(26) and rep.per_subset is None
+    assert rep.worst_subset == (0, 1, 2) and rep.eps == Fraction(26)
+    assert rep.per_subset == {(0, 1, 2): Fraction(26)}
 
 
 def test_eps_k_monotone_in_k(a5):
@@ -102,7 +103,7 @@ def test_eps_k_monotone_in_k(a5):
 def test_eps_k_report_fields(a5):
     pg = ProductGroup(a5, 2)
     d = oracles.point_mass(pg, groups.tuple_to_flat(pg, (3, 0)))
-    rep = eps_k_uniform(d, 1, full_table=True)
+    rep = eps_k_uniform(d, 1)
     assert rep.worst_subset in ((0,), (1,))
     assert set(rep.per_subset) == {(0,), (1,)}
     text = report_to_text(rep)
