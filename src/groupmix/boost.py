@@ -10,12 +10,14 @@ concrete input.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from groupmix.fourier import BoundViolation, Dist, _pruned_forward, convolve, dist_from_fourier
+from groupmix.fourier import (BoundViolation, Dist, _deviation_slices, _pruned_forward, convolve,
+                              dist_from_fourier)
 from groupmix.irreps import IrrepSet
 from groupmix.uniformity import eps_k_uniform
 
@@ -24,9 +26,8 @@ class PreconditionError(ValueError):
 
 
 def l2_sq_dist_to_uniform(p: Dist) -> float:
-    """sum_x (p(x) - 1/|G|)^2, un-normalized, squared in place in one deviation buffer."""
-    dev = p.values - 1.0 / p.size
-    return float(np.sum(np.square(dev, out=dev)))
+    """sum_x (p(x) - 1/|G|)^2, un-normalized: `_measure`'s l2_sq, so every output sums it alike."""
+    return _measure(p, 0, "", None, False, 0.0).l2_sq
 
 
 # ---------------------------------------------------------------------------
@@ -118,18 +119,18 @@ def flatten_bound_check(p: Dist, k: int, d: int, s: IrrepSet) -> FlattenRecord:
 # pipeline
 
 
-def _measure(p: Dist, step: int, mode: str, k: int | None, track_tv: bool, secs: float,
-             out: np.ndarray | None = None) -> StepRecord:
-    """One step's record from one deviation buffer, `out` if given (which may hold p's values:
-    p is then spent): l2, then |dev| in place for linf (= eps_uniform) and tv; eps_k first."""
+def _measure(p: Dist, step: int, mode: str, k: int | None, track_tv: bool,
+             secs: float) -> StepRecord:
+    """One step's record in one pass over `_deviation_slices` of p - u: |dev| in place for linf
+    (= eps_uniform) and tv, then its square for l2, slice sums added with math.fsum; eps_k first."""
     eps_k = None if k is None else eps_k_uniform(p, k).eps
-    dev = np.subtract(p.values, 1.0 / p.size, out=out)
-    l2 = float(dev @ dev)
-    np.abs(dev, out=dev)
-    linf = p.size * float(np.max(dev))
-    tv = 0.5 * float(np.sum(dev)) if track_tv else None
-    del dev
-    return StepRecord(step, mode, l2, linf, eps_k, tv, secs)
+    top, tv, l2 = 0.0, [], []
+    for dev in _deviation_slices(p.values, 1.0 / p.size):
+        top = max(top, float(np.abs(dev, out=dev).max()))
+        tv.append(float(dev.sum()))
+        l2.append(float(np.square(dev, out=dev).sum()))
+    return StepRecord(step, mode, math.fsum(l2), p.size * top, eps_k,
+                      0.5 * math.fsum(tv) if track_tv else None, secs)
 
 
 def boost_pipeline(

@@ -41,6 +41,7 @@ _REAL_TOL = 1e-9
 _DIRECT_REST_MAX = 4096           # convolve_direct builds an R x R index table
 _STACK_SHARE = 6                  # a chunked synthesis stack holds about 1/6 of the entries
 _POOL_MIN = 1 << 18               # jobs on a tensor with fewer entries run one after another
+_SLICE = 1 << 16                  # full-size distances sum a difference over slices of this many
 _GEMM_MIN = 1 << 21               # least multiply-adds of a GEMM piece: BLAS rounds small ones apart
 _GEMM_ALIGN = 64                  # GEMM pieces start at multiples of this many rows or columns
 _pool = None                      # ((pid, workers), executor), made on first use
@@ -98,6 +99,14 @@ def make_dist(space: Space, values) -> Dist:
 def uniform(space: Space) -> Dist:
     n = space.size
     return make_dist(space, np.full(n, 1.0 / n))
+
+
+def _deviation_slices(a: np.ndarray, b):
+    """a - b, b a scalar or an array like a, in slices of _SLICE entries that share one buffer (the
+    caller may overwrite each): every full-size distance adds its slice sums with math.fsum."""
+    buf, b = np.empty(min(a.size, _SLICE)), np.broadcast_to(b, a.shape)
+    for lo in range(0, a.size, _SLICE):
+        yield np.subtract(a[lo:lo + _SLICE], b[lo:lo + _SLICE], out=buf[: min(_SLICE, a.size - lo)])
 
 
 # ---------------------------------------------------------------------------

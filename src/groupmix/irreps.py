@@ -33,6 +33,7 @@ _CLUSTER_REL_GAP = 1e-8      # eigenvalue clustering threshold
 _MAX_SPLIT_ATTEMPTS = 8
 _CHUNK = 256
 _INDICATOR_TOL = 1e-6        # Frobenius-Schur indicators must sit this close to -1, 0, 1
+_RESEED = "retry with get_irreps(..., seed=N) for another N; every CLI command uses seed 0"
 
 
 class IrrepComputationError(RuntimeError):
@@ -137,9 +138,7 @@ def _split(g: GroupTable, u: np.ndarray | None, rng: np.random.Generator) -> lis
         if len(clusters) > 1:
             break
     else:
-        raise IrrepComputationError(
-            "failed to split a reducible invariant subspace; rerun with a different seed"
-        )
+        raise IrrepComputationError(f"failed to split a reducible invariant subspace; {_RESEED}")
     return [eigvecs[:, idx] if u is None else u @ eigvecs[:, idx] for idx in clusters]
 
 
@@ -222,8 +221,7 @@ def _real_form(rho: np.ndarray, tol: float, rng: np.random.Generator) -> np.ndar
     worst_imag = float(np.max(np.abs(sigma.imag)))
     if not worst_imag <= tol:
         raise IrrepComputationError(
-            f"real form of a real-type irrep has imaginary residual {worst_imag}; "
-            "rerun with a different seed"
+            f"real form of a real-type irrep has imaginary residual {worst_imag}; {_RESEED}"
         )
     return sigma.real.astype(np.complex128)
 
@@ -253,7 +251,7 @@ def compute_irreps(g: GroupTable, tol: float = DEFAULT_TOL, seed: int = 0) -> Ir
     if total != n:
         raise IrrepComputationError(
             f"irrep dimensions {sorted(s.shape[1] for s, _ in kept)} give "
-            f"sum of squares {total} != {n}; rerun with a different seed"
+            f"sum of squares {total} != {n}; {_RESEED}"
         )
 
     def sort_key(item):
@@ -391,11 +389,11 @@ def save_irreps(s: IrrepSet, path: str | os.PathLike):
     """One .npz archive: `head` = [magic, fingerprint, repr(tol)], then each
     irrep's (n, d, d) complex128 matrices as arr_0, arr_1, ... in set order.
 
-    Written under a temporary name and renamed into place, so an interrupted
-    write never leaves a truncated cache at `path`.
+    Written under a temporary name of its own, random in every call, and renamed into place,
+    so neither an interrupted write nor a concurrent one leaves a broken cache at `path`.
     """
     head = np.array([_MAGIC, s.group_fingerprint, repr(float(s.tol))])
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{os.urandom(8).hex()}.tmp"
     try:
         # a handle, since savez given a name would append .npz to it
         with open(tmp, "wb") as fh:

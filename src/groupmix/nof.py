@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from groupmix.boost import ExperimentLog, _measure
-from groupmix.fourier import (BoundViolation, Dist, _pruned_forward, _synthesize, convolve,
+from groupmix.fourier import (BoundViolation, Dist, _pruned_forward, convolve, dist_from_fourier,
                               make_dist)
 from groupmix.groups import GroupTable, ProductGroup, check_dense_budget
 from groupmix.irreps import IrrepSet
@@ -139,7 +139,7 @@ def advantage_curve(
     """Distance metrics of the t-fold convolution s_dist * ... * s_dist, t = 1..t_max.
 
     s_dist is transformed once with the base irreps (`_pruned_forward`): a step is one
-    coefficient product and one inverse, measured in place in the values' buffer, so it holds
+    coefficient product and one inverse (`dist_from_fourier`), measured in slices, so it holds
     s_dist, its coefficients, the product and the values.  tv_dist is the statistical distance
     to uniform; a rise in t raises BoundViolation.  Stops once eps_uniform reaches target_eps.
     seconds times a step t >= 2 from before the product to after the inverse; t = 1 is 0.
@@ -147,16 +147,14 @@ def advantage_curve(
     log = ExperimentLog()
     for t in range(1, t_max + 1):
         t0 = time.perf_counter()
-        point, buf = s_dist, None
+        point = s_dist    # drops the last step's values: the next product needs the room
         if t == 2:
             x = factor = _pruned_forward(s_dist, s_irreps)[0]
         if t > 1:
             x = convolve(x, factor, s_irreps)
-            buf = _synthesize(x.dense.reshape(-1), s_irreps, x.arity, x.block_norms_sq)
-            point = make_dist(s_dist.space, buf.view())    # read-only: buf takes the deviation
+            point = dist_from_fourier(x, s_dist.space)
         secs = time.perf_counter() - t0 if t > 1 else 0.0
-        rec = _measure(point, t, "fresh-copy", None, True, secs, buf)
-        del point, buf  # the next product needs the room
+        rec = _measure(point, t, "fresh-copy", None, True, secs)
         if log.records:
             prev = log.records[-1].tv_dist
             if not rec.tv_dist <= prev + 1e-12:

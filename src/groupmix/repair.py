@@ -17,6 +17,7 @@ makes q non-negative, which is what desk-scale eps values call for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from groupmix.fourier import (
     SpaceMismatchError,
     _axis_passes,
     _block_norms_sq,
+    _deviation_slices,
     _low_weight_transforms,
     _stacked,
     make_dist,
@@ -38,7 +40,6 @@ from groupmix.irreps import IrrepSet
 
 _IMAG_TOL = 1e-12
 _SUM_TOL = 1e-10
-_L1_SLICE = 1 << 16               # the certificate sums |p - q| over slices of this many entries
 
 
 class RepairInfeasibleError(ValueError):
@@ -109,7 +110,7 @@ class RepairCertificate:
 
     @property
     def q_nonneg(self) -> bool:
-        return self.q_min >= -1e-15
+        return self.q_min >= NEG_CLAMP
 
     @property
     def q_normalized(self) -> bool:
@@ -202,12 +203,8 @@ def verify_repair(p: Dist, q: Dist, k: int, s: IrrepSet) -> RepairCertificate:
 def _certify(p, q, q_stats, k, s, eps_in, mode, beta, beta_adaptive) -> RepairCertificate:
     """The certificate of q against p; q_stats is (min, sum) of q before the ingestion clamp."""
     beta_paper = _paper_beta(p.space.arity, p.space.base.order, k, eps_in)
-    l1_distance = 0.0
-    diff = np.empty(min(p.size, _L1_SLICE))
-    for lo in range(0, p.size, _L1_SLICE):
-        a, b = p.values[lo:lo + _L1_SLICE], q.values[lo:lo + _L1_SLICE]
-        d = np.subtract(a, b, out=diff[:len(a)])
-        l1_distance += float(np.abs(d, out=d).sum())
+    dev = _deviation_slices(p.values, q.values)
+    l1_distance = math.fsum(float(np.abs(d, out=d).sum()) for d in dev)
     return RepairCertificate(
         k=k,
         eps_in=eps_in,

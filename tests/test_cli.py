@@ -173,6 +173,23 @@ def test_experiment_boost_csv_and_determinism(capsys, cache, tmp_path):
     assert header == "step,mode,l2_sq,linf_rel,eps_k,tv_dist,seconds"
 
 
+def test_flatten_lhs_is_the_boost_step_l2(capsys, cache, tmp_path):
+    # one distribution, the A5^4 box squared once, gets one l2 in every output: the flatten
+    # summary's lhs and the boost CSV's step-1 l2_sq (2.505572702331984e-08 against
+    # 2.505572702338564e-08 when they were summed apart)
+    code, out, _ = run_cli(["experiment", "flatten", "--group", "a5", "--m", "4", "--k", "3",
+                            "--cache-dir", cache], capsys)
+    assert code == 0
+    lhs = dict(f.split("=", 1) for f in out.split())["lhs"]
+    csv_path = tmp_path / "boost.csv"
+    code, _, _ = run_cli(["experiment", "boost", "--group", "a5", "--m", "4", "--k", "3",
+                          "--max-steps", "1", "--target-eps", "10", "--cache-dir", cache,
+                          "--out", str(csv_path)], capsys)
+    assert code == 0
+    step1 = csv_path.read_text().splitlines()[2].split(",")
+    assert step1[:2] == ["1", "self-square"] and step1[2] == lhs
+
+
 def test_experiment_nof_summary(capsys, cache, tmp_path):
     out_path = str(tmp_path / "nof.csv")
     code, out, _ = run_cli(

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -234,6 +237,26 @@ def test_load_truncated_file(tmp_path, c4, irreps_cache):
         load_irreps(path, c4)
 
 
+def test_concurrent_saves_of_one_cache(tmp_path, monkeypatch, a5, irreps_cache):
+    # two threads of one process save one cache while np.savez is slowed: each writes under a
+    # temporary name of its own, so both return, none is left behind and the cache loads (with
+    # one name per process, the second os.replace found no file)
+    s = irreps_cache(a5)
+    path = tmp_path / "a5.npz"
+    real = np.savez
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "savez", slow)
+    with ThreadPoolExecutor(2) as pool:
+        saves = [pool.submit(save_irreps, s, path) for _ in range(2)]
+        assert [f.result(timeout=60) for f in saves] == [None, None]
+    assert [f.name for f in tmp_path.iterdir()] == ["a5.npz"]
+    assert load_irreps(path, a5).dims == s.dims
+
+
 @pytest.mark.parametrize("at", [0.3, 0.6, 0.9])
 def test_load_rejects_flipped_byte(tmp_path, a5, irreps_cache, at):
     path = tmp_path / "a5.npz"
@@ -338,6 +361,15 @@ def test_get_irreps_disk_cache(tmp_path, c12):
     assert len(files) == 1 and files[0].name.endswith("_seed0.npz")
     s2 = get_irreps(c12, cache_dir=str(tmp_path), use_cache=True)
     assert s1.dims == s2.dims
+
+
+def test_split_failure_names_the_seed_argument(monkeypatch, c4):
+    # the CLI pins the irreps to seed 0, so the advice names the library argument
+    monkeypatch.setattr(irr, "_cluster_boundaries", lambda eigvals: [np.arange(len(eigvals))])
+    with pytest.raises(IrrepComputationError) as exc:
+        compute_irreps(c4)
+    assert str(exc.value) == ("failed to split a reducible invariant subspace; retry with "
+                              "get_irreps(..., seed=N) for another N; every CLI command uses seed 0")
 
 
 def test_tol_range_rejected(c4):
