@@ -623,6 +623,22 @@ def convolve(p: Dist | FourierData, q: Dist | FourierData,
 
 # ---------------------------------------------------------------------------
 # marginals and low-weight coefficients
+#
+# A walk over the k-marginals of a Dist sums the whole array once per k-subset, so a Dist keeps
+# what a completed walk found in vars(p)["_k_memo"][k]: "extremes" maps each k-subset to its
+# marginal's (least, largest) value, and id(s) to (s, the largest low-weight block norm in irrep
+# set s); s is held so that its id is not reused, and another basis rounds differently.  That is
+# O(C(m, k)) numbers: no marginal outlives its walk.  Dist is frozen and its values read-only, so
+# an entry has the bits a new walk would give.
+
+
+def _memo(p: Dist, k: int) -> dict:
+    """What completed walks over p's k-marginals recorded; empty when none did."""
+    return vars(p).get("_k_memo", {}).get(k, {})
+
+
+def _remember(p: Dist, k: int, key, value):
+    vars(p).setdefault("_k_memo", {}).setdefault(k, {})[key] = value
 
 
 def _marginal_values(values: np.ndarray, pg: Space, coords: tuple[int, ...]) -> np.ndarray:
@@ -654,7 +670,9 @@ def _low_weight_transforms(p: Dist, k: int, s: IrrepSet):
     per top holds every weight-1..k coefficient.  Each is kept only in the
     first top that holds its support: the all-trivial entry is zeroed, and for
     every earlier top t the sub-block with slot 0 (the trivial irrep) on the
-    coordinates of top outside t.
+    coordinates of top outside t.  A walk the caller finishes records the
+    marginals' extremes and the largest block norm in p's memo; the norms are
+    read before each yield, since the caller may spend the tensor.
     """
     _check_base(s, p.space)
     m = p.space.arity
@@ -662,19 +680,27 @@ def _low_weight_transforms(p: Dist, k: int, s: IrrepSet):
         raise ValueError(f"k must lie in [1, {m}], got {k}")
     n = p.space.base.order
     tops = list(itertools.combinations(range(m), k))
+    extremes, worst = {}, 0.0
     for i, top in enumerate(tops):
-        coeffs = _forward(_marginal_values(p.values, p.space, top), s, k)
+        marg = _marginal_values(p.values, p.space, top)
+        extremes[top] = float(marg.min()), float(marg.max())
+        coeffs = _forward(marg, s, k)
+        del marg    # no marginal is held across the yield
         coeffs *= float(n) ** (k - m)
         coeffs[(0,) * k] = 0.0
         for t in tops[:i]:
             # axis j of the tensor holds coordinate top[k-1-j]
             coeffs[tuple(slice(None) if c in t else 0 for c in reversed(top))] = 0.0
+        worst = max(worst, float(np.sqrt(_block_norms_sq(coeffs, s).max())))
         yield top, coeffs
+    _remember(p, k, "extremes", extremes)
+    _remember(p, k, id(s), (s, worst))
 
 
 def max_low_weight_norm(p: Dist, k: int, s: IrrepSet) -> float:
-    """Largest Frobenius norm of a weight-1..k coefficient block of p."""
-    return max(
-        float(np.sqrt(_block_norms_sq(coeffs, s).max()))
-        for _, coeffs in _low_weight_transforms(p, k, s)
-    )
+    """Largest Frobenius norm of a weight-1..k coefficient block of p, from p's memo when a walk
+    in s recorded it."""
+    if id(s) not in _memo(p, k):
+        for _ in _low_weight_transforms(p, k, s):
+            pass
+    return _memo(p, k)[id(s)][1]

@@ -28,7 +28,6 @@ from groupmix.fourier import (
     Dist,
     SpaceMismatchError,
     _axis_passes,
-    _block_norms_sq,
     _deviation_slices,
     _low_weight_transforms,
     _stacked,
@@ -59,9 +58,7 @@ def _low_data(p: Dist, k: int, s: IrrepSet):
     n = p.space.base.order
     synth = _stacked(s)[1]
     ell = np.zeros((n,) * m) if k < m else None
-    worst = 0.0
     for top, coeffs in _low_weight_transforms(p, k, s):
-        worst = max(worst, float(np.sqrt(_block_norms_sq(coeffs, s).max())))
         flat = coeffs.reshape(-1)    # spent: the inverse's first buffer
         lifted = _axis_passes(flat, synth, k, [flat, np.empty_like(flat)])
         if np.iscomplexobj(lifted):
@@ -81,7 +78,7 @@ def _low_data(p: Dist, k: int, s: IrrepSet):
     total = float(ell.sum())
     if abs(total) > _SUM_TOL:
         raise ValueError(f"low-degree part sums to {total}, expected 0")
-    return ell, worst
+    return ell, max_low_weight_norm(p, k, s)    # recorded by the walk
 
 
 def low_part(p: Dist, k: int, s: IrrepSet) -> np.ndarray:
@@ -192,7 +189,12 @@ def repair(p: Dist, k: int, s: IrrepSet, mode: str = "adaptive") -> tuple[Dist, 
 
 
 def verify_repair(p: Dist, q: Dist, k: int, s: IrrepSet) -> RepairCertificate:
-    """Recompute every certificate field from (p, q, k) for an arbitrary q."""
+    """Recompute every certificate field from (p, q, k) for an arbitrary q.
+
+    eps_in and the residual are the largest low-weight block norms of p and q, read from their
+    memos where a walk over their k-marginals recorded them (`repair` leaves both): those are
+    the bits a new walk would give, since a Dist's values are read-only.  The l1 pass, q's least
+    entry and sum, and every threshold run again."""
     if not same_space(p.space, q.space):
         raise SpaceMismatchError("repair check across different spaces")
     eps_in = float(p.size) * max_low_weight_norm(p, k, s)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from groupmix.fourier import Dist, marginalize, max_low_weight_norm
+from groupmix.fourier import Dist, _memo, _remember, marginalize, max_low_weight_norm
 from groupmix.irreps import IrrepSet
 
 FOURIER_UNIFORMITY_TOL = 1e-10
@@ -29,10 +29,14 @@ class UniformityReport:
     per_subset: dict
 
 
+def _eps(low: float, high: float, size: int) -> float:
+    return max(abs(low * size - 1.0), abs(high * size - 1.0))
+
+
 def eps_uniform(p: Dist) -> float:
     """Exact max of |p(x)*|S| - 1| over the space, read off the least and largest p(x): the
     rounded p(x)*|S| - 1 is monotone in p(x), so no full-size temporary is needed."""
-    return max(abs(float(p.values.min()) * p.size - 1.0), abs(float(p.values.max()) * p.size - 1.0))
+    return _eps(float(p.values.min()), float(p.values.max()), p.size)
 
 
 def _worst_subset(m: int, k: int, dev) -> UniformityReport:
@@ -45,8 +49,23 @@ def _worst_subset(m: int, k: int, dev) -> UniformityReport:
 
 
 def eps_k_uniform(p: Dist, k: int) -> UniformityReport:
-    """Worst eps_uniform over all k-coordinate marginals."""
-    return _worst_subset(p.space.arity, k, lambda subset: eps_uniform(marginalize(p, subset)))
+    """Worst eps_uniform over all k-coordinate marginals, read off each marginal's least and
+    largest value: from p's memo (`fourier._memo`) when a walk over its k-marginals completed,
+    else from one pass over the validated marginals, which fills the memo."""
+    known = _memo(p, k).get("extremes")
+    if known is not None:
+        size = p.space.base.order ** k
+        return _worst_subset(p.space.arity, k, lambda subset: _eps(*known[subset], size))
+    found = {}
+
+    def dev(subset):
+        marg = marginalize(p, subset)    # make_dist validates each marginal
+        found[subset] = float(marg.values.min()), float(marg.values.max())
+        return eps_uniform(marg)
+
+    report = _worst_subset(p.space.arity, k, dev)
+    _remember(p, k, "extremes", found)
+    return report
 
 
 def eps_k_uniform_counts(counts: np.ndarray, n: int, m: int, k: int) -> UniformityReport:

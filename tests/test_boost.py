@@ -87,8 +87,9 @@ def test_distance_checks_hold_one_deviation_buffer(a5, irreps_cache):
 
 
 def test_tv_to_uniform_matches_materialized_uniform(a5):
-    # same elementwise subtraction as against a materialized uniform Dist, so
-    # the tv_dist column is unchanged to the last bit
+    # the scalar-uniform oracle makes the same elementwise subtraction as against a
+    # materialized uniform Dist, so the two agree bitwise; the tv_dist column, summed in
+    # slices with math.fsum, matches them within rounding, not to the last bit
     rng = np.random.default_rng(SEED)
     for _ in range(20):
         v = rng.random(60)

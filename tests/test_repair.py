@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -141,6 +143,61 @@ def test_verify_repair_against_uniform(c3_4, c3_irr):
     assert cert.l1_distance == pytest.approx(float(np.sum(np.abs(p.values - u.values))))
 
 
+def count_marginal_sums(monkeypatch) -> list[int]:
+    """Patch `fourier._marginal_values` to count its calls; returns the one-item counter."""
+    calls, inner = [0], fx._marginal_values
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(fx, "_marginal_values", counted)
+    return calls
+
+
+def bits(record) -> list[str]:
+    # repr is exact for floats and tells -0.0 from 0.0, which == does not
+    return [repr(getattr(record, f.name)) for f in dataclasses.fields(record)]
+
+
+def fresh(p: fx.Dist) -> fx.Dist:
+    return fx.make_dist(p.space, p.values.copy())
+
+
+def test_repair_flow_walks_each_distribution_once(sl2_3, irreps_cache, monkeypatch):
+    # the CLI's flow: repair walks p's k-marginals in its low part and q's in its certificate;
+    # verify_repair and eps_k_uniform(q) read the memos
+    m, k, s = 3, 2, irreps_cache(sl2_3)
+    p = perturbed(ProductGroup(sl2_3, m), np.random.default_rng(SEED), 1e-3)
+    calls = count_marginal_sums(monkeypatch)
+    q, cert = repair(p, k, s)
+    check = verify_repair(p, q, k, s)
+    report = eps_k_uniform(q, k)
+    assert calls[0] == 2 * math.comb(m, k)
+    # each memo holds numbers only, C(m, k) pairs and one norm: no marginal outlives its walk
+    for d in (p, q):
+        memo = vars(d)["_k_memo"]
+        assert set(memo) == {k} and set(memo[k]) == {"extremes", id(s)}
+        extremes = memo[k]["extremes"]
+        assert len(extremes) == math.comb(m, k)
+        assert all(type(x) is float for pair in extremes.values() for x in pair)
+        assert memo[k][id(s)][0] is s and type(memo[k][id(s)][1]) is float
+    assert cert.residual_ok and check.residual_ok and report.eps <= 1e-10
+
+
+def test_memo_reads_equal_fresh_walks(sl2_3, irreps_cache):
+    # every field read from a memo has the bits of the same call on a Dist with no memo
+    m, k, s = 3, 2, irreps_cache(sl2_3)
+    p = perturbed(ProductGroup(sl2_3, m), np.random.default_rng(SEED), 1e-3)
+    q, cert = repair(p, k, s)
+    check = verify_repair(p, q, k, s)
+    assert bits(cert) == bits(repair(fresh(p), k, s)[1])
+    assert bits(check) == bits(verify_repair(fresh(p), fresh(q), k, s))
+    for d in (p, q):
+        assert bits(eps_k_uniform(d, k)) == bits(eps_k_uniform(fresh(d), k))
+        assert repr(fx.max_low_weight_norm(d, k, s)) == repr(fx.max_low_weight_norm(fresh(d), k, s))
+
+
 def test_verify_repair_rejects_another_space(sl2_3, irreps_cache):
     rng = np.random.default_rng(SEED)
     p = perturbed(ProductGroup(sl2_3, 3), rng, 1e-3)
@@ -191,9 +248,11 @@ def test_repair_peak_memory(request, case, budget):
 def test_sliced_certificate_peak_memory(request, case, repair_budget, verify_budget):
     """The inputs of `test_repair_peak_memory`, whose test ids carry its looser budgets, held
     to the budgets of a certificate that sums |p - q| over slices of 2^16 entries: beside p,
-    repair holds its one buffer and a slice, and verify_repair a slice and the low-weight
-    transforms.  Measured 1.424, 1.220 and 1.496 for repair and 0.424, 0.220 and 0.496 for
-    verify_repair (2.002 and 1.001 with one difference array of |G| entries)."""
+    repair holds its one buffer and a slice, and verify_repair a slice, reading the low-weight
+    norms from the memos repair left (with none, it also holds the low-weight transforms).
+    Measured 1.306, 1.200 and 1.384 for repair and 0.305, 0.198 and 0.198 for verify_repair
+    (0.306, 0.200 and 0.298 with no memo; 2.002 and 1.001 with one difference array of |G|
+    entries)."""
     group, k = case.split("^")[0], int(case.split("k=")[1][0])
     g = request.getfixturevalue(group)
     s = get_irreps(g, seed=SEED)

@@ -78,6 +78,37 @@ def test_eps_k_counts_rejects_k_outside_one_to_m(a5, k):
         eps_k_uniform(fx.uniform(pg), k)
 
 
+def test_each_irrep_set_gets_its_own_low_weight_norm(sl2_3, irreps_cache):
+    # two bases of one group's irreps round the norm differently in the last bits, so a memo
+    # entry of one must not answer for the other
+    pg, k = ProductGroup(sl2_3, 2), 2
+    v = np.random.default_rng(SEED).random(pg.size) + 1e-3
+    p = fx.make_dist(pg, v / v.sum())
+    s0, s1 = irreps_cache(sl2_3, seed=0), irreps_cache(sl2_3, seed=1)
+    want = [fx.max_low_weight_norm(fx.make_dist(pg, p.values.copy()), k, s) for s in (s0, s1)]
+    assert want[0] != want[1]
+    for _ in range(2):    # the first round walks the marginals, the second reads the memo
+        assert [fx.max_low_weight_norm(p, k, s) for s in (s0, s1)] == want
+    assert {key for key in vars(p)["_k_memo"][k] if key != "extremes"} == {id(s0), id(s1)}
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_k_outside_one_to_m_records_nothing(sl2_3, irreps_cache, k):
+    pg, s = ProductGroup(sl2_3, 2), irreps_cache(sl2_3)
+    p = fx.uniform(pg)
+    for filled in (False, True):
+        if filled:
+            eps_k_uniform(p, 1)
+            fx.max_low_weight_norm(p, 2, s)
+        before = {j: dict(entry) for j, entry in vars(p).get("_k_memo", {}).items()}
+        with pytest.raises(ValueError, match="k must lie"):
+            eps_k_uniform(p, k)
+        with pytest.raises(ValueError, match="k must lie"):
+            fx.max_low_weight_norm(p, k, s)
+        assert {j: dict(entry) for j, entry in vars(p).get("_k_memo", {}).items()} == before
+    assert set(before) == {1, 2}
+
+
 def test_eps_k_reports_the_first_worst_subset():
     # every pair of a point mass on H^3 deviates alike: the scan keeps the first
     counts = np.zeros(27, dtype=np.int64)
