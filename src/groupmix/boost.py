@@ -124,12 +124,13 @@ def _measure(p: Dist, step: int, mode: str, k: int | None, track_tv: bool,
     """One step's record in one pass over `_deviation_slices` of p - u: |dev| in place for linf
     (= eps_uniform) and tv, then its square for l2, slice sums added with math.fsum; eps_k first."""
     eps_k = None if k is None else eps_k_uniform(p, k).eps
-    top, tv, l2 = 0.0, [], []
-    for dev in _deviation_slices(p.values, 1.0 / p.size):
-        top = max(top, float(np.abs(dev, out=dev).max()))
-        tv.append(float(dev.sum()))
-        l2.append(float(np.square(dev, out=dev).sum()))
-    return StepRecord(step, mode, math.fsum(l2), p.size * top, eps_k,
+
+    def sums(dev):
+        np.abs(dev, out=dev)
+        return float(dev.max()), float(dev.sum()), float(np.square(dev, out=dev).sum())
+
+    top, tv, l2 = zip(*_deviation_slices(p.values, 1.0 / p.size, sums))
+    return StepRecord(step, mode, math.fsum(l2), p.size * max((0.0,) + top), eps_k,
                       0.5 * math.fsum(tv) if track_tv else None, secs)
 
 

@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from groupmix.groups import GroupTable, ProductGroup, Space, check_dense_budget, same_space
+from groupmix.groups import GroupTable, Space, check_dense_budget, same_space
 from groupmix.irreps import IrrepSet
 
 DIST_SUM_TOL = 1e-9
@@ -45,6 +47,7 @@ _SLICE = 1 << 16                  # full-size distances sum a difference over sl
 _GEMM_MIN = 1 << 21               # least multiply-adds of a GEMM piece: BLAS rounds small ones apart
 _GEMM_ALIGN = 64                  # GEMM pieces start at multiples of this many rows or columns
 _pool = None                      # ((pid, workers), executor), made on first use
+_job = threading.local()          # .active is set in the pool's threads
 
 
 class SpaceMismatchError(ValueError):
@@ -67,7 +70,11 @@ class Dist:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values.setflags(write=False)
+        # the arrays values is a view of too, so that no write reaches the k-marginal memo
+        a = self.values
+        while isinstance(a, np.ndarray):
+            a.setflags(write=False)
+            a = a.base
 
     @property
     def size(self) -> int:
@@ -84,12 +91,12 @@ def make_dist(space: Space, values) -> Dist:
     n = space.size
     if v.shape != (n,):
         raise ValueError(f"expected {n} values for {space!r}, got shape {v.shape}")
-    low = float(v.min()) if n else 0.0
+    low = _min(v) if n else 0.0
     if low < NEG_CLAMP:
         raise ValueError(f"negative probability {low} below clamp threshold {NEG_CLAMP}")
     if low < 0.0:
         v = np.where(v < 0.0, 0.0, v)
-    total = float(v.sum())
+    total = _fsum(v)
     # negated so that NaN fails too; -inf fails the clamp check, +inf the sum
     if not abs(total - 1.0) <= DIST_SUM_TOL:
         raise ValueError(f"probabilities sum to {total}, not 1 within {DIST_SUM_TOL}")
@@ -101,22 +108,15 @@ def uniform(space: Space) -> Dist:
     return make_dist(space, np.full(n, 1.0 / n))
 
 
-def _deviation_slices(a: np.ndarray, b):
-    """a - b, b a scalar or an array like a, in slices of _SLICE entries that share one buffer (the
-    caller may overwrite each): every full-size distance adds its slice sums with math.fsum."""
-    buf, b = np.empty(min(a.size, _SLICE)), np.broadcast_to(b, a.shape)
-    for lo in range(0, a.size, _SLICE):
-        yield np.subtract(a[lo:lo + _SLICE], b[lo:lo + _SLICE], out=buf[: min(_SLICE, a.size - lo)])
-
-
 # ---------------------------------------------------------------------------
 # job pool
 #
 # Work is cut into independent jobs whose results do not depend on how it is cut: matmuls of a
-# batch, the groups of a pruned pass, synthesis rows and norm rows.  A GEMM is cut only into
-# pieces that start at a multiple of _GEMM_ALIGN rows (or columns) and hold at least _GEMM_MIN
-# multiply-adds, so BLAS runs each piece with the kernels of the whole.  So every output is
-# the same bits at any worker count; numpy and BLAS release the GIL in the jobs.
+# batch, the groups of a pruned pass, synthesis rows and norm rows, whole marginals, pieces of
+# an elementwise pass or a minimum, and runs of whole _SLICE slices of a sum.  A GEMM is cut
+# only into pieces that start at a multiple of _GEMM_ALIGN rows (or columns) and hold at least
+# _GEMM_MIN multiply-adds, so BLAS runs each piece with the kernels of the whole.  So every
+# output is the same bits at any worker count; numpy and BLAS release the GIL in the jobs.
 
 
 def _pool_workers(cpus: int, env) -> int:
@@ -142,14 +142,18 @@ def _run(jobs: list, size: int) -> list:
     """The results of `jobs`, callables on a tensor of `size` entries, in order.  They run on
     the pool when it has more than one worker and the tensor at least _POOL_MIN entries, else
     one after another.  Every job ends before the first error is raised.  A job must not call
-    `_run`: waiting on the pool from inside it can leave no worker free."""
+    `_run`, since waiting on the pool from inside it can leave no worker free: in a pool thread
+    it raises RuntimeError, whatever the size."""
     global _pool
+    if getattr(_job, "active", False):
+        raise RuntimeError("_run called from a job on its own pool")
     if len(jobs) < 2 or _pieces(size) < 2:
         return [job() for job in jobs]
     if _pool is None or _pool[0] != (os.getpid(), _WORKERS):
         from concurrent.futures import ThreadPoolExecutor    # not imported by serial runs
 
-        _pool = (os.getpid(), _WORKERS), ThreadPoolExecutor(_WORKERS)
+        _pool = (os.getpid(), _WORKERS), ThreadPoolExecutor(_WORKERS, initializer=setattr,
+                                                            initargs=(_job, "active", True))
     futures = [_pool[1].submit(job) for job in jobs]
     for f in futures:
         f.exception()    # waits for the job
@@ -174,6 +178,45 @@ def _gemm_spans(rows: int, inner: int, cols: int, size: int) -> list[tuple[int, 
     """`_spans` of the rows of a (rows, inner) @ (inner, cols) GEMM (or its columns, transposed)."""
     least = -(-_GEMM_MIN // max(1, _GEMM_ALIGN * inner * cols))
     return _spans(rows, size, least, _GEMM_ALIGN)
+
+
+def _deviation_slices(a: np.ndarray, b, func) -> list:
+    """[func(d) for every slice d of a - b], b a scalar, an array like a, or None for a's own
+    slices (read-only to func), in slices of _SLICE entries and in slice order.  Each job takes a
+    run of whole slices and one buffer, which func may overwrite, so the results do not depend
+    on the cut: every full-size distance adds them with math.fsum."""
+    starts = range(0, a.size, _SLICE)
+    b = None if b is None else np.broadcast_to(b, a.shape)
+
+    def run(lo, hi):
+        buf, out = None if b is None else np.empty(min(a.size, _SLICE)), []
+        for i in starts[lo:hi]:
+            d = a[i:i + _SLICE]
+            out.append(func(d if b is None else np.subtract(d, b[i:i + _SLICE], out=buf[:d.size])))
+        return out
+
+    return [r for part in _run([functools.partial(run, lo, hi)
+                                for lo, hi in _spans(len(starts), a.size)], a.size) for r in part]
+
+
+def _fsum(a: np.ndarray) -> float:
+    """math.fsum of a's _SLICE slice sums: the same at any worker count, for tolerance checks."""
+    return math.fsum(_deviation_slices(a, None, np.sum))
+
+
+def _min(a: np.ndarray) -> float:
+    """The least entry of a non-empty a, NaN if any, from pieces on the pool."""
+    return float(np.min(_run([functools.partial(np.min, a[lo:hi])
+                              for lo, hi in _spans(len(a), a.size)], a.size)))
+
+
+def _split(func, out: np.ndarray, *args) -> np.ndarray:
+    """func(*args, out=out), array args broadcast to out's shape, in pieces along out's axis 0 on
+    the pool: an elementwise func gives the same bits at any cut."""
+    args = [np.broadcast_to(x, out.shape) if np.ndim(x) else x for x in args]
+    _run([functools.partial(func, *(x[lo:hi] if np.ndim(x) else x for x in args), out=out[lo:hi])
+          for lo, hi in _spans(len(out), out.size)], out.size)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -449,27 +492,38 @@ def _block_products(dx: np.ndarray, dy: np.ndarray, nx: np.ndarray, ny: np.ndarr
     no value by over eps times the mean (|d tr(c rho)| <= d^2 |c|_F, sum d^2 = |G|), and carried on
     they would decay into subnormals, on which BLAS is ~20x slower.  As |x(t) y(t)|_F <= |x(t)|_F
     |y(t)|_F, nx and ny tell which products it zeroes (1 + 1e-9 covers rounding; entries below
-    1e-162 square to 0): only the others are multiplied, one batched matmul per dimension class,
-    with squared norms from (1, K) @ (K, 1) products per real part, as np.linalg.norm's dots."""
+    1e-162 square to 0): only the others are multiplied, one batched matmul per dimension class
+    (per piece of at most _SLICE block entries), with squared norms from (1, K) @ (K, 1)
+    products per real part, as np.linalg.norm's dots."""
     floor = np.finfo(np.float64).eps * abs(dx.flat[0] * dy.flat[0])
-    dead = dx.size * np.sqrt(nx) * np.sqrt(ny) * (1 + 1e-9) <= floor    # NaN stays live
     nout = np.zeros_like(nx)
     offs, dims = _slot_offsets(s), np.array(s.dims)
-    live = np.argwhere(~dead)
-    shape = (dims[live] - 1) @ np.array([int(dims.max()) ** j for j in range(dx.ndim)])
-    order = np.argsort(shape * len(live) + np.arange(len(live)))    # by dims, each class in C order
-    live, shape = live[order], shape[order]
-    for tuples in np.split(live, np.flatnonzero(np.diff(shape)) + 1) if live.size else []:
-        (vx, vy, vout), key = _class_blocks(tuples, offs, dims, dx, dy, out)
-        a = vx[key].reshape(len(tuples), *[int(np.prod(dims[tuples[0]]))] * 2)
-        prod = np.matmul(a, a if dy is dx else vy[key].reshape(a.shape))
-        rows = prod.reshape(len(prod), 1, -1)
-        rows = (rows.real, rows.imag) if prod.dtype.kind == "c" else (rows,)
-        norm = np.sqrt(sum(np.matmul(r, r.transpose(0, 2, 1)) for r in rows)).reshape(-1) * dx.size
-        prod *= np.where(norm <= floor, 0.0, float(dx.size))[:, None, None]
-        vout[key] = prod.reshape((len(prod),) + vout.shape[1:])
-        nout[tuple(tuples.T)] = np.where(norm <= floor, 0.0, norm * norm)
-        del a, prod, rows
+    powers = np.array([int(dims.max()) ** j for j in range(dx.ndim)])
+    # the tuples are read in chunks of axis-0 rows of the norm arrays, of at most _SLICE tuples
+    # or one row, and each class in a chunk is gathered in pieces of at most _SLICE block
+    # entries (or one block): a block's product and norm do not depend on the rest of its batch
+    step = max(1, _SLICE * len(nx) // nx.size)
+    for lo in range(0, len(nx), step):
+        dead = dx.size * np.sqrt(nx[lo:lo + step]) * np.sqrt(ny[lo:lo + step]) * (1 + 1e-9) <= floor
+        live = np.argwhere(~dead)    # NaN stays live
+        live[:, 0] += lo
+        shape = (dims[live] - 1) @ powers
+        order = np.argsort(shape * len(live) + np.arange(len(live)))    # by dims, then C order
+        live, shape = live[order], shape[order]
+        for cls in np.split(live, np.flatnonzero(np.diff(shape)) + 1) if live.size else []:
+            per = max(1, _SLICE // int(np.prod(dims[cls[0]])) ** 2)
+            for tuples in np.split(cls, range(per, len(cls), per)):
+                (vx, vy, vout), key = _class_blocks(tuples, offs, dims, dx, dy, out)
+                a = vx[key].reshape(len(tuples), *[int(np.prod(dims[tuples[0]]))] * 2)
+                prod = np.matmul(a, a if dy is dx else vy[key].reshape(a.shape))
+                rows = prod.reshape(len(prod), 1, -1)
+                rows = (rows.real, rows.imag) if prod.dtype.kind == "c" else (rows,)
+                norm = np.sqrt(sum(np.matmul(r, r.transpose(0, 2, 1)) for r in rows)).reshape(-1)
+                norm *= dx.size
+                prod *= np.where(norm <= floor, 0.0, float(dx.size))[:, None, None]
+                vout[key] = prod.reshape((len(prod),) + vout.shape[1:])
+                nout[tuple(tuples.T)] = np.where(norm <= floor, 0.0, norm * norm)
+                del a, prod, rows
     return nout
 
 
@@ -541,8 +595,10 @@ def _synthesize(flat: np.ndarray, s: IrrepSet, m: int, norms: np.ndarray,
     dip = np.finfo(np.float64).eps * (3 * m * s.order + max(s.dims) ** (1.5 * m)) * flat.size
     dip *= abs(flat[0])
     syn = _stacked(s)[1]
-    live = np.argwhere(norms != 0) if m >= 2 else None
-    if live is not None and np.square(s.dims)[live[:, -1]].sum() <= s.order:
+    # the live tuples counted per coordinate-0 irrep (the last norm axis), weighed by its d^2
+    weight = np.count_nonzero(norms.reshape(-1, len(s)), axis=0) @ np.square(s.dims)
+    if m >= 2 and weight <= s.order:
+        live = np.argwhere(norms != 0)
         # ascending coordinate-0 slots: the final GEMM sums them in _axis_passes' order
         vals = _live_passes(flat, syn, s, m, live[np.argsort(live[:, -1], kind="stable")], bufs)
     else:
@@ -654,11 +710,21 @@ def _marginal_values(values: np.ndarray, pg: Space, coords: tuple[int, ...]) -> 
     return np.ravel(marg, order="F")
 
 
-def marginalize(p: Dist, coords) -> Dist:
-    """Exact coordinate-sum marginal onto the listed coordinates, in order."""
-    coords = tuple(int(c) for c in coords)
-    out_space = ProductGroup(p.space.base, len(coords))
-    return make_dist(out_space, _marginal_values(p.values, p.space, coords))
+def _k_subsets(m: int, k: int) -> list[tuple[int, ...]]:
+    if not 1 <= k <= m:
+        raise ValueError(f"k must lie in [1, {m}], got {k}")
+    return list(itertools.combinations(range(m), k))
+
+
+def _each_marginal(job, tops: list, size: int):
+    """Yield (top, job(top)) for every top in order, job summing one marginal of a |G| = `size`
+    array whole: the jobs run `_pieces(size)` at a time on the pool, so at most one marginal
+    per worker is computed or waiting between yields."""
+    step = _pieces(size)
+    for i in range(0, len(tops), step):
+        done = _run([functools.partial(job, top) for top in tops[i:i + step]], size)[::-1]
+        for top in tops[i:i + step]:
+            yield top, done.pop()
 
 
 def _low_weight_transforms(p: Dist, k: int, s: IrrepSet):
@@ -672,20 +738,23 @@ def _low_weight_transforms(p: Dist, k: int, s: IrrepSet):
     every earlier top t the sub-block with slot 0 (the trivial irrep) on the
     coordinates of top outside t.  A walk the caller finishes records the
     marginals' extremes and the largest block norm in p's memo; the norms are
-    read before each yield, since the caller may spend the tensor.
+    read before each yield, since the caller may spend the tensor.  The marginal sums run on
+    the pool (`_each_marginal`), the transforms in the caller.
     """
     _check_base(s, p.space)
     m = p.space.arity
-    if not 1 <= k <= m:
-        raise ValueError(f"k must lie in [1, {m}], got {k}")
+    tops = _k_subsets(m, k)
     n = p.space.base.order
-    tops = list(itertools.combinations(range(m), k))
     extremes, worst = {}, 0.0
-    for i, top in enumerate(tops):
-        marg = _marginal_values(p.values, p.space, top)
+    marginals = _each_marginal(functools.partial(_marginal_values, p.values, p.space), tops, p.size)
+    for i, (top, marg) in enumerate(marginals):
         extremes[top] = float(marg.min()), float(marg.max())
-        coeffs = _forward(marg, s, k)
-        del marg    # no marginal is held across the yield
+        ana = _stacked(s)[0]
+        # a marginal of its own is spent once its extremes are read: the first transform buffer
+        own = marg.flags.writeable and ana.dtype == marg.dtype
+        bufs = [marg, np.empty_like(marg)] if own else None
+        coeffs = _axis_passes(marg, ana, k, bufs).reshape((s.order,) * k)
+        del marg, bufs, ana    # no marginal or matrix is held across the yield
         coeffs *= float(n) ** (k - m)
         coeffs[(0,) * k] = 0.0
         for t in tops[:i]:

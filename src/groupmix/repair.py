@@ -29,7 +29,10 @@ from groupmix.fourier import (
     SpaceMismatchError,
     _axis_passes,
     _deviation_slices,
+    _fsum,
     _low_weight_transforms,
+    _min,
+    _split,
     _stacked,
     make_dist,
     max_low_weight_norm,
@@ -72,10 +75,11 @@ def _low_data(p: Dist, k: int, s: IrrepSet):
         if ell is None:
             ell = np.ascontiguousarray(lifted)    # k = m: the one top is the whole tensor
         else:
-            # axis j of a tensor holds its last-but-j coordinate
-            ell += lifted.reshape([n if c in top else 1 for c in reversed(range(m))])
+            # axis j of a tensor holds its last-but-j coordinate; the pool cuts ell along axis 0
+            lifted = lifted.reshape([n if c in top else 1 for c in reversed(range(m))])
+            _split(np.add, ell, ell, lifted)
     ell = ell.reshape(-1)
-    total = float(ell.sum())
+    total = _fsum(ell)
     if abs(total) > _SUM_TOL:
         raise ValueError(f"low-degree part sums to {total}, expected 0")
     return ell, max_low_weight_norm(p, k, s)    # recorded by the walk
@@ -158,13 +162,13 @@ def repair(p: Dist, k: int, s: IrrepSet, mode: str = "adaptive") -> tuple[Dist, 
     # one buffer holds ell, then p' = p - ell, then q
     buf, max_norm = _low_data(p, k, s)
     eps_in = g_size * max_norm
-    np.subtract(p.values, buf, out=buf)
+    _split(np.subtract, buf, p.values, buf)
 
     # -x / (1/|G| - x) falls as x rises, so the least entry sets beta.  Dips
     # within the ingestion clamp are already treated as zero, so only a
     # genuinely negative one forces mixing; this keeps beta exactly 0 on
     # exactly-k-uniform inputs where ell is pure rounding noise
-    low = float(buf.min())
+    low = _min(buf)
     beta_adaptive = -low / (1.0 / g_size - low) if low < -1e-16 else 0.0
     beta_paper = _paper_beta(m, n, k, eps_in)
     beta = beta_paper if mode == "paper-formula" else beta_adaptive
@@ -175,12 +179,12 @@ def repair(p: Dist, k: int, s: IrrepSet, mode: str = "adaptive") -> tuple[Dist, 
             eps_in,
         )
 
-    buf *= 1.0 - beta
-    buf += beta / g_size
+    _split(np.multiply, buf, buf, 1.0 - beta)
+    _split(np.add, buf, buf, beta / g_size)
     # the certificate reports q before the ingestion clamp, which runs in place
-    q_min, q_sum = float(buf.min()), float(buf.sum())
+    q_min, q_sum = _min(buf), float(buf.sum())
     if NEG_CLAMP <= q_min < 0.0:
-        np.maximum(buf, 0.0, out=buf)
+        _split(np.maximum, buf, buf, 0.0)
     q = make_dist(p.space, buf)
     cert = _certify(p, q, (q_min, q_sum), k, s, eps_in, mode, beta, beta_adaptive)
     if mode == "paper-formula" and not cert.l1_within_bound:
@@ -198,15 +202,15 @@ def verify_repair(p: Dist, q: Dist, k: int, s: IrrepSet) -> RepairCertificate:
     if not same_space(p.space, q.space):
         raise SpaceMismatchError("repair check across different spaces")
     eps_in = float(p.size) * max_low_weight_norm(p, k, s)
-    q_stats = float(q.values.min()), float(q.values.sum())
+    q_stats = _min(q.values), float(q.values.sum())
     return _certify(p, q, q_stats, k, s, eps_in, "verify", None, None)
 
 
 def _certify(p, q, q_stats, k, s, eps_in, mode, beta, beta_adaptive) -> RepairCertificate:
     """The certificate of q against p; q_stats is (min, sum) of q before the ingestion clamp."""
     beta_paper = _paper_beta(p.space.arity, p.space.base.order, k, eps_in)
-    dev = _deviation_slices(p.values, q.values)
-    l1_distance = math.fsum(float(np.abs(d, out=d).sum()) for d in dev)
+    l1_distance = math.fsum(_deviation_slices(p.values, q.values,
+                                              lambda d: float(np.abs(d, out=d).sum())))
     return RepairCertificate(
         k=k,
         eps_in=eps_in,

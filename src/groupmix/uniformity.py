@@ -10,13 +10,15 @@ spaces make sampling unnecessary.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from groupmix.fourier import Dist, _memo, _remember, marginalize, max_low_weight_norm
+from groupmix.fourier import (Dist, _each_marginal, _k_subsets, _marginal_values, _memo, _remember,
+                              make_dist, max_low_weight_norm)
+from groupmix.groups import ProductGroup
 from groupmix.irreps import IrrepSet
 
 FOURIER_UNIFORMITY_TOL = 1e-10
@@ -39,11 +41,8 @@ def eps_uniform(p: Dist) -> float:
     return _eps(float(p.values.min()), float(p.values.max()), p.size)
 
 
-def _worst_subset(m: int, k: int, dev) -> UniformityReport:
-    """The largest dev(subset) over the k-subsets of range(m), at the first subset reaching it."""
-    if not 1 <= k <= m:
-        raise ValueError(f"k must lie in [1, {m}], got {k}")
-    table = {c: dev(c) for c in itertools.combinations(range(m), k)}
+def _worst_subset(table: dict) -> UniformityReport:
+    """The largest value of a {subset: dev} table, at the first subset reaching it."""
     arg = max(table, key=table.__getitem__)
     return UniformityReport(table[arg], arg, table)
 
@@ -51,41 +50,43 @@ def _worst_subset(m: int, k: int, dev) -> UniformityReport:
 def eps_k_uniform(p: Dist, k: int) -> UniformityReport:
     """Worst eps_uniform over all k-coordinate marginals, read off each marginal's least and
     largest value: from p's memo (`fourier._memo`) when a walk over its k-marginals completed,
-    else from one pass over the validated marginals, which fills the memo."""
+    else from one pass over the marginals, summed on the pool and validated by make_dist here,
+    which fills the memo."""
+    tops = _k_subsets(p.space.arity, k)
     known = _memo(p, k).get("extremes")
     if known is not None:
         size = p.space.base.order ** k
-        return _worst_subset(p.space.arity, k, lambda subset: _eps(*known[subset], size))
-    found = {}
-
-    def dev(subset):
-        marg = marginalize(p, subset)    # make_dist validates each marginal
+        return _worst_subset({subset: _eps(*known[subset], size) for subset in tops})
+    found, table, space = {}, {}, ProductGroup(p.space.base, k)
+    job = functools.partial(_marginal_values, p.values, p.space)
+    for subset, values in _each_marginal(job, tops, p.size):
+        marg = make_dist(space, values)
         found[subset] = float(marg.values.min()), float(marg.values.max())
-        return eps_uniform(marg)
-
-    report = _worst_subset(p.space.arity, k, dev)
+        table[subset] = eps_uniform(marg)
     _remember(p, k, "extremes", found)
-    return report
+    return _worst_subset(table)
 
 
 def eps_k_uniform_counts(counts: np.ndarray, n: int, m: int, k: int) -> UniformityReport:
     """Exact-rational eps_k for an integer-count vector over H^m.
 
     Used where the distribution is a normalized counting measure, so exact
-    zero can be certified without floating point.
+    zero can be certified without floating point.  Each marginal's sum and extremes run in
+    one job on the pool.
     """
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
     arr = counts.reshape((n,) * m, order="F")
 
-    def dev(subset):
+    def extremes(subset):
         other = tuple(i for i in range(m) if i not in subset)
         marg = arr.sum(axis=other) if other else arr    # arr.sum(axis=()) would copy arr
-        cells = n ** len(subset)
-        return max(abs(Fraction(int(marg.max()) * cells, total) - 1),
-                   abs(Fraction(int(marg.min()) * cells, total) - 1))
+        return int(marg.min()), int(marg.max())
 
-    return _worst_subset(m, k, dev)
+    cells = n**k
+    return _worst_subset({
+        subset: max(abs(Fraction(high * cells, total) - 1), abs(Fraction(low * cells, total) - 1))
+        for subset, (low, high) in _each_marginal(extremes, _k_subsets(m, k), counts.size)})
 
 
 def is_k_uniform_fourier(

@@ -22,6 +22,11 @@ def c12():
 
 
 @pytest.fixture(scope="session")
+def c30():
+    return groups.build_group(groups.cyclic(30))
+
+
+@pytest.fixture(scope="session")
 def a5():
     return groups.build_group(groups.alt5())
 

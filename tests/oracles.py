@@ -3,9 +3,10 @@
 Everything here is deliberately written from first principles (brute-force
 enumeration, the class-algebra character method, direct definition sums) and
 shares no code path with groupmix itself.  The one exception is the last
-section, which reads groupmix types: the point-mass Dist, and reference dict
-forms of groupmix's dense coefficient tensors, which read blocks out of those
-tensors by their documented slot layout.
+section, which reads groupmix types: the point-mass Dist, the marginal Dist
+through groupmix's own marginal sum, and reference dict forms of groupmix's
+dense coefficient tensors, which read blocks out of those tensors by their
+documented slot layout.
 """
 
 from __future__ import annotations
@@ -380,7 +381,7 @@ def exact_marginal_fraction_dev(counts_vec, n: int, m: int, subset) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# groupmix types: the point mass, and coefficient blocks as a dict of matrices
+# groupmix types: the point mass, a marginal, and coefficient blocks as a dict of matrices
 
 
 def point_mass(space, index: int = 0):
@@ -390,6 +391,17 @@ def point_mass(space, index: int = 0):
     v = np.zeros(space.size)
     v[index] = 1.0
     return fx.make_dist(space, v)
+
+
+def marginalize(p, coords):
+    """The Dist of p's coordinate-sum marginal onto the listed coordinates, in order: the
+    marginal sum that groupmix's k-subset scans run, validated by make_dist."""
+    from groupmix import fourier as fx
+    from groupmix.groups import ProductGroup
+
+    coords = tuple(int(c) for c in coords)
+    out_space = ProductGroup(p.space.base, len(coords))
+    return fx.make_dist(out_space, fx._marginal_values(p.values, p.space, coords))
 
 
 def frobenius_norm_sq(m) -> float:

@@ -16,10 +16,11 @@ import pytest
 import groupmix
 from groupmix import fourier as fx
 from groupmix import nof
+from groupmix.boost import boost_pipeline, flatten_bound_check
 from groupmix.groups import ProductGroup
-from groupmix.irreps import get_irreps
+from groupmix.irreps import get_irreps, quasirandomness_degree
 from groupmix.repair import repair, verify_repair
-from groupmix.uniformity import eps_k_uniform
+from groupmix.uniformity import eps_k_uniform, report_to_text
 
 SEED = 2024
 
@@ -67,6 +68,25 @@ def _repair_report(g, s):
     return text.encode() + repr(eps_k_uniform(q, 3).eps).encode() + q.values.tobytes()
 
 
+def _boost_log(g, s):
+    # `experiment boost --m 4 --k 3 --mode self-square --max-steps 1 --target-eps 10`
+    box = nof.box_to_dist(nof.exact_s(g, 2))
+    return boost_pipeline(box, "self-square", 1, 10.0, s, k=3)[1].to_csv().encode()
+
+
+def _box_report(g, s):
+    report = nof.verify_s_uniformity(g, 2)
+    fields = (report.is_3_uniform, report.four_wise_deviation, report.identity_rate)
+    return repr(fields).encode() + report.box.values.tobytes()
+
+
+def _flatten(g, s):
+    # the record and the eps_3 table of `experiment flatten --m 4 --k 3`
+    box = nof.box_to_dist(nof.exact_s(g, 2))
+    record = flatten_bound_check(box, 3, quasirandomness_degree(s), s)
+    return (repr(record) + report_to_text(eps_k_uniform(box, 3))).encode()
+
+
 def _two_operands(g, s, m):
     space = ProductGroup(g, m)
     return fx.convolve_fourier(_random_dist(space, SEED), _random_dist(space, SEED + 1),
@@ -89,6 +109,9 @@ CASES = {
     "sl2_3^4 box * box": ("sl2_3", _box_square),
     "a5^4 advantage curve": ("a5", _curve),
     "a5^4 repair report": ("a5", _repair_report),
+    "a5^4 self-square boost log": ("a5", _boost_log),
+    "a5 box uniformity report": ("a5", _box_report),
+    "a5^4 flatten record": ("a5", _flatten),
     "a5^3 p * q": ("a5", functools.partial(_two_operands, m=3)),
     "a5^2 p * q": ("a5", functools.partial(_two_operands, m=2)),
     "a5^2 live synthesis": ("a5", functools.partial(_live_synthesis, m=2)),
@@ -130,13 +153,15 @@ def test_worker_count_check_at_both_blas_settings(blas):
 
 def test_more_workers_than_cores_switching_often(pool, a5):
     """Five workers on the usable CPUs, the interpreter switching threads every microsecond:
-    the box square and its table of 3-marginal deviations keep the bits of one worker."""
+    the box square, its table of 3-marginal deviations and the repair report keep the bits of
+    one worker.  Each run walks a new Dist, since a walked one answers from its memo."""
     s = get_irreps(a5, seed=SEED)
     box = nof.box_to_dist(nof.exact_s(a5, 2))
 
     def run():
+        fresh = fx.Dist(box.space, box.values)
         return (fx.convolve_fourier(box, box, s).values.tobytes(),
-                eps_k_uniform(box, 3).per_subset)
+                eps_k_uniform(fresh, 3).per_subset, _repair_report(a5, s))
 
     pool(1)
     want = run()
@@ -166,11 +191,20 @@ def test_every_job_ends_before_an_error_is_raised(pool):
     assert ended == [True]
 
 
+def test_a_job_that_calls_run_raises_in_the_caller(pool):
+    # waiting on the pool from one of its own jobs could leave no worker free: it fails loudly
+    pool(2)
+    inner = functools.partial(fx._run, [int, int], 1)
+    with pytest.raises(RuntimeError, match="own pool"):
+        fx._run([inner, int], 1)
+    assert fx._run([int, int], 1) == [0, 0]    # the caller's pool still runs
+
+
 def test_errors_in_pooled_jobs_reach_the_caller(pool, a5, monkeypatch):
     pool(2)
     s = get_irreps(a5, seed=SEED)
     space = ProductGroup(a5, 3)
-    # a NaN value: its marginal fails make_dist in the k-subset scan, which runs serially
+    # a NaN value: its marginal, summed in a pooled job, fails make_dist in the caller
     values = _random_dist(space, SEED).values.copy()
     values[7] = np.nan
     with pytest.raises(ValueError, match="nan"):
