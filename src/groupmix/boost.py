@@ -122,7 +122,8 @@ def flatten_bound_check(p: Dist, k: int, d: int, s: IrrepSet) -> FlattenRecord:
 def _measure(p: Dist, step: int, mode: str, k: int | None, track_tv: bool,
              secs: float) -> StepRecord:
     """One step's record in one pass over `_deviation_slices` of p - u: |dev| in place for linf
-    (= eps_uniform) and tv, then its square for l2, slice sums added with math.fsum; eps_k first."""
+    (max |p(x)|G| - 1|, NaN if any value is) and tv, then its square for l2, slice sums added
+    with math.fsum; eps_k first."""
     eps_k = None if k is None else eps_k_uniform(p, k).eps
 
     def sums(dev):
@@ -130,7 +131,7 @@ def _measure(p: Dist, step: int, mode: str, k: int | None, track_tv: bool,
         return float(dev.max()), float(dev.sum()), float(np.square(dev, out=dev).sum())
 
     top, tv, l2 = zip(*_deviation_slices(p.values, 1.0 / p.size, sums))
-    return StepRecord(step, mode, math.fsum(l2), p.size * max((0.0,) + top), eps_k,
+    return StepRecord(step, mode, math.fsum(l2), p.size * float(np.max(top)), eps_k,
                       0.5 * math.fsum(tv) if track_tv else None, secs)
 
 
@@ -142,7 +143,7 @@ def boost_pipeline(
     s: IrrepSet,
     k: int | None = None,
 ) -> tuple[Dist, ExperimentLog]:
-    """Iterated convolution until eps_uniform reaches target_eps; s is the base group's irreps.
+    """Iterated convolution until linf_rel reaches target_eps; s is the base group's irreps.
 
     self-square convolves the current iterate with itself (2^t copies after t steps);
     fresh-copy convolves with the original each step (t+1 copies), transformed once.

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from groupmix.groups import GroupTable, Space, check_dense_budget, same_space
+from groupmix.groups import GroupTable, ProductGroup, Space, check_dense_budget, same_space
 from groupmix.irreps import IrrepSet
 
 DIST_SUM_TOL = 1e-9
@@ -86,6 +86,11 @@ class Dist:
 
 def make_dist(space: Space, values) -> Dist:
     """Validate and ingest a probability vector (tiny negatives clamp to 0)."""
+    return Dist(space, _checked(space, values))
+
+
+def _checked(space: Space, values) -> np.ndarray:
+    """values as float64, validated and clamped as `make_dist` does, not made read-only."""
     check_dense_budget(space)
     v = np.asarray(values, dtype=np.float64)
     n = space.size
@@ -100,7 +105,7 @@ def make_dist(space: Space, values) -> Dist:
     # negated so that NaN fails too; -inf fails the clamp check, +inf the sum
     if not abs(total - 1.0) <= DIST_SUM_TOL:
         raise ValueError(f"probabilities sum to {total}, not 1 within {DIST_SUM_TOL}")
-    return Dist(space, v)
+    return v
 
 
 def uniform(space: Space) -> Dist:
@@ -685,7 +690,7 @@ def convolve(p: Dist | FourierData, q: Dist | FourierData,
 # marginal's (least, largest) value, and id(s) to (s, the largest low-weight block norm in irrep
 # set s); s is held so that its id is not reused, and another basis rounds differently.  That is
 # O(C(m, k)) numbers: no marginal outlives its walk.  Dist is frozen and its values read-only, so
-# an entry has the bits a new walk would give.
+# an entry has the bits a new walk would give.  Only this section reads or writes the memo.
 
 
 def _memo(p: Dist, k: int) -> dict:
@@ -697,14 +702,14 @@ def _remember(p: Dist, k: int, key, value):
     vars(p).setdefault("_k_memo", {}).setdefault(k, {})[key] = value
 
 
-def _marginal_values(values: np.ndarray, pg: Space, coords: tuple[int, ...]) -> np.ndarray:
-    m = pg.arity
+def _marginal_values(values: np.ndarray, n: int, m: int, coords: tuple[int, ...]) -> np.ndarray:
+    """The sums of values, a flat array over H^m with |H| = n, onto the listed coordinates, in
+    order: the one marginal sum, of floats or of integer counts."""
     if len(set(coords)) != len(coords) or not all(0 <= c < m for c in coords):
         raise ValueError(f"bad coordinate subset {coords} for arity {m}")
-    n = pg.base.order
     arr = values.reshape((n,) * m, order="F")
     other = tuple(i for i in range(m) if i not in coords)
-    marg = arr.sum(axis=other) if other else arr
+    marg = arr.sum(axis=other) if other else arr    # arr.sum(axis=()) would copy arr
     kept_sorted = sorted(coords)
     marg = marg.transpose([kept_sorted.index(c) for c in coords])
     return np.ravel(marg, order="F")
@@ -716,15 +721,39 @@ def _k_subsets(m: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(m), k))
 
 
-def _each_marginal(job, tops: list, size: int):
-    """Yield (top, job(top)) for every top in order, job summing one marginal of a |G| = `size`
-    array whole: the jobs run `_pieces(size)` at a time on the pool, so at most one marginal
-    per worker is computed or waiting between yields."""
-    step = _pieces(size)
+def _each_marginal(values: np.ndarray, n: int, m: int, tops: list):
+    """Yield (top, `_marginal_values`(values, n, m, top)) for every top in order, each marginal
+    summed whole in one job: the jobs run `_pieces(values.size)` at a time on the pool, so at
+    most one marginal per worker is computed or waiting between yields."""
+    step = _pieces(values.size)
     for i in range(0, len(tops), step):
-        done = _run([functools.partial(job, top) for top in tops[i:i + step]], size)[::-1]
+        done = _run([functools.partial(_marginal_values, values, n, m, top)
+                     for top in tops[i:i + step]], values.size)[::-1]
         for top in tops[i:i + step]:
             yield top, done.pop()
+
+
+def _marginals(p: Dist, k: int):
+    """Yield (top, marginal) for every k-subset `top` of p's coordinates, in
+    `itertools.combinations` order, each marginal checked as `make_dist` checks it but left
+    writable.  A walk the caller finishes records every marginal's extremes in p's memo: this
+    is the only walk that does, so every recorded value has been checked."""
+    tops = _k_subsets(p.space.arity, k)    # before H^k is built: a bad k names the range
+    space, extremes = ProductGroup(p.space.base, k), {}
+    for top, values in _each_marginal(p.values, p.space.base.order, p.space.arity, tops):
+        values = [_checked(space, values)]    # popped by the yield: none is held across it
+        extremes[top] = float(values[0].min()), float(values[0].max())
+        yield top, values.pop()
+    _remember(p, k, "extremes", extremes)
+
+
+def _extremes(p: Dist, k: int) -> dict:
+    """{top: (least, largest) value of p's marginal onto top} for every k-subset top, in
+    `itertools.combinations` order: from p's memo when a walk recorded them, else from one."""
+    if "extremes" not in _memo(p, k):
+        for _ in _marginals(p, k):
+            pass
+    return _memo(p, k)["extremes"]
 
 
 def _low_weight_transforms(p: Dist, k: int, s: IrrepSet):
@@ -736,19 +765,15 @@ def _low_weight_transforms(p: Dist, k: int, s: IrrepSet):
     per top holds every weight-1..k coefficient.  Each is kept only in the
     first top that holds its support: the all-trivial entry is zeroed, and for
     every earlier top t the sub-block with slot 0 (the trivial irrep) on the
-    coordinates of top outside t.  A walk the caller finishes records the
-    marginals' extremes and the largest block norm in p's memo; the norms are
-    read before each yield, since the caller may spend the tensor.  The marginal sums run on
-    the pool (`_each_marginal`), the transforms in the caller.
+    coordinates of top outside t.  The marginals come from `_marginals`; a walk the caller
+    finishes also records the largest block norm in p's memo, NaN if any is.  The norms are
+    read before each yield, since the caller may spend the tensor.
     """
     _check_base(s, p.space)
     m = p.space.arity
-    tops = _k_subsets(m, k)
     n = p.space.base.order
-    extremes, worst = {}, 0.0
-    marginals = _each_marginal(functools.partial(_marginal_values, p.values, p.space), tops, p.size)
-    for i, (top, marg) in enumerate(marginals):
-        extremes[top] = float(marg.min()), float(marg.max())
+    tops, norms = [], []
+    for top, marg in _marginals(p, k):
         ana = _stacked(s)[0]
         # a marginal of its own is spent once its extremes are read: the first transform buffer
         own = marg.flags.writeable and ana.dtype == marg.dtype
@@ -757,13 +782,13 @@ def _low_weight_transforms(p: Dist, k: int, s: IrrepSet):
         del marg, bufs, ana    # no marginal or matrix is held across the yield
         coeffs *= float(n) ** (k - m)
         coeffs[(0,) * k] = 0.0
-        for t in tops[:i]:
+        for t in tops:
             # axis j of the tensor holds coordinate top[k-1-j]
             coeffs[tuple(slice(None) if c in t else 0 for c in reversed(top))] = 0.0
-        worst = max(worst, float(np.sqrt(_block_norms_sq(coeffs, s).max())))
+        tops.append(top)
+        norms.append(float(np.sqrt(_block_norms_sq(coeffs, s).max())))
         yield top, coeffs
-    _remember(p, k, "extremes", extremes)
-    _remember(p, k, id(s), (s, worst))
+    _remember(p, k, id(s), (s, float(np.max(norms))))
 
 
 def max_low_weight_norm(p: Dist, k: int, s: IrrepSet) -> float:

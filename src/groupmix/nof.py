@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from groupmix.boost import ExperimentLog, _measure
-from groupmix.fourier import (BoundViolation, Dist, _pruned_forward, convolve, dist_from_fourier,
-                              make_dist)
+from groupmix.fourier import (BoundViolation, Dist, _each_marginal, _pruned_forward, convolve,
+                              dist_from_fourier, make_dist)
 from groupmix.groups import GroupTable, ProductGroup, check_dense_budget
 from groupmix.irreps import IrrepSet
 from groupmix.uniformity import eps_k_uniform_counts
@@ -120,8 +120,7 @@ def verify_s_uniformity(h: GroupTable, parties: int) -> BoxUniformityReport:
     n, m = h.order, b.arity
     rep3 = eps_k_uniform_counts(b.counts, n, m, 3)
     rep4 = eps_k_uniform_counts(b.counts, n, m, 4)
-    # on H^4 the counts are the marginal: a sum over no further axis would copy |H|^4 entries
-    marg = b.counts if m == 4 else b.counts.reshape((n**4, -1), order="F").sum(axis=1)
+    [(_, marg)] = _each_marginal(b.counts, n, m, [(0, 1, 2, 3)])
     return BoxUniformityReport(
         is_3_uniform=rep3.eps == 0,
         four_wise_deviation=rep4.eps,
@@ -141,7 +140,7 @@ def advantage_curve(
     s_dist is transformed once with the base irreps (`_pruned_forward`): a step is one
     coefficient product and one inverse (`dist_from_fourier`), measured in slices, so it holds
     s_dist, its coefficients, the product and the values.  tv_dist is the statistical distance
-    to uniform; a rise in t raises BoundViolation.  Stops once eps_uniform reaches target_eps.
+    to uniform; a rise in t raises BoundViolation.  Stops once linf_rel reaches target_eps.
     seconds times a step t >= 2 from before the product to after the inverse; t = 1 is 0.
     """
     log = ExperimentLog()

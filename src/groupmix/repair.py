@@ -50,12 +50,13 @@ class RepairInfeasibleError(ValueError):
         self.eps_in = eps_in
 
 
-def _low_data(p: Dist, k: int, s: IrrepSet):
-    """(ell, max low-weight coefficient norm), ell real and full size.
+def low_part(p: Dist, k: int, s: IrrepSet) -> np.ndarray:
+    """The low-degree part ell of p, real, zero-sum and full size.
 
     ell sums one |H|^k inverse per top k-subset, broadcast to all m axes.  A
     top's mask depends only on which coordinates are trivial, a pattern that
-    conjugation keeps, so each inverse is real up to rounding.
+    conjugation keeps, so each inverse is real up to rounding.  The walk records p's largest
+    low-weight block norm (`max_low_weight_norm`).
     """
     m = p.space.arity
     n = p.space.base.order
@@ -82,12 +83,7 @@ def _low_data(p: Dist, k: int, s: IrrepSet):
     total = _fsum(ell)
     if abs(total) > _SUM_TOL:
         raise ValueError(f"low-degree part sums to {total}, expected 0")
-    return ell, max_low_weight_norm(p, k, s)    # recorded by the walk
-
-
-def low_part(p: Dist, k: int, s: IrrepSet) -> np.ndarray:
-    """The low-degree part of p: real, zero-sum, one |H|^k inverse per top k-subset."""
-    return _low_data(p, k, s)[0]
+    return ell
 
 
 @dataclass(frozen=True)
@@ -160,8 +156,8 @@ def repair(p: Dist, k: int, s: IrrepSet, mode: str = "adaptive") -> tuple[Dist, 
     g_size = float(p.size)
 
     # one buffer holds ell, then p' = p - ell, then q
-    buf, max_norm = _low_data(p, k, s)
-    eps_in = g_size * max_norm
+    buf = low_part(p, k, s)
+    eps_in = g_size * max_low_weight_norm(p, k, s)    # recorded by the walk
     _split(np.subtract, buf, p.values, buf)
 
     # -x / (1/|G| - x) falls as x rises, so the least entry sets beta.  Dips

@@ -22,7 +22,9 @@ import numpy as np
 from groupmix.boost import l2_sq_dist_to_uniform
 from groupmix.fourier import BoundViolation, Dist, convolve, dist_fourier
 from groupmix.irreps import IrrepSet
-from groupmix.uniformity import eps_k_uniform, eps_uniform
+from groupmix.uniformity import eps_k_uniform
+
+from oracles import eps_uniform
 
 
 def numerical_floor(size: int) -> float:

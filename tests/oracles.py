@@ -4,9 +4,9 @@ Everything here is deliberately written from first principles (brute-force
 enumeration, the class-algebra character method, direct definition sums) and
 shares no code path with groupmix itself.  The one exception is the last
 section, which reads groupmix types: the point-mass Dist, the marginal Dist
-through groupmix's own marginal sum, and reference dict forms of groupmix's
-dense coefficient tensors, which read blocks out of those tensors by their
-documented slot layout.
+through groupmix's own marginal sum, a Dist's eps, and reference dict forms
+of groupmix's dense coefficient tensors, which read blocks out of those
+tensors by their documented slot layout.
 """
 
 from __future__ import annotations
@@ -381,7 +381,7 @@ def exact_marginal_fraction_dev(counts_vec, n: int, m: int, subset) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# groupmix types: the point mass, a marginal, and coefficient blocks as a dict of matrices
+# groupmix types: the point mass, a marginal, eps, and coefficient blocks as a dict of matrices
 
 
 def point_mass(space, index: int = 0):
@@ -401,7 +401,15 @@ def marginalize(p, coords):
 
     coords = tuple(int(c) for c in coords)
     out_space = ProductGroup(p.space.base, len(coords))
-    return fx.make_dist(out_space, fx._marginal_values(p.values, p.space, coords))
+    values = fx._marginal_values(p.values, p.space.base.order, p.space.arity, coords)
+    return fx.make_dist(out_space, values)
+
+
+def eps_uniform(p) -> float:
+    """max_x |p(x)*|S| - 1| over p's space, read off the least and largest p(x): the rounded
+    p(x)*|S| - 1 is monotone in p(x)."""
+    low, high = float(p.values.min()), float(p.values.max())
+    return max(abs(low * p.size - 1.0), abs(high * p.size - 1.0))
 
 
 def frobenius_norm_sq(m) -> float:

@@ -18,7 +18,6 @@ from groupmix.boost import (
 )
 from groupmix.groups import ProductGroup
 from groupmix.irreps import get_irreps, quasirandomness_degree
-from groupmix.uniformity import eps_uniform
 
 import oracles
 from bounds import l2_to_linf_check, numerical_floor, square_boost_check
@@ -110,7 +109,7 @@ def test_measure_matches_separate_metrics(a5, sl2_3):
     for p in cases:
         rec = boost._measure(p, 0, "self-square", None, True, 0.0)
         assert rec.l2_sq == pytest.approx(l2_sq_dist_to_uniform(p), rel=1e-12, abs=0)
-        assert rec.linf_rel == pytest.approx(eps_uniform(p), rel=1e-12, abs=0)
+        assert rec.linf_rel == pytest.approx(oracles.eps_uniform(p), rel=1e-12, abs=0)
         # tv adds the pairwise sums of |p - u| over slices of 2^16 entries with fsum
         dev = np.abs(p.values - 1.0 / p.size)
         slices = range(0, p.size, 2**16)
@@ -254,6 +253,17 @@ def test_pipeline_uniform_stops_immediately(a5, irreps_cache):
     pg = ProductGroup(a5, 2)
     final, log = boost_pipeline(fx.uniform(pg), "self-square", 10, 1e-6, irreps_cache(a5))
     assert len(log.records) == 1 and log.records[0].step == 0
+
+
+def test_pipeline_logs_a_nan_value_as_nan():
+    # one NaN value, in a Dist built directly: linf_rel reads NaN, as l2_sq does, not 0.0
+    g = groups.build_group(groups.sl2(2))
+    space = ProductGroup(g, 3)
+    v = np.full(space.size, 1.0 / space.size)
+    v[5] = np.nan
+    log = boost_pipeline(fx.Dist(space, v), "self-square", 3, 1e-3, get_irreps(g, seed=SEED))[1]
+    assert len(log.records) == 1
+    assert math.isnan(log.records[0].linf_rel) and math.isnan(log.records[0].l2_sq)
 
 
 def test_pipeline_fresh_copy_matches_direct_convolution(sl2_3, irreps_cache):

@@ -209,6 +209,9 @@ def test_errors_in_pooled_jobs_reach_the_caller(pool, a5, monkeypatch):
     values[7] = np.nan
     with pytest.raises(ValueError, match="nan"):
         eps_k_uniform(fx.Dist(space, values), 2)
+    # the low-weight walk checks its marginals as the scan does
+    with pytest.raises(ValueError, match="nan"):
+        fx.max_low_weight_norm(fx.Dist(space, values), 2, s)
     # a NaN block, synthesized on the pool, fails make_dist in the caller
     dense = fx.dist_fourier(_random_dist(space, SEED), s).dense.copy()
     dense[1, 2, 3] = np.nan

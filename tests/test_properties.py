@@ -14,7 +14,7 @@ from groupmix import groups
 from groupmix.boost import l2_sq_dist_to_uniform
 from groupmix.groups import ProductGroup, flat_to_tuple, tuple_to_flat
 from groupmix.irreps import get_irreps
-from groupmix.uniformity import eps_k_uniform, eps_uniform
+from groupmix.uniformity import eps_k_uniform
 
 import oracles
 
@@ -100,7 +100,7 @@ def test_eps_uniform_submultiplicative_under_convolution(w1, w2):
     g = small_group(6)
     p, q = weights_to_dist(g, w1), weights_to_dist(g, w2)
     conv = fx.convolve_direct(p, q)
-    assert eps_uniform(conv) <= eps_uniform(p) * eps_uniform(q) + 1e-12
+    assert oracles.eps_uniform(conv) <= oracles.eps_uniform(p) * oracles.eps_uniform(q) + 1e-12
 
 
 @given(dist_weights)

@@ -13,12 +13,11 @@ from groupmix.groups import ProductGroup
 from groupmix.irreps import get_irreps
 from groupmix.repair import (
     RepairInfeasibleError,
-    _low_data,
     low_part,
     repair,
     verify_repair,
 )
-from groupmix.uniformity import eps_k_uniform, is_k_uniform_fourier
+from groupmix.uniformity import eps_k_uniform, eps_k_uniform_counts, is_k_uniform_fourier
 
 import oracles
 
@@ -155,6 +154,17 @@ def count_marginal_sums(monkeypatch) -> list[int]:
     return calls
 
 
+def test_integer_scans_sum_marginals_in_one_place(sl2_3, monkeypatch):
+    # the box's exact scans and its identity-rate marginal all run `fourier._marginal_values`:
+    # C(4, 3) 3-marginals, one 4-marginal for k = 4 and one for the rate
+    calls = count_marginal_sums(monkeypatch)
+    nof.verify_s_uniformity(sl2_3, 2)
+    assert calls[0] == math.comb(4, 3) + 1 + 1
+    calls[0] = 0
+    eps_k_uniform_counts(nof.exact_s(sl2_3, 2).counts, sl2_3.order, 4, 2)
+    assert calls[0] == math.comb(4, 2)
+
+
 def bits(record) -> list[str]:
     # repr is exact for floats and tells -0.0 from 0.0, which == does not
     return [repr(getattr(record, f.name)) for f in dataclasses.fields(record)]
@@ -281,7 +291,7 @@ def test_sliced_certificate_peak_memory(request, case, repair_budget, verify_bud
 
 @pytest.mark.parametrize("group, budget", [("a5", 2.05), ("sl2_3", 5.15)])
 def test_low_data_at_k_equal_m_peak_memory(request, group, budget):
-    """Traced peak of `_low_data` at k = m = 3 in real arrays of |G| doubles, the input
+    """Traced peak of `low_part` at k = m = 3 in real arrays of |G| doubles, the input
     excluded, the least of two calls.  The one top's inverse runs in the forward's coefficient
     tensor and one more buffer, both complex on SL(2,3), which then takes ell's real copy.
     Measured 2.035 and 5.114-5.119 (3.019 and 6.116 with two fresh buffers for the inverse)."""
@@ -292,7 +302,7 @@ def test_low_data_at_k_equal_m_peak_memory(request, group, budget):
     for _ in range(2):
         tracemalloc.start()
         try:
-            _low_data(p, 3, s)
+            low_part(p, 3, s)
             peaks.append(tracemalloc.get_traced_memory()[1] / (p.size * 8))
         finally:
             tracemalloc.stop()

@@ -9,10 +9,10 @@ from groupmix import fourier as fx
 from groupmix import groups, nof
 from groupmix.groups import ProductGroup
 from groupmix.irreps import get_irreps
+from groupmix.repair import low_part
 from groupmix.uniformity import (
     eps_k_uniform,
     eps_k_uniform_counts,
-    eps_uniform,
     is_k_uniform_fourier,
     report_to_text,
 )
@@ -34,12 +34,12 @@ def c3_irr(c3):
 
 
 def test_eps_uniform_of_uniform(a5):
-    assert eps_uniform(fx.uniform(a5)) == 0.0
+    assert oracles.eps_uniform(fx.uniform(a5)) == 0.0
 
 
 def test_eps_uniform_of_point_mass(a5, c6):
     for g in (a5, c6):
-        assert abs(eps_uniform(oracles.point_mass(g, 0)) - (g.order - 1)) < 1e-12
+        assert abs(oracles.eps_uniform(oracles.point_mass(g, 0)) - (g.order - 1)) < 1e-12
 
 
 def test_eps_uniform_of_mixture(a5):
@@ -48,8 +48,8 @@ def test_eps_uniform_of_mixture(a5):
         v = (1 - t) * np.full(60, 1 / 60) + t * np.eye(60)[0]
         p = fx.make_dist(a5, v)
         direct = max(abs(float(x) * 60 - 1.0) for x in v)
-        assert abs(eps_uniform(p) - t * 59) < 1e-12
-        assert eps_uniform(p) == direct
+        assert abs(oracles.eps_uniform(p) - t * 59) < 1e-12
+        assert oracles.eps_uniform(p) == direct
 
 
 def test_eps_k_uniform_of_uniform(a5):
@@ -107,6 +107,32 @@ def test_k_outside_one_to_m_records_nothing(sl2_3, irreps_cache, k):
             fx.max_low_weight_norm(p, k, s)
         assert {j: dict(entry) for j, entry in vars(p).get("_k_memo", {}).items()} == before
     assert set(before) == {1, 2}
+
+
+def _with_nan(g) -> fx.Dist:
+    """A Dist over g^3 with one NaN value, built directly: no ingestion check has seen it."""
+    space = ProductGroup(g, 3)
+    v = np.full(space.size, 1.0 / space.size)
+    v[5] = np.nan
+    return fx.Dist(space, v)
+
+
+@pytest.mark.parametrize("reader", ["eps_k_uniform", "max_low_weight_norm", "is_k_uniform_fourier",
+                                    "low_part"])
+def test_every_marginal_reader_rejects_a_nan_value(reader):
+    g = groups.build_group(groups.sl2(2))
+    s = get_irreps(g, seed=SEED)
+    read = {"eps_k_uniform": lambda p: eps_k_uniform(p, 2),
+            "max_low_weight_norm": lambda p: fx.max_low_weight_norm(p, 2, s),
+            "is_k_uniform_fourier": lambda p: is_k_uniform_fourier(p, 2, s),
+            "low_part": lambda p: low_part(p, 2, s)}[reader]
+    p = _with_nan(g)
+    with pytest.raises(ValueError, match="nan"):
+        read(p)
+    # a walk abandoned at the bad marginal records nothing: the scan after it walks and raises
+    assert "_k_memo" not in vars(p)
+    with pytest.raises(ValueError, match="nan"):
+        eps_k_uniform(p, 2)
 
 
 def test_eps_k_reports_the_first_worst_subset():
@@ -232,4 +258,4 @@ def test_eps_product_bound_under_convolution(sl2_5, irreps_cache):
         p = fx.make_dist(sl2_5, (1 - ta) / n + ta * a / a.sum())
         q = fx.make_dist(sl2_5, (1 - tb) / n + tb * b / b.sum())
         conv = fx.convolve_direct(p, q)
-        assert eps_uniform(conv) <= eps_uniform(p) * eps_uniform(q) + 1e-12
+        assert oracles.eps_uniform(conv) <= oracles.eps_uniform(p) * oracles.eps_uniform(q) + 1e-12
