@@ -146,21 +146,26 @@ def boost_pipeline(
     """Iterated convolution until linf_rel reaches target_eps; s is the base group's irreps.
 
     self-square convolves the current iterate with itself (2^t copies after t steps);
-    fresh-copy convolves with the original each step (t+1 copies), transformed once.
+    fresh-copy convolves with the original each step (t+1 copies), transformed once
+    (`_pruned_forward`) and then released, so that a step holds p's coefficients, the product,
+    the values and one chunk of the synthesis stack.  p is freed there only if the caller holds
+    no reference to it either.
     """
     if mode not in ("self-square", "fresh-copy"):
         raise ValueError(f"unknown pipeline mode {mode!r}")
     fresh = mode == "fresh-copy"
-    log = ExperimentLog()
-    current = iterate = factor = p
+    log, space, current, factor = ExperimentLog(), p.space, p, None
+    del p    # current is this frame's one reference to p
     log.add(_measure(current, 0, mode, k, False, 0.0))
     while log.records[-1].linf_rel > target_eps and len(log.records) <= max_steps:
         t0 = time.perf_counter()
-        if fresh and factor is p:
-            iterate = factor = _pruned_forward(p, s)[0]
-        del current  # measured already; an inverse below needs the room
+        if not fresh:
+            iterate = current
+        elif factor is None:
+            iterate = factor = _pruned_forward(current, s)[0]
+        del current  # measured (and in fresh-copy transformed): an inverse below needs the room
         iterate = convolve(iterate, factor if fresh else iterate, s)
-        current = dist_from_fourier(iterate, p.space) if fresh else iterate
+        current = dist_from_fourier(iterate, space) if fresh else iterate
         secs = time.perf_counter() - t0
         log.add(_measure(current, len(log.records), mode, k, False, secs))
     return current, log

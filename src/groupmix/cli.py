@@ -234,9 +234,10 @@ def cmd_experiment_flatten(args) -> int:
 
 def cmd_experiment_boost(args) -> int:
     cfg, g, s = _setup(args)
-    p = _box_input(cfg, g)
     target = cfg.target_eps if cfg.target_eps is not None else float(g.order) ** (-cfg.m)
-    final, log = boost.boost_pipeline(p, cfg.mode, cfg.max_steps, target, s, k=cfg.k)
+    # no name holds the box: fresh-copy frees it after its forward
+    final, log = boost.boost_pipeline(_box_input(cfg, g), cfg.mode, cfg.max_steps, target, s,
+                                      k=cfg.k)
     out = cfg.out or f"boost_{cfg.group.replace(':', '')}_m{cfg.m}.csv"
     log.write_csv(out, include_timing=cfg.timing)
     last = log.records[-1]
@@ -250,9 +251,10 @@ def cmd_experiment_boost(args) -> int:
 
 def cmd_experiment_nof(args) -> int:
     cfg, g, s = _setup(args)
-    report = nof.verify_s_uniformity(g, cfg.parties)
+    report, *box = nof.verify_s_uniformity(g, cfg.parties)
     target = cfg.target_eps if cfg.target_eps is not None else float(g.order) ** (-(2**cfg.parties))
-    log = nof.advantage_curve(report.box, cfg.max_steps, s, target_eps=target)
+    # popped at the call, so that no name holds the box: the curve frees it after its forward
+    log = nof.advantage_curve(box.pop(), cfg.max_steps, s, target_eps=target)
     out = cfg.out or f"nof_{cfg.group.replace(':', '')}_p{cfg.parties}.csv"
     log.write_csv(out, include_timing=cfg.timing)
     reached = [r.step for r in log.records if r.linf_rel <= target]

@@ -209,10 +209,16 @@ def _fsum(a: np.ndarray) -> float:
     return math.fsum(_deviation_slices(a, None, np.sum))
 
 
+def _pooled(func, a: np.ndarray):
+    """func(a) for a non-empty a from func of pieces on the pool: func is np.min or np.max (NaN if
+    any entry is), or np.sum of integers, whose result does not depend on the cut."""
+    return func(_run([functools.partial(func, a[lo:hi]) for lo, hi in _spans(len(a), a.size)],
+                     a.size))
+
+
 def _min(a: np.ndarray) -> float:
     """The least entry of a non-empty a, NaN if any, from pieces on the pool."""
-    return float(np.min(_run([functools.partial(np.min, a[lo:hi])
-                              for lo, hi in _spans(len(a), a.size)], a.size)))
+    return float(_pooled(np.min, a))
 
 
 def _split(func, out: np.ndarray, *args) -> np.ndarray:
@@ -609,11 +615,11 @@ def _synthesize(flat: np.ndarray, s: IrrepSet, m: int, norms: np.ndarray,
     else:
         vals = _axis_passes(flat, syn, m, bufs)
     if np.iscomplexobj(vals):
-        worst_imag = max(float(vals.imag.max()), -float(vals.imag.min()))
+        worst_imag = max(float(_pooled(np.max, vals.imag)), -_min(vals.imag))
         if worst_imag > _REAL_TOL:
             raise ValueError(f"synthesized values have imaginary residual {worst_imag}")
         vals = np.ascontiguousarray(vals.real)
-    if -dip <= float(vals.min()) < 0.0:
+    if -dip <= _min(vals) < 0.0:
         np.copyto(vals, 0.0, where=vals < 0.0)
     return vals
 
@@ -702,14 +708,16 @@ def _remember(p: Dist, k: int, key, value):
     vars(p).setdefault("_k_memo", {}).setdefault(k, {})[key] = value
 
 
-def _marginal_values(values: np.ndarray, n: int, m: int, coords: tuple[int, ...]) -> np.ndarray:
+def _marginal_values(values: np.ndarray, n: int, m: int, coords: tuple[int, ...],
+                     out: np.ndarray | None = None) -> np.ndarray:
     """The sums of values, a flat array over H^m with |H| = n, onto the listed coordinates, in
-    order: the one marginal sum, of floats or of integer counts."""
+    order: the one marginal sum, of floats or of integer counts.  Given out, an F-ordered (n,)*k
+    array of values' dtype (k < m), the sum fills it as it would fill an array of its own."""
     if len(set(coords)) != len(coords) or not all(0 <= c < m for c in coords):
         raise ValueError(f"bad coordinate subset {coords} for arity {m}")
     arr = values.reshape((n,) * m, order="F")
     other = tuple(i for i in range(m) if i not in coords)
-    marg = arr.sum(axis=other) if other else arr    # arr.sum(axis=()) would copy arr
+    marg = arr.sum(axis=other, out=out) if other else arr    # arr.sum(axis=()) would copy arr
     kept_sorted = sorted(coords)
     marg = marg.transpose([kept_sorted.index(c) for c in coords])
     return np.ravel(marg, order="F")
@@ -724,10 +732,13 @@ def _k_subsets(m: int, k: int) -> list[tuple[int, ...]]:
 def _each_marginal(values: np.ndarray, n: int, m: int, tops: list):
     """Yield (top, `_marginal_values`(values, n, m, top)) for every top in order, each marginal
     summed whole in one job: the jobs run `_pieces(values.size)` at a time on the pool, so at
-    most one marginal per worker is computed or waiting between yields."""
+    most one marginal per worker is computed or waiting between yields.  Each sum fills an array
+    allocated here, since a pool thread's malloc arena would keep the pages of its own."""
     step = _pieces(values.size)
     for i in range(0, len(tops), step):
-        done = _run([functools.partial(_marginal_values, values, n, m, top)
+        done = _run([functools.partial(_marginal_values, values, n, m, top,
+                                       np.empty((n,) * len(top), values.dtype, order="F")
+                                       if len(top) < m else None)
                      for top in tops[i:i + step]], values.size)[::-1]
         for top in tops[i:i + step]:
             yield top, done.pop()
@@ -742,7 +753,7 @@ def _marginals(p: Dist, k: int):
     space, extremes = ProductGroup(p.space.base, k), {}
     for top, values in _each_marginal(p.values, p.space.base.order, p.space.arity, tops):
         values = [_checked(space, values)]    # popped by the yield: none is held across it
-        extremes[top] = float(values[0].min()), float(values[0].max())
+        extremes[top] = _min(values[0]), float(_pooled(np.max, values[0]))
         yield top, values.pop()
     _remember(p, k, "extremes", extremes)
 

@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from groupmix.boost import ExperimentLog, _measure
-from groupmix.fourier import (BoundViolation, Dist, _each_marginal, _pruned_forward, convolve,
-                              dist_from_fourier, make_dist)
+from groupmix.fourier import (BoundViolation, Dist, _each_marginal, _pruned_forward, _split,
+                              convolve, dist_from_fourier, make_dist)
 from groupmix.groups import GroupTable, ProductGroup, check_dense_budget
 from groupmix.irreps import IrrepSet
 from groupmix.uniformity import eps_k_uniform_counts
@@ -80,7 +80,7 @@ def exact_s(h: GroupTable, parties: int) -> BoxDist:
         flat += last[:, :, None] * n**j
         flat += last[:, None, :] * n ** (j + half)
     counts = np.bincount(flat.ravel(), minlength=n**m)
-    counts *= n ** (k - 1)
+    _split(np.multiply, counts, counts, n ** (k - 1))
     total = n ** (2 * k)
     if int(counts.sum()) != total:
         raise BoundViolation(f"box counts sum to {int(counts.sum())}, not |H|^(2k) = {total}")
@@ -89,7 +89,7 @@ def exact_s(h: GroupTable, parties: int) -> BoxDist:
 
 def box_to_dist(b: BoxDist) -> Dist:
     """Normalized-doubles export for the fourier/boost pipelines."""
-    return make_dist(b.space, b.counts / float(b.total))
+    return make_dist(b.space, _split(np.divide, np.empty(b.counts.size), b.counts, float(b.total)))
 
 
 def _identity_cells(h: GroupTable) -> np.ndarray:
@@ -107,13 +107,12 @@ class BoxUniformityReport:
     is_3_uniform: bool
     four_wise_deviation: Fraction
     identity_rate: float
-    box: Dist                 # s itself, the input of `advantage_curve`
 
 
-def verify_s_uniformity(h: GroupTable, parties: int) -> BoxUniformityReport:
-    """Exact 3-uniformity, 4-wise deviation and cancellation-identity rate of s, from one count
-    that also gives `box`.  The rate is the mass of the first four coordinates' marginal on
-    `_identity_cells`."""
+def verify_s_uniformity(h: GroupTable, parties: int) -> tuple[BoxUniformityReport, Dist]:
+    """Exact 3-uniformity, 4-wise deviation and cancellation-identity rate of s, and s itself
+    (`box_to_dist`), from one count.  The rate is the mass of the first four coordinates'
+    marginal on `_identity_cells`."""
     if parties < 2:
         raise ValueError("verify_s_uniformity needs parties >= 2 (arity >= 4)")
     b = exact_s(h, parties)
@@ -121,12 +120,12 @@ def verify_s_uniformity(h: GroupTable, parties: int) -> BoxUniformityReport:
     rep3 = eps_k_uniform_counts(b.counts, n, m, 3)
     rep4 = eps_k_uniform_counts(b.counts, n, m, 4)
     [(_, marg)] = _each_marginal(b.counts, n, m, [(0, 1, 2, 3)])
-    return BoxUniformityReport(
+    report = BoxUniformityReport(
         is_3_uniform=rep3.eps == 0,
         four_wise_deviation=rep4.eps,
         identity_rate=int(marg[_identity_cells(h)].sum()) / b.total,
-        box=box_to_dist(b),
     )
+    return report, box_to_dist(b)
 
 
 def advantage_curve(
@@ -137,21 +136,25 @@ def advantage_curve(
 ) -> ExperimentLog:
     """Distance metrics of the t-fold convolution s_dist * ... * s_dist, t = 1..t_max.
 
-    s_dist is transformed once with the base irreps (`_pruned_forward`): a step is one
-    coefficient product and one inverse (`dist_from_fourier`), measured in slices, so it holds
-    s_dist, its coefficients, the product and the values.  tv_dist is the statistical distance
-    to uniform; a rise in t raises BoundViolation.  Stops once linf_rel reaches target_eps.
-    seconds times a step t >= 2 from before the product to after the inverse; t = 1 is 0.
+    s_dist is transformed once with the base irreps (`_pruned_forward`) and then released: a
+    step is one coefficient product and one inverse (`dist_from_fourier`), measured in slices,
+    so it holds the coefficients, the product, the values and one chunk of the synthesis stack.
+    s_dist is freed there only if the caller holds no reference to it either.  tv_dist is the
+    statistical distance to uniform; a rise in t raises BoundViolation.  Stops once linf_rel
+    reaches target_eps.  seconds times a step t >= 2 from before the product to after the
+    inverse; t = 1 is 0.
     """
-    log = ExperimentLog()
+    log, space, point = ExperimentLog(), s_dist.space, s_dist
+    del s_dist    # point is this frame's one reference to s
     for t in range(1, t_max + 1):
         t0 = time.perf_counter()
-        point = s_dist    # drops the last step's values: the next product needs the room
         if t == 2:
-            x = factor = _pruned_forward(s_dist, s_irreps)[0]
+            x = factor = _pruned_forward(point, s_irreps)[0]
         if t > 1:
+            # drops s after its forward, then each step's values: the next product needs the room
+            del point
             x = convolve(x, factor, s_irreps)
-            point = dist_from_fourier(x, s_dist.space)
+            point = dist_from_fourier(x, space)
         secs = time.perf_counter() - t0 if t > 1 else 0.0
         rec = _measure(point, t, "fresh-copy", None, True, secs)
         if log.records:

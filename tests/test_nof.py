@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -83,11 +84,11 @@ def test_exact_three_subset_marginals(sl2_3, a5):
 
 def test_four_wise_deviation_positive(sl2_2, sl2_3):
     for g in (sl2_2, sl2_3):
-        rep = nof.verify_s_uniformity(g, 2)
+        rep, box = nof.verify_s_uniformity(g, 2)
         assert rep.is_3_uniform
         assert rep.four_wise_deviation == Fraction(g.order - 1)
         assert rep.identity_rate == 1.0
-        assert np.array_equal(rep.box.values, nof.box_to_dist(nof.exact_s(g, 2)).values)
+        assert np.array_equal(box.values, nof.box_to_dist(nof.exact_s(g, 2)).values)
 
 
 @pytest.mark.parametrize("group, parties", [("sl2_2", 2), ("c2", 3)])
@@ -105,7 +106,7 @@ def test_identity_rate_is_the_exact_mass_on_the_identity(request, monkeypatch, g
     counts[off[0]] += moved
     counts[i] = 0
     monkeypatch.setattr(nof, "exact_s", lambda h, k: nof.BoxDist(h, k, counts, real.total))
-    rep = nof.verify_s_uniformity(g, parties)
+    rep = nof.verify_s_uniformity(g, parties)[0]
     assert 0 < moved < real.total
     assert rep.identity_rate == (real.total - moved) / real.total
 
@@ -247,7 +248,7 @@ def test_experiment_nof_counts_the_box_once(tmp_path, monkeypatch, capsys):
 def test_advantage_curve_reaches_target_on_alt5_like_group(sl2_2, irreps_cache):
     # S3 is not quasirandom, but the curve still decays toward its floor;
     # early stop works through target_eps
-    box = nof.verify_s_uniformity(sl2_2, 2).box
+    box = nof.verify_s_uniformity(sl2_2, 2)[1]
     log = nof.advantage_curve(box, 64, irreps_cache(sl2_2), target_eps=10.0)
     assert log.records[-1].linf_rel <= 10.0
 
@@ -276,3 +277,67 @@ def test_advantage_curve_peak_memory(request, irreps_cache, group, t_max, budget
     finally:
         tracemalloc.stop()
     assert peak / (box.size * 8) <= budget
+
+
+def _run_curve(g, s, tmp_path):
+    nof.advantage_curve(nof.box_to_dist(nof.exact_s(g, 2)), 3, s)
+
+
+def _run_fresh_copy(g, s, tmp_path):
+    boost.boost_pipeline(nof.box_to_dist(nof.exact_s(g, 2)), "fresh-copy", 2, 0.0, s)
+
+
+def _cli(*argv):
+    def run(g, s, tmp_path):
+        cli.main(["experiment", *argv, "--group", "sl2:3", "--max-steps", "2",
+                  "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "out")])
+    return run
+
+
+@pytest.mark.parametrize("run", [_run_curve, _run_fresh_copy, _cli("nof", "--parties", "2"),
+                                 _cli("boost", "--m", "4", "--mode", "fresh-copy")],
+                         ids=["advantage_curve", "boost_pipeline", "cli nof", "cli boost"])
+def test_fresh_copy_curves_free_s_before_the_first_product(sl2_3, irreps_cache, tmp_path,
+                                                           monkeypatch, run):
+    """Every box that `box_to_dist` returns is dead at each `convolve` call the curve makes: once
+    `_pruned_forward` has read s, the caller, the curve and the CLI hold no reference to it."""
+    refs, alive = [], []
+    real_box = nof.box_to_dist
+
+    def box_to_dist(b):
+        d = real_box(b)
+        refs.append(weakref.ref(d))
+        return d
+
+    def watched(real):
+        def convolve(*args, **kwargs):
+            alive.append([r() is not None for r in refs])
+            return real(*args, **kwargs)
+        return convolve
+
+    monkeypatch.setattr(nof, "box_to_dist", box_to_dist)
+    monkeypatch.setattr(nof, "convolve", watched(nof.convolve))
+    monkeypatch.setattr(boost, "convolve", watched(boost.convolve))
+    run(sl2_3, irreps_cache(sl2_3), tmp_path)
+    assert len(refs) == 1 and alive
+    assert not any(any(a) for a in alive), alive
+
+
+@pytest.mark.parametrize("group, run, budget", [("a5", _run_curve, 3.19),
+                                                ("sl2_3", _run_curve, 7.03),
+                                                ("a5", _run_fresh_copy, 3.19)],
+                         ids=["a5 curve", "sl2_3 curve", "a5 fresh-copy boost"])
+def test_fresh_copy_peak_memory_counts_s(request, irreps_cache, tmp_path, group, run, budget):
+    """Traced peak from before the box exists, in real arrays of |G| doubles.  s is freed after
+    its forward, so a step holds what `test_advantage_curve_peak_memory` counts above s.  Measured
+    on one worker and two: the A5 curve 3.172 and 3.182, the SL(2,3) curve 7.022 on both, the A5
+    boost 3.172 and 3.176; 4.172, 8.022 and 4.172 on one worker when s was held to the end."""
+    g = request.getfixturevalue(group)
+    s = irreps_cache(g)
+    tracemalloc.start()
+    try:
+        run(g, s, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (g.order**4 * 8) <= budget

@@ -75,9 +75,9 @@ def _boost_log(g, s):
 
 
 def _box_report(g, s):
-    report = nof.verify_s_uniformity(g, 2)
+    report, box = nof.verify_s_uniformity(g, 2)
     fields = (report.is_3_uniform, report.four_wise_deviation, report.identity_rate)
-    return repr(fields).encode() + report.box.values.tobytes()
+    return repr(fields).encode() + box.values.tobytes()
 
 
 def _flatten(g, s):
