@@ -43,7 +43,7 @@ _REAL_TOL = 1e-9
 _DIRECT_REST_MAX = 4096           # convolve_direct builds an R x R index table
 _STACK_SHARE = 6                  # a chunked synthesis stack holds about 1/6 of the entries
 _POOL_MIN = 1 << 18               # jobs on a tensor with fewer entries run one after another
-_SLICE = 1 << 16                  # full-size distances sum a difference over slices of this many
+_SLICE = 1 << 16                  # every full-size min, max, sum or distance reads slices this long
 _GEMM_MIN = 1 << 21               # least multiply-adds of a GEMM piece: BLAS rounds small ones apart
 _GEMM_ALIGN = 64                  # GEMM pieces start at multiples of this many rows or columns
 _pool = None                      # ((pid, workers), executor), made on first use
@@ -86,26 +86,29 @@ class Dist:
 
 def make_dist(space: Space, values) -> Dist:
     """Validate and ingest a probability vector (tiny negatives clamp to 0)."""
-    return Dist(space, _checked(space, values))
+    return Dist(space, _checked(space, values)[0])
 
 
-def _checked(space: Space, values) -> np.ndarray:
-    """values as float64, validated and clamped as `make_dist` does, not made read-only."""
+def _checked(space: Space, values, *more) -> tuple:
+    """(v, v's least value, *[f(v) for f in more]): values as float64, validated and clamped as
+    `make_dist` does, not made read-only.  One scan (`_reduce`) reads the least value, the sum
+    and `more` (np.max, which a clamp that passes the sum check does not move); only values
+    clamped to 0 are summed again."""
     check_dense_budget(space)
     v = np.asarray(values, dtype=np.float64)
     n = space.size
     if v.shape != (n,):
         raise ValueError(f"expected {n} values for {space!r}, got shape {v.shape}")
-    low = _min(v) if n else 0.0
+    low, total, *rest = _reduce(v, np.min, np.sum, *more)
     if low < NEG_CLAMP:
         raise ValueError(f"negative probability {low} below clamp threshold {NEG_CLAMP}")
     if low < 0.0:
         v = np.where(v < 0.0, 0.0, v)
-    total = _fsum(v)
+        low, total = 0.0, _reduce(v, np.sum)[0]
     # negated so that NaN fails too; -inf fails the clamp check, +inf the sum
     if not abs(total - 1.0) <= DIST_SUM_TOL:
         raise ValueError(f"probabilities sum to {total}, not 1 within {DIST_SUM_TOL}")
-    return v
+    return (v, low, *rest)
 
 
 def uniform(space: Space) -> Dist:
@@ -118,7 +121,7 @@ def uniform(space: Space) -> Dist:
 #
 # Work is cut into independent jobs whose results do not depend on how it is cut: matmuls of a
 # batch, the groups of a pruned pass, synthesis rows and norm rows, whole marginals, pieces of
-# an elementwise pass or a minimum, and runs of whole _SLICE slices of a sum.  A GEMM is cut
+# an elementwise pass, and runs of whole _SLICE slices of a min, max or sum.  A GEMM is cut
 # only into pieces that start at a multiple of _GEMM_ALIGN rows (or columns) and hold at least
 # _GEMM_MIN multiply-adds, so BLAS runs each piece with the kernels of the whole.  So every
 # output is the same bits at any worker count; numpy and BLAS release the GIL in the jobs.
@@ -204,21 +207,15 @@ def _deviation_slices(a: np.ndarray, b, func) -> list:
                                 for lo, hi in _spans(len(starts), a.size)], a.size) for r in part]
 
 
-def _fsum(a: np.ndarray) -> float:
-    """math.fsum of a's _SLICE slice sums: the same at any worker count, for tolerance checks."""
-    return math.fsum(_deviation_slices(a, None, np.sum))
-
-
-def _pooled(func, a: np.ndarray):
-    """func(a) for a non-empty a from func of pieces on the pool: func is np.min or np.max (NaN if
-    any entry is), or np.sum of integers, whose result does not depend on the cut."""
-    return func(_run([functools.partial(func, a[lo:hi]) for lo, hi in _spans(len(a), a.size)],
-                     a.size))
-
-
-def _min(a: np.ndarray) -> float:
-    """The least entry of a non-empty a, NaN if any, from pieces on the pool."""
-    return float(_pooled(np.min, a))
+def _reduce(a: np.ndarray, *funcs) -> list:
+    """[func(a) for func in funcs] as Python numbers, each func np.min, np.max or np.sum, from one
+    pass over a's _SLICE slices (`_deviation_slices`): the extremes are exact (NaN if any entry
+    is), an integer sum is exact and a float sum is the math.fsum of the slice sums, so no result
+    depends on the cut.  fsum raises on inf - inf, so a non-finite slice sum makes the plain sum."""
+    cols = zip(*_deviation_slices(a, None, lambda d: [f(d) for f in funcs]))
+    return [f(c).item() if f is not np.sum or a.dtype.kind != "f"
+            else math.fsum(c) if all(map(math.isfinite, c)) else sum(map(float, c))
+            for f, c in zip(funcs, cols)]
 
 
 def _split(func, out: np.ndarray, *args) -> np.ndarray:
@@ -615,11 +612,12 @@ def _synthesize(flat: np.ndarray, s: IrrepSet, m: int, norms: np.ndarray,
     else:
         vals = _axis_passes(flat, syn, m, bufs)
     if np.iscomplexobj(vals):
-        worst_imag = max(float(_pooled(np.max, vals.imag)), -_min(vals.imag))
+        low, high = _reduce(vals.imag, np.min, np.max)
+        worst_imag = max(high, -low)
         if worst_imag > _REAL_TOL:
             raise ValueError(f"synthesized values have imaginary residual {worst_imag}")
         vals = np.ascontiguousarray(vals.real)
-    if -dip <= _min(vals) < 0.0:
+    if -dip <= _reduce(vals, np.min)[0] < 0.0:
         np.copyto(vals, 0.0, where=vals < 0.0)
     return vals
 
@@ -641,7 +639,7 @@ def _pruned_forward(p: Dist, s: IrrepSet) -> tuple[FourierData, np.ndarray, np.n
     m = p.space.arity
     ana = _stacked(s)[0]
     bufs = [np.empty(p.size, dtype=ana.dtype) for _ in range(2)]
-    floor = np.finfo(np.float64).eps * float(p.values.sum()) ** 2 / p.size**2 * (1 - 1e-6)
+    floor = np.finfo(np.float64).eps * _reduce(p.values, np.sum)[0] ** 2 / p.size**2 * (1 - 1e-6)
     cp, norms = _axis_passes(p.values, ana, m, bufs, s, floor)
     fd = FourierData(s, m, cp.reshape((s.order,) * m))
     vars(fd)["block_norms_sq"] = norms     # the cached_property's slot
@@ -752,8 +750,8 @@ def _marginals(p: Dist, k: int):
     tops = _k_subsets(p.space.arity, k)    # before H^k is built: a bad k names the range
     space, extremes = ProductGroup(p.space.base, k), {}
     for top, values in _each_marginal(p.values, p.space.base.order, p.space.arity, tops):
-        values = [_checked(space, values)]    # popped by the yield: none is held across it
-        extremes[top] = _min(values[0]), float(_pooled(np.max, values[0]))
+        *values, low, high = _checked(space, values, np.max)    # values is popped by the yield:
+        extremes[top] = low, high                                # no marginal is held across it
         yield top, values.pop()
     _remember(p, k, "extremes", extremes)
 

@@ -22,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from groupmix.boost import ExperimentLog, _measure
-from groupmix.fourier import (BoundViolation, Dist, _each_marginal, _pruned_forward, _split,
-                              convolve, dist_from_fourier, make_dist)
+from groupmix.fourier import (BoundViolation, Dist, _each_marginal, _pruned_forward, _reduce,
+                              _split, convolve, dist_from_fourier, make_dist)
 from groupmix.groups import GroupTable, ProductGroup, check_dense_budget
 from groupmix.irreps import IrrepSet
 from groupmix.uniformity import eps_k_uniform_counts
@@ -82,8 +82,9 @@ def exact_s(h: GroupTable, parties: int) -> BoxDist:
     counts = np.bincount(flat.ravel(), minlength=n**m)
     _split(np.multiply, counts, counts, n ** (k - 1))
     total = n ** (2 * k)
-    if int(counts.sum()) != total:
-        raise BoundViolation(f"box counts sum to {int(counts.sum())}, not |H|^(2k) = {total}")
+    [counted] = _reduce(counts, np.sum)
+    if counted != total:
+        raise BoundViolation(f"box counts sum to {counted}, not |H|^(2k) = {total}")
     return BoxDist(h, k, counts, total)
 
 

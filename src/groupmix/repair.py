@@ -29,9 +29,8 @@ from groupmix.fourier import (
     SpaceMismatchError,
     _axis_passes,
     _deviation_slices,
-    _fsum,
     _low_weight_transforms,
-    _min,
+    _reduce,
     _split,
     _stacked,
     make_dist,
@@ -66,7 +65,8 @@ def low_part(p: Dist, k: int, s: IrrepSet) -> np.ndarray:
         flat = coeffs.reshape(-1)    # spent: the inverse's first buffer
         lifted = _axis_passes(flat, synth, k, [flat, np.empty_like(flat)])
         if np.iscomplexobj(lifted):
-            worst_imag = float(np.max(np.abs(lifted.imag)))
+            low, high = _reduce(lifted.imag, np.min, np.max)
+            worst_imag = max(high, -low)
             if worst_imag > _IMAG_TOL:
                 raise ValueError(
                     f"low-degree part has imaginary residual {worst_imag} > {_IMAG_TOL}; "
@@ -80,7 +80,7 @@ def low_part(p: Dist, k: int, s: IrrepSet) -> np.ndarray:
             lifted = lifted.reshape([n if c in top else 1 for c in reversed(range(m))])
             _split(np.add, ell, ell, lifted)
     ell = ell.reshape(-1)
-    total = _fsum(ell)
+    [total] = _reduce(ell, np.sum)
     if abs(total) > _SUM_TOL:
         raise ValueError(f"low-degree part sums to {total}, expected 0")
     return ell
@@ -164,7 +164,7 @@ def repair(p: Dist, k: int, s: IrrepSet, mode: str = "adaptive") -> tuple[Dist, 
     # within the ingestion clamp are already treated as zero, so only a
     # genuinely negative one forces mixing; this keeps beta exactly 0 on
     # exactly-k-uniform inputs where ell is pure rounding noise
-    low = _min(buf)
+    [low] = _reduce(buf, np.min)
     beta_adaptive = -low / (1.0 / g_size - low) if low < -1e-16 else 0.0
     beta_paper = _paper_beta(m, n, k, eps_in)
     beta = beta_paper if mode == "paper-formula" else beta_adaptive
@@ -178,7 +178,7 @@ def repair(p: Dist, k: int, s: IrrepSet, mode: str = "adaptive") -> tuple[Dist, 
     _split(np.multiply, buf, buf, 1.0 - beta)
     _split(np.add, buf, buf, beta / g_size)
     # the certificate reports q before the ingestion clamp, which runs in place
-    q_min, q_sum = _min(buf), float(buf.sum())
+    q_min, q_sum = _reduce(buf, np.min)[0], float(buf.sum())
     if NEG_CLAMP <= q_min < 0.0:
         _split(np.maximum, buf, buf, 0.0)
     q = make_dist(p.space, buf)
@@ -198,7 +198,7 @@ def verify_repair(p: Dist, q: Dist, k: int, s: IrrepSet) -> RepairCertificate:
     if not same_space(p.space, q.space):
         raise SpaceMismatchError("repair check across different spaces")
     eps_in = float(p.size) * max_low_weight_norm(p, k, s)
-    q_stats = _min(q.values), float(q.values.sum())
+    q_stats = _reduce(q.values, np.min)[0], float(q.values.sum())
     return _certify(p, q, q_stats, k, s, eps_in, "verify", None, None)
 
 

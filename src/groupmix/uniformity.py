@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from groupmix.fourier import (Dist, _each_marginal, _extremes, _k_subsets, _pooled,
+from groupmix.fourier import (Dist, _each_marginal, _extremes, _k_subsets, _reduce,
                               max_low_weight_norm)
 from groupmix.irreps import IrrepSet
 
@@ -46,12 +46,12 @@ def eps_k_uniform_counts(counts: np.ndarray, n: int, m: int, k: int) -> Uniformi
 
     Used where the distribution is a normalized counting measure, so exact
     zero can be certified without floating point.  The marginals are summed on the pool
-    (`fourier._each_marginal`), and each one's sum, the total, and extremes read in pieces.
+    (`fourier._each_marginal`), and each one's total and extremes read in one slice scan.
     """
     counts = np.asarray(counts, dtype=np.int64)
     cells, table = n**k, {}
     for subset, marg in _each_marginal(counts, n, m, _k_subsets(m, k)):
-        total, low, high = (int(_pooled(f, marg)) for f in (np.sum, np.min, np.max))
+        total, low, high = _reduce(marg, np.sum, np.min, np.max)
         table[subset] = max(abs(Fraction(high * cells, total) - 1),
                             abs(Fraction(low * cells, total) - 1))
     return _worst_subset(table)

@@ -62,6 +62,26 @@ def irreps_cache():
     return get
 
 
+@pytest.fixture
+def workers(monkeypatch):
+    """workers(w) runs every later pooled pass of `groupmix.fourier` on a pool of w workers (w = 1:
+    one after another); the pools made are shut down, and the pool made before comes back
+    untouched."""
+    from groupmix import fourier as fx
+
+    monkeypatch.setattr(fx, "_pool", None)
+
+    def set_workers(w):
+        if fx._pool is not None:
+            fx._pool[1].shutdown()
+        monkeypatch.setattr(fx, "_pool", None)
+        monkeypatch.setattr(fx, "_WORKERS", w)
+
+    yield set_workers
+    if fx._pool is not None:
+        fx._pool[1].shutdown()
+
+
 def random_dist(space_size: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.random(space_size) + 1e-3
     return v / v.sum()

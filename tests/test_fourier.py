@@ -14,7 +14,7 @@ from groupmix.boost import boost_pipeline, flatten_bound_check
 from groupmix.groups import ProductGroup
 from groupmix.irreps import IrrepSet, get_irreps, quasirandomness_degree
 from groupmix.repair import repair
-from groupmix.uniformity import eps_k_uniform
+from groupmix.uniformity import eps_k_uniform, eps_k_uniform_counts
 
 import oracles
 from bounds import rep_bound_check
@@ -78,6 +78,11 @@ def test_make_dist_rejects_non_finite(c4):
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="nan|inf"):
             fx.make_dist(c4, [0.25, 0.25, 0.25, bad])
+    # inf and -inf in different slices of the sum: the clamp check still names -inf
+    v = np.full(4**9, 4.0**-9)
+    v[0], v[-1] = np.inf, -np.inf
+    with pytest.raises(ValueError, match="negative probability -inf"):
+        fx.make_dist(ProductGroup(c4, 9), v)
 
 
 def test_dist_clamps_tiny_negatives(a5):
@@ -1011,6 +1016,32 @@ def test_split_passes_tile_the_tensor_once(monkeypatch, a5, a5_irr, pool_min):
                 cover[offset:], out.shape, [st // out.itemsize * 8 for st in out.strides])
             view += 1
         assert buf.size == 60**3 and np.all(cover == 1)
+
+
+def test_checks_read_each_array_once(monkeypatch, a5, sl2_3):
+    """Every full-size reduction is one `_run` over the array's size: `make_dist` reads an
+    unclamped array once, for its least value and its sum (twice once a value is clamped), and
+    a k-marginal walk and an exact count scan each read every marginal once, for its check or
+    total and its extremes."""
+    sizes, run = [], fx._run
+    monkeypatch.setattr(fx, "_run", lambda jobs, size: sizes.append(size) or run(jobs, size))
+    space = ProductGroup(a5, 3)
+    v = np.random.default_rng(SEED).random(space.size)
+    p = fx.make_dist(space, v / v.sum())
+    assert sizes == [space.size]
+    sizes.clear()
+    v = p.values.copy()
+    v[1] += v[0]
+    v[0] = -1e-17
+    fx.make_dist(space, v)
+    assert sizes == [space.size] * 2
+    sizes.clear()
+    eps_k_uniform(p, 2)
+    assert sizes.count(a5.order**2) == 3    # C(3, 2) marginals
+    counts = nof.exact_s(sl2_3, 2).counts
+    sizes.clear()
+    eps_k_uniform_counts(counts, sl2_3.order, 4, 3)
+    assert sizes.count(sl2_3.order**3) == 4    # C(4, 3) marginals
 
 
 @pytest.mark.parametrize("group, operands, budget", [

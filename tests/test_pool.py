@@ -4,6 +4,7 @@ pooled jobs reach the caller, and small inputs start no thread."""
 from __future__ import annotations
 
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -26,22 +27,11 @@ SEED = 2024
 
 
 @pytest.fixture
-def pool(monkeypatch):
-    """workers(w) runs every job after it on a pool of w workers (w = 1: one after another),
-    whatever the size of the tensor; the pools made are shut down, and the pool made before
-    comes back untouched."""
+def pool(monkeypatch, workers):
+    """`workers` on tensors of any size: pool(w) runs every job after it on a pool of w
+    workers (w = 1: one after another)."""
     monkeypatch.setattr(fx, "_POOL_MIN", 0)
-    monkeypatch.setattr(fx, "_pool", None)
-
-    def workers(w):
-        if fx._pool is not None:
-            fx._pool[1].shutdown()
-        monkeypatch.setattr(fx, "_pool", None)
-        monkeypatch.setattr(fx, "_WORKERS", w)
-
-    yield workers
-    if fx._pool is not None:
-        fx._pool[1].shutdown()
+    return workers
 
 
 def _random_dist(space, seed):
@@ -109,6 +99,9 @@ CASES = {
     "sl2_3^4 box * box": ("sl2_3", _box_square),
     "a5^4 advantage curve": ("a5", _curve),
     "a5^4 repair report": ("a5", _repair_report),
+    # complex irreps: the low part's and the synthesis's imaginary scans
+    "sl2_3^4 advantage curve": ("sl2_3", _curve),
+    "sl2_3^4 repair report": ("sl2_3", _repair_report),
     "a5^4 self-square boost log": ("a5", _boost_log),
     "a5 box uniformity report": ("a5", _box_report),
     "a5^4 flatten record": ("a5", _flatten),
@@ -149,6 +142,50 @@ def test_worker_count_check_at_both_blas_settings(blas):
         cwd=os.path.dirname(here), env=env, capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stdout[-3000:] + result.stderr[-3000:]
     assert f"{len(CASES)} passed" in result.stdout
+
+
+def _reduce_input(case: str) -> np.ndarray:
+    rng = np.random.default_rng(SEED)
+    size = 3 * fx._SLICE + 1234    # not a multiple of a slice
+    if case == "int64":
+        return rng.integers(-10**12, 10**12, size=size)
+    if case == "below one slice":
+        return rng.standard_normal(1000)
+    if case == "complex .imag":
+        return (rng.standard_normal(size) + 1j * rng.standard_normal(size)).imag
+    a = rng.standard_normal(size)
+    if case.startswith("NaN at"):
+        a[int(case.split()[-1])] = np.nan
+    elif case == "-0.0 and 0.0":
+        a = np.where(a < 0.0, -0.0, 0.0)
+    elif case == "-0.0 only":
+        a = np.full(size, -0.0)
+    return a
+
+
+@pytest.mark.parametrize("case", ["float64", "int64", "NaN at 0", "NaN at 70000",
+                                  f"NaN at {3 * fx._SLICE + 1233}", "-0.0 and 0.0", "-0.0 only",
+                                  "complex .imag", "below one slice"])
+def test_reduce_matches_numpy(pool, case):
+    """`fourier._reduce` gives NumPy's least and largest entry (NaN if any entry is) and its
+    integer sum, as Python numbers, and for a float sum the math.fsum of the 2^16-entry slice
+    sums, at every worker count."""
+    a = _reduce_input(case)
+    number = int if a.dtype.kind == "i" else float
+    slices = math.fsum(np.sum(a[i:i + fx._SLICE]) for i in range(0, a.size, fx._SLICE))
+    for w in (1, 2, 3):
+        pool(w)
+        low, high, total = fx._reduce(a, np.min, np.max, np.sum)
+        assert all(type(x) is number for x in (low, high, total))
+        for got, want in ((low, np.min(a).item()), (high, np.max(a).item())):
+            assert got == want or repr(got) == repr(want) == "nan"
+        if case == "-0.0 only":
+            assert repr(low) == repr(high) == "-0.0"
+        if number is int:
+            assert total == int(np.sum(a))
+        else:
+            assert repr(total) == repr(slices)
+            assert total == pytest.approx(float(np.sum(a)), rel=1e-12, abs=1e-9, nan_ok=True)
 
 
 def test_more_workers_than_cores_switching_often(pool, a5):
